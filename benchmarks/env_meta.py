@@ -3,7 +3,7 @@
 Benchmark numbers are only comparable when the environment that produced
 them is known; every bench module's ``run()`` attaches
 :func:`environment_metadata` under the ``environment`` key so artifacts
-from different CI jobs (3.10 vs 3.12, numpy vs no-numpy) never get
+from different CI jobs (3.10 vs 3.12, different numpy builds) never get
 compared as if they came from the same box.
 """
 
@@ -12,23 +12,16 @@ from __future__ import annotations
 import os
 import platform
 
-from repro import kernel
+import numpy
 
 
 def environment_metadata() -> dict:
     """The reproducibility stamp recorded in each benchmark artifact."""
-    try:
-        import numpy
-
-        numpy_version: str | None = numpy.__version__
-    except ImportError:  # pragma: no cover - exercised by the no-numpy job
-        numpy_version = None
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count() or 1,
-        "numpy": numpy_version,
-        "kernel_available": kernel.is_available(),
+        "numpy": numpy.__version__,
     }

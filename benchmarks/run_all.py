@@ -2,10 +2,11 @@
 
 Four benchmark families, each with its own machine-readable artifact:
 
-* **cost matrix** (``BENCH_costmatrix.json``) — the three PR 2 wins on
-  synthetic long paths: serial ``CostMatrix.compute`` against a PR 1
-  style baseline (per-entry evaluation, no shared row context, caches
-  off); the same construction fanned out over a process pool; and
+* **cost matrix** (``BENCH_costmatrix.json``) — construction on
+  synthetic long paths: a cold serial ``CostMatrix.compute`` (fresh
+  statistics, cleared Yao memo tables) against a warm rebuild of the
+  same inputs (the persistent lowering cache); serial builds on fresh
+  inputs and the same construction fanned out over a process pool; and
   ``CostMatrix.recompute`` after a single-class load change against a
   full recompute;
 * **what-if loop** (``BENCH_whatif.json``, via
@@ -18,9 +19,8 @@ Four benchmark families, each with its own machine-readable artifact:
   windowed operation-stream replay applying each drift batch through
   one ``apply_many`` recompute against one recompute per perturbation;
 * **columnar kernel** (``BENCH_kernel.json``, via
-  :mod:`benchmarks.bench_kernel`) — the PR 6 win: end-to-end matrix
-  builds through the columnar numpy kernel against the legacy per-row
-  evaluator, fresh-state and warm-cache regimes.
+  :mod:`benchmarks.bench_kernel`) — end-to-end kernel matrix builds:
+  fresh-state, warm-cache and dirty-slice regimes.
 
 Usage::
 
@@ -45,9 +45,8 @@ import time
 
 from benchmarks.env_meta import environment_metadata
 from repro.core.cost_matrix import CostMatrix
-from repro.costmodel.params import ClassStats, CostModelConfig, PathStatistics
-from repro.costmodel.subpath import subpath_processing_cost
-from repro.organizations import CONFIGURABLE_ORGANIZATIONS
+from repro.costmodel import yao
+from repro.costmodel.params import ClassStats, PathStatistics
 from repro.synth import LevelSpec, linear_path_schema
 from repro.workload.load import LoadDistribution, LoadTriplet
 
@@ -63,8 +62,8 @@ FULL_LENGTHS = (20, 30)
 SMOKE_LENGTHS = (10, 20)
 
 
-def make_inputs(length: int, cache_evaluation: bool = True):
-    """The bench_matrix_scaling synthetic world, configurable caching."""
+def make_inputs(length: int):
+    """The bench_matrix_scaling synthetic world."""
     levels = [LevelSpec(f"L{i}") for i in range(length)]
     _schema, path = linear_path_schema(levels)
     per_class = {}
@@ -75,21 +74,33 @@ def make_inputs(length: int, cache_evaluation: bool = True):
             objects=objects, distinct=max(10, objects // 5), fanout=1
         )
         objects = max(100, objects // 4)
-    config = CostModelConfig(cache_evaluation=cache_evaluation)
-    stats = PathStatistics(path, per_class, config)
+    stats = PathStatistics(path, per_class)
     load = LoadDistribution.uniform(path, query=0.2, insert=0.05, delete=0.05)
     return stats, load
 
 
-def time_pr1_baseline(length: int) -> float:
-    """Milliseconds for a PR 1 style build: per-entry, contextless, uncached."""
-    stats, load = make_inputs(length, cache_evaluation=False)
+def time_cold_build(length: int) -> float:
+    """Milliseconds for a cold serial build: fresh statistics and cleared
+    module-level Yao memo tables, so nothing is cached."""
+    stats, load = make_inputs(length)
+    yao._npa_integer.cache_clear()
+    yao._npa_pair.cache_clear()
     started = time.perf_counter()
-    for start in range(1, length + 1):
-        for end in range(start, length + 1):
-            for organization in CONFIGURABLE_ORGANIZATIONS:
-                subpath_processing_cost(stats, load, start, end, organization)
+    CostMatrix.compute(stats, load, workers=0)
     return (time.perf_counter() - started) * 1000.0
+
+
+def time_warm_build(length: int, repeats: int = 3) -> float:
+    """Best-of-N milliseconds for rebuilding already-built inputs (the
+    persistent lowering cache answers)."""
+    stats, load = make_inputs(length)
+    CostMatrix.compute(stats, load, workers=0)
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        CostMatrix.compute(stats, load, workers=0)
+        best = min(best, (time.perf_counter() - started) * 1000.0)
+    return best
 
 
 def time_compute(length: int, workers: int | None, repeats: int = 3) -> float:
@@ -151,21 +162,23 @@ def time_incremental(length: int, repeats: int = 3) -> dict:
 
 
 def measure(length: int, parallel_workers: int) -> dict:
-    """All three measurements for one path length.
+    """Every construction measurement for one path length.
 
-    Order matters and is chronological: the PR 1 baseline runs first
-    (cold), the new serial path second, so shared module-level memo tables
-    (Yao's formula) never favour the baseline.
+    Order matters: the cold build runs first, because it clears the
+    shared module-level memo tables (Yao's formula) the later builds
+    reuse.
     """
-    baseline_ms = time_pr1_baseline(length)
+    cold_ms = time_cold_build(length)
+    warm_ms = time_warm_build(length)
     serial_ms = time_compute(length, workers=0)
     parallel_ms = time_compute(length, workers=parallel_workers)
     result = {
         "length": length,
         "rows": length * (length + 1) // 2,
-        "pr1_baseline_ms": round(baseline_ms, 3),
+        "cold_ms": round(cold_ms, 3),
+        "warm_ms": round(warm_ms, 3),
+        "warm_speedup_vs_cold": round(cold_ms / warm_ms, 2),
         "serial_ms": round(serial_ms, 3),
-        "serial_speedup_vs_pr1": round(baseline_ms / serial_ms, 2),
         "parallel_workers": parallel_workers,
         "parallel_ms": round(parallel_ms, 3),
         "parallel_speedup_vs_serial": round(serial_ms / parallel_ms, 2),

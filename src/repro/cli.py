@@ -45,7 +45,7 @@ import json
 import sys
 
 from repro.core.advisor import DEFAULT_STRATEGY, advise
-from repro.core.cost_matrix import KERNELS, CostMatrix
+from repro.core.cost_matrix import CostMatrix
 from repro.core.multipath import (
     DEFAULT_RESTARTS,
     PathWorkload,
@@ -127,7 +127,6 @@ def _cmd_advise(arguments: argparse.Namespace) -> int:
         range_selectivity=spec.range_selectivity,
         strategy=arguments.strategy,
         workers=arguments.workers,
-        kernel=arguments.kernel,
         recorder=recorder,
         **strategy_options,
     )
@@ -174,7 +173,6 @@ def _cmd_matrix(arguments: argparse.Namespace) -> int:
         include_noindex=spec.include_noindex,
         range_selectivity=spec.range_selectivity,
         workers=arguments.workers,
-        kernel=arguments.kernel,
     )
     print(matrix.render(spec.stats.path))
     return 0
@@ -205,7 +203,6 @@ def _cmd_multipath(arguments: argparse.Namespace) -> int:
             include_noindex=arguments.noindex or spec.include_noindex,
             range_selectivity=spec.range_selectivity,
             workers=arguments.workers,
-            kernel=arguments.kernel,
             recorder=recorder,
         )
         for spec in specs
@@ -287,7 +284,6 @@ def _cmd_whatif(arguments: argparse.Namespace) -> int:
         range_selectivity=spec.range_selectivity,
         strategy=arguments.strategy,
         workers=arguments.workers,
-        kernel=arguments.kernel,
         recorder=recorder,
     )
     steps = session.run(perturbations)
@@ -393,7 +389,6 @@ def _cmd_replay(arguments: argparse.Namespace) -> int:
         range_selectivity=spec.range_selectivity,
         strategy=arguments.strategy,
         workers=arguments.workers,
-        kernel=arguments.kernel,
         recorder=recorder,
     )
     if arguments.resume:
@@ -625,16 +620,6 @@ def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
         help=(
             "worker processes for the cost-matrix construction: "
             "0 forces serial, omit for auto (parallel on long paths)"
-        ),
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default="auto",
-        help=(
-            "cost-matrix evaluation engine: columnar (numpy, batched), "
-            "legacy (scalar rows), or auto (columnar when numpy is "
-            "available); every kernel builds bit-identical matrices"
         ),
     )
 

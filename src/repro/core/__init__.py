@@ -4,9 +4,7 @@
 * :mod:`~repro.core.cost_matrix` — the ``Cost_Matrix`` and ``Min_Cost``
   procedures of Section 5;
 * :mod:`repro.search` — the pluggable search strategies over the matrix
-  (branch and bound, exhaustive, dynamic program, greedy beam); the
-  pre-PR 1 shims ``core/optimizer``, ``core/exhaustive`` and
-  ``core/dynprog`` are retired and raise a migration ``ImportError``;
+  (branch and bound, exhaustive, dynamic program, greedy beam);
 * :mod:`~repro.core.evaluation` — configuration cost evaluation, including
   the exact "coupled" evaluator extension;
 * :mod:`~repro.core.advisor` — the one-call high-level API;

@@ -139,7 +139,6 @@ def advise(
     range_selectivity: float | None = None,
     strategy: str = DEFAULT_STRATEGY,
     workers: int | None = None,
-    kernel: str = "auto",
     deadline=None,
     degradation=None,
     recorder=None,
@@ -177,12 +176,6 @@ def advise(
         :meth:`~repro.core.cost_matrix.CostMatrix.compute`): ``None``
         auto-parallelizes long paths, ``0`` forces serial, ``N`` uses
         exactly ``N`` processes. The search itself is always in-process.
-    kernel:
-        Evaluation engine for the matrix construction (see
-        :meth:`~repro.core.cost_matrix.CostMatrix.compute`):
-        ``"auto"`` (default) uses the columnar numpy kernel when
-        available, ``"columnar"``/``"legacy"`` force one engine. All
-        kernels produce bit-identical matrices.
     deadline:
         An optional :class:`~repro.resilience.Deadline` bounding the
         search. On expiry the exact strategy is abandoned and the
@@ -196,7 +189,7 @@ def advise(
         An optional
         :class:`~repro.resilience.DegradationReport` collecting a
         structured record of every fallback taken (deadline rungs,
-        worker-pool serial fallbacks, kernel downgrades). When omitted,
+        worker-pool serial fallbacks). When omitted,
         deadline fallbacks are still applied — just not recorded.
     recorder:
         An optional :class:`~repro.obs.Recorder` collecting tracing
@@ -220,7 +213,6 @@ def advise(
             include_noindex=include_noindex,
             range_selectivity=range_selectivity,
             workers=workers,
-            kernel=kernel,
             degradation=degradation,
             recorder=recorder,
         )

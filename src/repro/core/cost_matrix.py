@@ -15,10 +15,9 @@ A matrix can also be constructed from literal values
 (:meth:`CostMatrix.from_values`), which is how the Figure 6 hypothetical
 matrix and its walkthrough are reproduced.
 
-Construction is the pipeline's bottleneck on long paths, so it is built
-as a fast evaluation layer: per-row shared work (derived load, probe
-fan-in) is hoisted into a :class:`~repro.costmodel.subpath.SubpathContext`
-computed once per row, rows can be fanned out over worker processes
+Construction is the pipeline's bottleneck on long paths, so every row is
+priced by the columnar numpy kernel (:mod:`repro.kernel`), bit-identically
+to the scalar cost model; rows can be fanned out over worker processes
 (:meth:`CostMatrix.compute` with ``workers``), and
 :meth:`CostMatrix.recompute` re-prices only the rows whose inputs actually
 changed for cheap what-if loops over evolving workloads.
@@ -32,12 +31,9 @@ import pickle
 import warnings
 from dataclasses import dataclass
 
+from repro import kernel
 from repro.costmodel.params import PathStatistics
-from repro.costmodel.subpath import (
-    SubpathContext,
-    SubpathCost,
-    subpath_processing_cost,
-)
+from repro.costmodel.subpath import SubpathCost
 from repro.errors import OptimizerError
 from repro.obs.recorder import NULL_RECORDER, Recorder, resolve_recorder
 from repro.resilience.retry import DEFAULT_RETRY_POLICY, run_with_retry
@@ -66,35 +62,11 @@ class RowMinimum:
 #: numerically equivalent reformulations of the cost model.
 TIE_RELATIVE_TOLERANCE = 1e-9
 
-#: Backwards-compatible alias (pre-PR 2 private name).
-_TIE_RELATIVE_TOLERANCE = TIE_RELATIVE_TOLERANCE
-
 #: Shortest path for which ``workers=None`` (auto) parallelizes
-#: construction when worker inputs must be pickled (spawn start method).
-#: Below it the n(n+1)/2 rows are cheap enough that process startup and
-#: input pickling dominate any win.
-PARALLEL_AUTO_MIN_LENGTH = 25
-
-#: The same auto threshold where ``fork`` is the default start method:
-#: workers then inherit the statistics and workload as a read-only module
-#: global at fork time (no per-batch pickling), so the fan-out pays off on
-#: shorter paths.
-PARALLEL_AUTO_MIN_LENGTH_FORK = 20
-
-#: Auto-parallel threshold when the columnar kernel evaluates the rows.
-#: The kernel's serial throughput is ~5x the legacy evaluator's, so the
-#: path length where process startup amortizes moves out accordingly
-#: (measured crossover on an 8-core host: around length 60).
-PARALLEL_AUTO_MIN_LENGTH_COLUMNAR = 60
-
-#: Smallest row batch for which ``kernel="auto"`` picks the columnar
-#: kernel. Below it (tiny matrices, near-empty recompute dirty sets) the
-#: kernel's fixed batch-building cost exceeds the legacy evaluator's
-#: per-row cost; both produce bit-identical rows, so auto picks by speed.
-KERNEL_AUTO_MIN_ROWS = 8
-
-#: Recognized ``kernel=`` arguments.
-KERNELS = ("auto", "columnar", "legacy")
+#: construction. The columnar kernel prices a length-60 matrix serially in
+#: a few hundred milliseconds, so below it process startup and input
+#: transfer dominate any win (measured crossover on an 8-core host).
+PARALLEL_AUTO_MIN_LENGTH = 60
 
 
 def _fork_context() -> multiprocessing.context.BaseContext | None:
@@ -172,10 +144,10 @@ class RecomputeReport:
 
     ``kernel_slice_rows`` counts the re-priced rows that went through the
     columnar kernel as an array-slice re-evaluation; when it is zero even
-    though rows were re-priced, ``kernel_fallback_reason`` says why the
-    legacy evaluator was chosen instead (requested explicitly, numpy
-    missing, a dirty set too small to amortize a fresh lowering, …) — so
-    tests assert the kernel path structurally, never from timings.
+    though rows were re-priced, ``kernel_fallback_reason`` says why (every
+    dirty row ends at the last attribute under a range predicate, which the
+    kernel prices through the scalar oracle) — so tests assert the kernel
+    path structurally, never from timings.
     """
 
     mode: str
@@ -211,7 +183,7 @@ class RecomputeReport:
         if self.kernel_slice_rows:
             engine = f" ({self.kernel_slice_rows} kernel-sliced)"
         elif self.kernel_fallback_reason:
-            engine = f" (legacy: {self.kernel_fallback_reason})"
+            engine = f" (scalar: {self.kernel_fallback_reason})"
         else:
             engine = ""
         if self.mode == "full":
@@ -252,54 +224,26 @@ def _scan_row_minimum(values: list[float], base: int, width: int) -> tuple[float
     return minimum_cost, minimum_org
 
 
-def _compute_row(
-    stats: PathStatistics,
-    load: LoadDistribution,
-    organizations: tuple[IndexOrganization, ...],
-    start: int,
-    end: int,
-    range_selectivity: float | None,
-) -> dict[IndexOrganization, SubpathCost]:
-    """Price one matrix row: every organization over one shared context."""
-    context = SubpathContext.build(
-        stats, load, start, end, range_selectivity=range_selectivity
-    )
-    return {
-        organization: subpath_processing_cost(
-            stats,
-            load,
-            start,
-            end,
-            organization,
-            range_selectivity=range_selectivity,
-            context=context,
-        )
-        for organization in organizations
-    }
-
-
 def _evaluate_rows(
     stats: PathStatistics,
     load: LoadDistribution,
     organizations: tuple[IndexOrganization, ...],
     rows: list[tuple[int, int]],
     range_selectivity: float | None,
-    kernel: str,
     arrays=None,
     recorder=NULL_RECORDER,
 ) -> dict[tuple[int, int], dict[IndexOrganization, SubpathCost]]:
-    """Price rows with the resolved evaluation kernel.
+    """Price rows with the columnar kernel.
 
-    ``kernel`` is already resolved to ``"columnar"`` or ``"legacy"``. The
-    columnar kernel batches every (row, organization) pair into array
-    operations (:mod:`repro.kernel`); the legacy path walks the rows one
-    at a time through :func:`subpath_processing_cost`. Both produce
-    bit-identical :class:`SubpathCost` rows — the legacy evaluator is the
-    kernel's parity oracle. ``arrays`` optionally hands the columnar
-    kernel a pre-lowered (or workload-patched)
-    :class:`~repro.kernel.arrays.StatArrays` for these exact inputs.
+    The kernel batches every (row, organization) pair into array
+    operations (:mod:`repro.kernel`) and produces :class:`SubpathCost`
+    rows bit-identical to
+    :func:`~repro.costmodel.subpath.subpath_processing_cost`, the scalar
+    parity oracle. ``arrays`` optionally hands it a pre-lowered (or
+    workload-patched) :class:`~repro.kernel.arrays.StatArrays` for these
+    exact inputs.
 
-    With an enabled ``recorder`` the columnar path splits into
+    With an enabled ``recorder`` the evaluation splits into
     ``kernel.lower`` / ``kernel.fold`` spans (the explicit ``lower`` is
     the same cache-backed lookup the kernel performs internally, so
     timing it changes nothing) and the lowering-cache probe lands on the
@@ -307,30 +251,20 @@ def _evaluate_rows(
     ``matrix.rows_priced``.
     """
     recorder.counter("matrix.rows_priced").add(len(rows))
-    if kernel == "columnar":
-        from repro import kernel as columnar
-
-        if recorder.enabled and arrays is None:
-            cached = columnar.cached_lowering(stats, load, range_selectivity)
-            if cached is not None:
-                recorder.counter("kernel.lowering_cache.hits").add()
-                arrays = cached
-            else:
-                recorder.counter("kernel.lowering_cache.misses").add()
-                with recorder.span("kernel.lower", rows=len(rows)):
-                    arrays = columnar.lower(stats, load, range_selectivity)
-        with recorder.span("kernel.fold", rows=len(rows)):
-            return columnar.compute_rows(
-                stats, load, organizations, rows, range_selectivity,
-                arrays=arrays,
-            )
-    with recorder.span("matrix.legacy_eval", rows=len(rows)):
-        return {
-            (start, end): _compute_row(
-                stats, load, organizations, start, end, range_selectivity
-            )
-            for start, end in rows
-        }
+    if recorder.enabled and arrays is None:
+        cached = kernel.cached_lowering(stats, load, range_selectivity)
+        if cached is not None:
+            recorder.counter("kernel.lowering_cache.hits").add()
+            arrays = cached
+        else:
+            recorder.counter("kernel.lowering_cache.misses").add()
+            with recorder.span("kernel.lower", rows=len(rows)):
+                arrays = kernel.lower(stats, load, range_selectivity)
+    with recorder.span("kernel.fold", rows=len(rows)):
+        return kernel.compute_rows(
+            stats, load, organizations, rows, range_selectivity,
+            arrays=arrays,
+        )
 
 
 def _compute_row_batch(
@@ -343,7 +277,7 @@ def _compute_row_batch(
 
     Top-level so it pickles by reference into worker processes; each row
     is computed independently, so the result is bit-identical to a serial
-    evaluation of the same rows regardless of batching or kernel.
+    evaluation of the same rows regardless of batching.
 
     ``payload[-1]`` (``record``) asks the worker to run its batch under
     a private :class:`~repro.obs.Recorder` and ship the serialized
@@ -351,13 +285,11 @@ def _compute_row_batch(
     deterministic worker ``tid``. With ``record`` false the profile slot
     is ``None`` and instrumentation costs nothing.
     """
-    stats, load, organizations, rows, range_selectivity, kernel, record = (
-        payload
-    )
+    stats, load, organizations, rows, range_selectivity, record = payload
     recorder = Recorder() if record else NULL_RECORDER
     with recorder.span("matrix.worker_batch", rows=len(rows)):
         priced = _evaluate_rows(
-            stats, load, organizations, rows, range_selectivity, kernel,
+            stats, load, organizations, rows, range_selectivity,
             recorder=recorder,
         )
     profile = recorder.profile() if record else None
@@ -368,7 +300,7 @@ def _compute_row_batch(
 
 
 #: Worker-process copy of the shared inputs ``(stats, load,
-#: organizations, range_selectivity, kernel, arrays, record)`` —
+#: organizations, range_selectivity, arrays, record)`` —
 #: ``arrays`` is the parent's columnar lowering (or ``None``), lowered
 #: once and inherited by every worker instead of re-lowered per batch;
 #: ``record`` asks workers to ship observability profiles back with
@@ -400,19 +332,19 @@ def _compute_row_batch_fork(
     """Fork-worker entry point: price a batch against the inherited inputs.
 
     Only the row coordinates travel to the worker; statistics, workload,
-    the resolved kernel, the parent's columnar lowering and the
-    ``record`` flag come from :data:`_FORK_SHARED_INPUTS`, installed by
+    the parent's columnar lowering and the ``record`` flag come from
+    :data:`_FORK_SHARED_INPUTS`, installed by
     :func:`_init_fork_worker`. Row results are identical to
     :func:`_compute_row_batch` because both delegate to the same
     evaluation seam.
     """
-    stats, load, organizations, range_selectivity, kernel, arrays, record = (
+    stats, load, organizations, range_selectivity, arrays, record = (
         _FORK_SHARED_INPUTS
     )
     recorder = Recorder() if record else NULL_RECORDER
     with recorder.span("matrix.worker_batch", rows=len(rows)):
         priced = _evaluate_rows(
-            stats, load, organizations, rows, range_selectivity, kernel,
+            stats, load, organizations, rows, range_selectivity,
             arrays=arrays, recorder=recorder,
         )
     profile = recorder.profile() if record else None
@@ -449,10 +381,6 @@ class CostMatrix:
         self._stats: PathStatistics | None = None
         self._load: LoadDistribution | None = None
         self._range_selectivity: float | None = None
-        # The *requested* kernel of the producing compute()/recompute()
-        # ("auto" re-resolves per batch, so small recompute dirty sets
-        # take the legacy path even when full builds go columnar).
-        self._kernel: str = "auto"
         #: What the producing :meth:`recompute` did (``None`` for matrices
         #: built by :meth:`compute` or :meth:`from_values`).
         self.recompute_report: RecomputeReport | None = None
@@ -509,7 +437,6 @@ class CostMatrix:
         include_noindex: bool = False,
         range_selectivity: float | None = None,
         workers: int | None = None,
-        kernel: str = "auto",
         retry_policy=None,
         degradation=None,
         recorder=None,
@@ -519,21 +446,16 @@ class CostMatrix:
         ``range_selectivity`` switches the workload's queries from
         equality to range predicates with the given selectivity.
 
+        Every (row, organization) pair is priced by the columnar kernel
+        (:mod:`repro.kernel`), bit-identically to the scalar
+        :func:`~repro.costmodel.subpath.subpath_processing_cost`.
+
         ``workers`` fans the (independent) rows out over a process pool:
         ``None`` (default) parallelizes automatically on long paths
-        (length ≥ :data:`PARALLEL_AUTO_MIN_LENGTH`, or
-        :data:`PARALLEL_AUTO_MIN_LENGTH_COLUMNAR` under the columnar
-        kernel, one worker per CPU), ``0`` or ``1`` forces serial
-        evaluation, ``N > 1`` uses exactly ``N`` workers.
-
-        ``kernel`` selects the evaluation engine: ``"columnar"`` batches
-        all (row, organization) pairs into numpy array operations
-        (:mod:`repro.kernel`), ``"legacy"`` walks rows one at a time
-        through the scalar cost model, and ``"auto"`` (default) picks the
-        columnar kernel whenever numpy is importable and the batch is
-        large enough to amortize array construction. Every kernel and
-        worker count produces a bit-identical matrix; only construction
-        speed differs.
+        (length ≥ :data:`PARALLEL_AUTO_MIN_LENGTH`, one worker per CPU),
+        ``0`` or ``1`` forces serial evaluation, ``N > 1`` uses exactly
+        ``N`` workers. Every worker count produces a bit-identical
+        matrix; only construction speed differs.
 
         ``retry_policy`` (a :class:`~repro.resilience.RetryPolicy`)
         governs how worker-pool failures are retried before the serial
@@ -558,13 +480,10 @@ class CostMatrix:
             for end in range(start, length + 1)
         ]
         recorder.counter("matrix.builds").add()
-        with recorder.span(
-            "matrix.build", length=length, rows=len(rows), kernel=kernel
-        ):
+        with recorder.span("matrix.build", length=length, rows=len(rows)):
             row_costs, fallback_reason = cls._compute_rows(
                 stats, load, tuple(organizations), rows, range_selectivity,
-                workers, kernel, retry_policy, degradation,
-                recorder=recorder,
+                workers, retry_policy, degradation, recorder=recorder,
             )
             entries: dict[tuple[int, int], dict[IndexOrganization, float]] = {}
             breakdowns: dict[
@@ -580,7 +499,6 @@ class CostMatrix:
         matrix._stats = stats
         matrix._load = load
         matrix._range_selectivity = range_selectivity
-        matrix._kernel = kernel
         matrix.parallel_fallback_reason = fallback_reason
         if fallback_reason is not None:
             recorder.counter("matrix.parallel_fallbacks").add()
@@ -588,81 +506,10 @@ class CostMatrix:
         return matrix
 
     @staticmethod
-    def _resolve_kernel(
-        kernel: str | None, row_count: int, degradation=None,
-        cached_arrays: bool = False, recorder=NULL_RECORDER,
-    ) -> str:
-        """The evaluation engine for a batch: ``"columnar"`` or ``"legacy"``.
-
-        ``"auto"`` (or ``None``) picks the columnar kernel when numpy is
-        importable and the batch has at least :data:`KERNEL_AUTO_MIN_ROWS`
-        rows — or, with ``cached_arrays``, for *any* batch size: when a
-        cached/patched lowering already exists the kernel's fixed
-        batch-building cost is gone, so even single-row dirty slices win.
-        An explicit ``"columnar"`` raises
-        :class:`~repro.errors.OptimizerError` when numpy is missing
-        instead of silently degrading. When a ``degradation`` report is
-        given, an ``auto`` batch large enough for the kernel that lands
-        on the legacy evaluator *because numpy is unavailable* records a
-        ``kernel``-layer event (small batches choosing legacy by speed do
-        not degrade anything).
-        """
-        from repro import kernel as columnar
-
-        if kernel is None:
-            kernel = "auto"
-        if kernel not in KERNELS:
-            raise OptimizerError(
-                f"unknown kernel {kernel!r}; expected one of {KERNELS}"
-            )
-        if kernel == "auto":
-            if row_count >= KERNEL_AUTO_MIN_ROWS or cached_arrays:
-                if columnar.is_available():
-                    return "columnar"
-                recorder.counter(
-                    "resilience.degradations", layer="kernel",
-                    action="legacy_fallback",
-                ).add()
-                if degradation is not None:
-                    degradation.record(
-                        "kernel",
-                        "legacy_fallback",
-                        "numpy unavailable",
-                        rows=row_count,
-                    )
-                return "legacy"
-            return "legacy"
-        if kernel == "columnar" and not columnar.is_available():
-            raise OptimizerError(
-                "kernel='columnar' requires numpy; install it or use "
-                "kernel='auto' to fall back to the legacy evaluator"
-            )
-        return kernel
-
-    @staticmethod
-    def _resolve_workers(
-        workers: int | None, row_count: int, kernel: str = "legacy"
-    ) -> int:
-        """Number of worker processes to use (1 means in-process serial).
-
-        The auto threshold depends on the start method: fork-started
-        workers inherit their inputs for free, so auto-parallel engages on
-        shorter paths (:data:`PARALLEL_AUTO_MIN_LENGTH_FORK`) than the
-        pickling spawn path (:data:`PARALLEL_AUTO_MIN_LENGTH`). Under the
-        columnar kernel serial evaluation is ~5x faster, so auto-parallel
-        waits for much longer paths
-        (:data:`PARALLEL_AUTO_MIN_LENGTH_COLUMNAR`).
-        """
+    def _resolve_workers(workers: int | None, row_count: int) -> int:
+        """Number of worker processes to use (1 means in-process serial)."""
         if workers is None:
-            if kernel == "columnar":
-                min_length = PARALLEL_AUTO_MIN_LENGTH_COLUMNAR
-            else:
-                min_length = (
-                    PARALLEL_AUTO_MIN_LENGTH_FORK
-                    if _fork_context() is not None
-                    else PARALLEL_AUTO_MIN_LENGTH
-                )
-            if row_count < min_length * (min_length + 1) // 2:
+            if row_count < PARALLEL_AUTO_MIN_LENGTH * (PARALLEL_AUTO_MIN_LENGTH + 1) // 2:
                 return 1
             workers = os.cpu_count() or 1
         if workers < 0:
@@ -678,11 +525,9 @@ class CostMatrix:
         rows: list[tuple[int, int]],
         range_selectivity: float | None,
         workers: int | None,
-        kernel: str | None = "auto",
         retry_policy=None,
         degradation=None,
         arrays=None,
-        kernel_report: dict | None = None,
         recorder=NULL_RECORDER,
     ) -> tuple[
         dict[tuple[int, int], dict[IndexOrganization, SubpathCost]],
@@ -694,58 +539,32 @@ class CostMatrix:
         ``None`` unless a requested parallel fan-out failed (after the
         ``retry_policy`` retries) and the rows were priced serially
         instead. Row results are keyed by coordinates, so assembly order
-        is deterministic regardless of how the rows were distributed or
-        which kernel priced them. ``degradation`` (a
-        :class:`~repro.resilience.DegradationReport`) receives one event
-        per fallback taken.
+        is deterministic regardless of how the rows were distributed.
+        ``degradation`` (a :class:`~repro.resilience.DegradationReport`)
+        receives one event per fallback taken.
 
         ``arrays`` is an optional pre-lowered columnar
-        :class:`~repro.kernel.arrays.StatArrays` for exactly these inputs
-        (it also tips ``kernel="auto"`` toward the kernel for small
-        batches). ``kernel_report``, when given, receives the resolved
-        engine and how many rows it priced — the structured trace the
-        :class:`RecomputeReport` kernel counters are built from.
+        :class:`~repro.kernel.arrays.StatArrays` for exactly these inputs.
         ``recorder`` (already resolved; never ``None``) receives the
         evaluation spans and, on parallel builds, the per-worker
         profiles merged under ``tid`` 1..n in submission order.
         """
-        resolved_kernel = cls._resolve_kernel(
-            kernel, len(rows), degradation, cached_arrays=arrays is not None,
-            recorder=recorder,
-        )
-        resolved = cls._resolve_workers(workers, len(rows), resolved_kernel)
-        if kernel_report is not None:
-            kernel_report["kernel"] = resolved_kernel
-            if resolved_kernel == "columnar":
-                # Mirror the kernel's own routing: with a range predicate,
-                # rows ending at the path's last attribute price through
-                # the legacy oracle (see repro.kernel.evaluate).
-                if range_selectivity is not None:
-                    length = stats.length
-                    kernel_report["kernel_rows"] = sum(
-                        1 for _, end in rows if end != length
-                    )
-                else:
-                    kernel_report["kernel_rows"] = len(rows)
-            else:
-                kernel_report["kernel_rows"] = 0
+        resolved = cls._resolve_workers(workers, len(rows))
         fallback_reason: str | None = None
         if resolved > 1:
-            if arrays is None and resolved_kernel == "columnar":
+            if arrays is None:
                 # Shared worker lowering: lower once in the parent so
                 # fork-started workers inherit the arrays by memory image
                 # instead of each re-lowering its own copy.
-                from repro import kernel as columnar
-
                 with recorder.span("kernel.lower", rows=len(rows)):
-                    arrays = columnar.lower(stats, load, range_selectivity)
+                    arrays = kernel.lower(stats, load, range_selectivity)
             with recorder.span(
                 "matrix.pool", workers=resolved, rows=len(rows)
             ):
                 batched, profiles, attempts, fallback_reason = (
                     cls._compute_rows_parallel(
                         stats, load, organizations, rows, range_selectivity,
-                        resolved, resolved_kernel, retry_policy, arrays,
+                        resolved, retry_policy, arrays,
                         record=recorder.enabled,
                     )
                 )
@@ -769,7 +588,7 @@ class CostMatrix:
                 )
         rows_priced = _evaluate_rows(
             stats, load, organizations, rows, range_selectivity,
-            resolved_kernel, arrays=arrays, recorder=recorder,
+            arrays=arrays, recorder=recorder,
         )
         return rows_priced, fallback_reason
 
@@ -781,7 +600,6 @@ class CostMatrix:
         rows: list[tuple[int, int]],
         range_selectivity: float | None,
         workers: int,
-        kernel: str = "legacy",
         retry_policy=None,
         arrays=None,
         record: bool = False,
@@ -800,7 +618,7 @@ class CostMatrix:
         as a read-only module global inherited at fork time — only row
         coordinates are pickled, which removes the per-batch input
         serialization that dominated startup on short paths and the
-        per-worker re-lowering under the columnar kernel. Platforms
+        per-worker re-lowering. Platforms
         defaulting to ``spawn`` (macOS, Windows) keep the pickling path,
         where each worker lowers its own arrays (numpy buffers are
         cheaper to rebuild than to ship).
@@ -828,7 +646,7 @@ class CostMatrix:
                 initargs=(
                     (
                         stats, load, organizations, range_selectivity,
-                        kernel, arrays, record,
+                        arrays, record,
                     ),
                 ),
             )
@@ -839,7 +657,7 @@ class CostMatrix:
                     _compute_row_batch,
                     (
                         stats, load, organizations, batch, range_selectivity,
-                        kernel, record,
+                        record,
                     ),
                 )
                 for batch in batches
@@ -895,7 +713,6 @@ class CostMatrix:
         load: LoadDistribution | None = None,
         *,
         workers: int | None = 0,
-        kernel: str | None = None,
         retry_policy=None,
         degradation=None,
         recorder=None,
@@ -933,16 +750,12 @@ class CostMatrix:
 
         ``workers`` defaults to ``0`` (serial) because dirty sets are
         typically small; pass ``None`` for the same auto-parallel policy
-        as :meth:`compute`. ``kernel`` defaults to the kernel this matrix
-        was computed with. Dirty sets route through the columnar kernel
-        as array-slice re-evaluations whenever a cached lowering of the
-        old inputs exists (a workload-only drift patches it in place, so
-        even single-row dirty sets win); without one, ``"auto"``
-        re-resolves per dirty set — a handful of dirty rows re-price
-        through the legacy evaluator while a near-full rebuild goes
-        columnar. Either way the result is bit-identical, and the
-        report's ``kernel_slice_rows``/``kernel_fallback_reason`` record
-        which engine actually priced the slice.
+        as :meth:`compute`. Dirty sets go through the columnar kernel as
+        array-slice re-evaluations over the cached lowering of the old
+        inputs (a workload-only drift patches it in place) or, without
+        one, over a fresh lowering of the new inputs. The report's
+        ``kernel_slice_rows``/``kernel_fallback_reason`` record how many
+        rows the kernel priced itself and why any others were not.
 
         Raises :class:`~repro.errors.OptimizerError` for literal matrices
         (:meth:`from_values`) and when the new inputs describe a different
@@ -977,18 +790,17 @@ class CostMatrix:
             patch_rows = sorted(patch_set)
             mode = "incremental"
             reason = "statistics/load deltas"
-        requested_kernel = kernel if kernel is not None else self._kernel
         with recorder.span(
             "matrix.recompute",
             mode=mode,
             dirty=len(dirty_rows),
             patched=len(patch_rows),
         ):
-            arrays, kernel_fallback = self._kernel_slice_arrays(
-                requested_kernel, new_stats, new_load, len(dirty_rows),
-                recorder=recorder,
+            arrays = (
+                self._kernel_slice_arrays(new_stats, new_load, recorder)
+                if dirty_rows
+                else None
             )
-            kernel_report: dict = {}
             recomputed, fallback_reason = self._compute_rows(
                 new_stats,
                 new_load,
@@ -996,29 +808,32 @@ class CostMatrix:
                 dirty_rows,
                 self._range_selectivity,
                 workers,
-                requested_kernel,
                 retry_policy,
                 degradation,
                 arrays=arrays,
-                kernel_report=kernel_report,
                 recorder=recorder,
             )
-        kernel_slice_rows = int(kernel_report.get("kernel_rows", 0))
-        if kernel_fallback is None and dirty_rows and kernel_slice_rows == 0:
-            if kernel_report.get("kernel") == "columnar":
-                kernel_fallback = (
-                    "all dirty rows end at the path's last attribute under "
-                    "a range predicate (legacy oracle)"
-                )
-            else:
-                kernel_fallback = "legacy evaluator selected"
+        kernel_slice_rows = len(dirty_rows)
+        if self._range_selectivity is not None:
+            # Mirror the kernel's own routing: with a range predicate, rows
+            # ending at the path's last attribute price through the scalar
+            # oracle (see repro.kernel.evaluate).
+            kernel_slice_rows -= sum(
+                1 for _, end in dirty_rows if end == self.length
+            )
+        kernel_fallback = None
+        if dirty_rows and kernel_slice_rows == 0:
+            kernel_fallback = (
+                "all dirty rows end at the path's last attribute under "
+                "a range predicate (scalar oracle)"
+            )
         recorder.counter("matrix.recomputes").add()
         recorder.counter("matrix.recompute.rows_repriced").add(len(dirty_rows))
         recorder.counter("matrix.recompute.rows_patched").add(len(patch_rows))
         recorder.counter("matrix.recompute.kernel_slice_rows").add(
             kernel_slice_rows
         )
-        if kernel_fallback is not None and dirty_rows:
+        if kernel_fallback is not None:
             recorder.counter(
                 "matrix.kernel_fallback", reason=kernel_fallback
             ).add()
@@ -1083,7 +898,6 @@ class CostMatrix:
         matrix._stats = new_stats
         matrix._load = new_load
         matrix._range_selectivity = self._range_selectivity
-        matrix._kernel = requested_kernel
         matrix.recompute_report = report
         matrix.parallel_fallback_reason = fallback_reason
         if fallback_reason is not None:
@@ -1093,63 +907,32 @@ class CostMatrix:
 
     def _kernel_slice_arrays(
         self,
-        requested_kernel: str | None,
         new_stats: PathStatistics,
         new_load: LoadDistribution,
-        dirty_count: int,
         recorder=NULL_RECORDER,
-    ) -> tuple[object | None, str | None]:
-        """The lowering for a kernel dirty-slice, or why legacy runs.
+    ) -> object | None:
+        """The lowering for a kernel dirty-slice, or ``None``.
 
-        Returns ``(arrays, fallback_reason)``. ``arrays`` is a columnar
-        :class:`~repro.kernel.arrays.StatArrays` for the *new* inputs:
-        the cached lowering itself when nothing relevant drifted, a
-        workload patch of it when only the load changed, or ``None``.
-        ``fallback_reason`` is set exactly when the legacy evaluator will
-        price the slice — it feeds
-        :attr:`RecomputeReport.kernel_fallback_reason`.
-
-        With ``arrays=None`` and no fallback reason the decision is left
-        to :meth:`_resolve_kernel` with the usual size threshold (the
-        kernel then lowers fresh arrays for the new inputs and caches
-        them for the *next* recompute).
+        A columnar :class:`~repro.kernel.arrays.StatArrays` for the *new*
+        inputs: the cached lowering itself when nothing relevant drifted,
+        or a workload patch of it when only the load changed. ``None``
+        (the statistics changed, or nothing is cached) leaves the kernel
+        to lower fresh arrays for the new inputs, which it caches for the
+        *next* recompute.
         """
-        from repro import kernel as columnar
-
-        if dirty_count == 0:
-            return None, None
-        if requested_kernel == "legacy":
-            return None, "legacy kernel requested"
-        if not columnar.is_available():
-            if requested_kernel == "columnar":
-                # _resolve_kernel raises the structured error downstream.
-                return None, None
-            return None, "numpy unavailable"
-        arrays = None
-        if new_stats is self._stats:
-            base = columnar.cached_lowering(
-                self._stats, self._load, self._range_selectivity
-            )
-            if base is not None:
-                recorder.counter("kernel.lowering_cache.hits").add()
-                if new_load is self._load:
-                    arrays = base
-                else:
-                    with recorder.span("kernel.patch_lowering"):
-                        arrays = columnar.patch_lowering(base, new_load)
-            else:
-                recorder.counter("kernel.lowering_cache.misses").add()
-        if (
-            arrays is None
-            and requested_kernel == "auto"
-            and dirty_count < KERNEL_AUTO_MIN_ROWS
-        ):
-            return None, (
-                f"dirty set of {dirty_count} rows below the kernel "
-                f"threshold ({KERNEL_AUTO_MIN_ROWS}) with no cached "
-                f"lowering"
-            )
-        return arrays, None
+        if new_stats is not self._stats:
+            return None
+        base = kernel.cached_lowering(
+            self._stats, self._load, self._range_selectivity
+        )
+        if base is None:
+            recorder.counter("kernel.lowering_cache.misses").add()
+            return None
+        recorder.counter("kernel.lowering_cache.hits").add()
+        if new_load is self._load:
+            return base
+        with recorder.span("kernel.patch_lowering"):
+            return kernel.patch_lowering(base, new_load)
 
     def _full_rebuild_reason(self, new_stats: PathStatistics) -> str:
         """Why the dirty-row analysis refused to apply."""

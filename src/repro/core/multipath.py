@@ -222,73 +222,28 @@ class _Candidate:
         return self.query_cost + sum(self.maintenance.values())
 
 
-def _candidate_from_parts(
-    stats: PathStatistics,
-    matrix: CostMatrix,
-    parts: tuple[IndexedSubpath, ...],
-) -> _Candidate:
-    """Price one configuration into its query/maintenance/storage split."""
-    query_cost = 0.0
-    maintenance: dict[SharedIndexKey, float] = {}
-    storage: dict[SharedIndexKey, float] = {}
-    for part in parts:
-        breakdown = matrix.breakdown(part.start, part.end, part.organization)
-        if breakdown is None:
-            raise OptimizerError(
-                "multi-path selection requires a computed cost matrix"
-            )
-        query_cost += breakdown.query
-        key = _subpath_key(stats, part.start, part.end, part.organization)
-        maintenance[key] = (
-            maintenance.get(key, 0.0)
-            + breakdown.insert
-            + breakdown.delete
-            + breakdown.cmd
-        )
-        storage[key] = max(storage.get(key, 0.0), breakdown.storage_pages)
-    return _Candidate(
-        configuration=IndexConfiguration(tuple(parts)),
-        query_cost=query_cost,
-        maintenance=maintenance,
-        storage=storage,
-    )
-
-
-#: Candidate batches below this size are priced by the scalar loop —
-#: the batched pricer's array setup costs more than it saves there.
-_BATCH_PRICING_MIN = 16
-
-
 def _price_candidates(
     stats: PathStatistics,
     matrix: CostMatrix,
     parts_list: list[tuple[IndexedSubpath, ...]],
 ) -> list[_Candidate]:
-    """Price a whole candidate set in one batched kernel evaluation.
+    """Price a whole candidate set into query/maintenance/storage splits.
 
-    :func:`_candidate_from_parts` re-derived as array operations: every
-    distinct ``(start, end, organization)`` triple across the set is
+    Every distinct ``(start, end, organization)`` triple across the set is
     looked up and :class:`SharedIndexKey`-built exactly once, and the
     per-candidate query sums run through one
     :func:`repro.kernel.arrays.fold_segments` call whose segmented fold
-    replays the scalar ``+=`` accumulation order — so the batched prices
-    are bit-identical to the per-candidate loop, which stays on as the
-    small-set fast path and the no-numpy fallback.
+    replays a left-to-right ``+=`` over each candidate's blocks — so every
+    price is bit-identical to summing the matrix breakdowns one candidate
+    at a time.
     """
-    from repro import kernel
-
-    if len(parts_list) < _BATCH_PRICING_MIN or not kernel.is_available():
-        return [
-            _candidate_from_parts(stats, matrix, parts)
-            for parts in parts_list
-        ]
     import numpy as np
 
     from repro.kernel.arrays import fold_segments
 
     # One breakdown lookup and one key construction per distinct triple
     # (candidate sets repeat each block's ranked organizations across
-    # hundreds of partitions — the scalar loop re-prices every repeat).
+    # hundreds of partitions).
     triples: dict[tuple[int, int, IndexOrganization], tuple] = {}
     for parts in parts_list:
         for part in parts:
@@ -335,8 +290,7 @@ def _price_candidates(
                 (part.start, part.end, part.organization)
             ]
             # Blocks of one candidate partition the path, so each key
-            # appears once — plain assignment matches the scalar
-            # accumulate/max exactly.
+            # appears once and plain assignment needs no accumulation.
             maintenance[key] = upkeep
             storage[key] = pages
         candidates.append(
@@ -807,7 +761,6 @@ def optimize_multipath(
     matrices: list[CostMatrix] | None = None,
     organizations: tuple[IndexOrganization, ...] | None = None,
     workers: int | None = None,
-    kernel: str = "auto",
     beam_width: int | None = None,
     budget_pages: float | None = None,
     restarts: int = DEFAULT_RESTARTS,
@@ -832,18 +785,13 @@ def optimize_multipath(
         Precomputed cost matrices, one per workload in order (e.g. from a
         previous :meth:`CostMatrix.recompute` what-if loop). Each must be
         a computed matrix (with breakdowns) of the workload's path length;
-        when given, ``organizations``, ``workers`` and ``kernel`` are
-        ignored.
+        when given, ``organizations`` and ``workers`` are ignored.
     organizations:
         Candidate organizations for the computed matrices (default: the
         paper's MX/MIX/NIX).
     workers:
         Worker processes per matrix construction (see
         :meth:`CostMatrix.compute`).
-    kernel:
-        Evaluation engine per matrix construction (see
-        :meth:`CostMatrix.compute`); every kernel builds bit-identical
-        matrices.
     beam_width:
         ``None`` (default) enumerates a path's candidates exactly while
         its ``r·(1+r)^(n-1)`` candidate space stays within
@@ -908,7 +856,7 @@ def optimize_multipath(
     degradation:
         An optional :class:`~repro.resilience.DegradationReport`
         collecting structured records of every fallback — the deadline
-        rungs here, plus any serial/kernel fallbacks inside the matrix
+        rungs here, plus any serial fallbacks inside the matrix
         constructions this call triggers.
     recorder:
         An optional :class:`~repro.obs.Recorder` collecting tracing
@@ -924,7 +872,6 @@ def optimize_multipath(
             matrices,
             organizations,
             workers,
-            kernel,
             beam_width,
             budget_pages,
             restarts,
@@ -946,7 +893,6 @@ def _optimize_multipath(
     matrices,
     organizations,
     workers,
-    kernel,
     beam_width,
     budget_pages,
     restarts,
@@ -996,7 +942,6 @@ def _optimize_multipath(
                 w.load,
                 organizations=compute_organizations,
                 workers=workers,
-                kernel=kernel,
                 degradation=degradation,
                 recorder=recorder,
             )

@@ -26,7 +26,6 @@ import abc
 
 from repro.costmodel.btree_shape import IndexShape, build_shape
 from repro.costmodel.params import PathStatistics
-from repro.costmodel.primitives import cmt, crr, crt
 from repro.errors import CostModelError
 from repro.organizations import IndexOrganization
 
@@ -46,9 +45,6 @@ class SubpathCostModel(abc.ABC):
         self.end = end
         self.config = stats.config
         self.sizes = stats.config.sizes
-        # Bound once: the memo table (or None) backing _crt/_cmt/_crr and
-        # the per-method memoizations of the concrete models.
-        self._memo = stats.primitive_cache()
 
     # ------------------------------------------------------------------
     # abstract interface
@@ -135,58 +131,6 @@ class SubpathCostModel(abc.ABC):
         plain oids, so they use :attr:`SizeModel.oid_size` directly.
         """
         return self.sizes.oid_size
-
-    # -- memoized cost primitives --------------------------------------
-    # CRT/CMT/CRR are pure functions of (shape, t, pr), and matrix
-    # construction evaluates them with heavily repeated arguments (the
-    # same ending-level lookups recur in every row sharing an endpoint).
-    # The memo lives on the statistics object, so its lifetime matches the
-    # inputs it depends on and `config.cache_evaluation` switches it off.
-    # Keys use id(shape): every shape a model evaluates comes from the
-    # statistics' shape cache (which pins it alive for the statistics'
-    # lifetime), so the id is stable, and hashing an int beats hashing a
-    # nested dataclass by an order of magnitude. When shape caching is off
-    # the primitive cache is off too, so no id of a transient shape is
-    # ever used as a key.
-    #
-    # Subclasses additionally memoize whole per-class cost methods in the
-    # same table when the value does not depend on the subpath start (the
-    # MX/MIX formulas only see the ending attribute and the probe fan-in),
-    # which is what collapses the matrix construction's O(n^4) method
-    # evaluations down to the O(n^3) distinct ones. Integer key tags keep
-    # the key families disjoint: 1-3 primitives, 10+ per-model methods.
-    def _crt(self, shape: IndexShape, t: float, pr: float | None = None) -> float:
-        cache = self._memo
-        if cache is None:
-            return crt(shape, t, pr)
-        key = (1, id(shape), t, pr)
-        value = cache.get(key)
-        if value is None:
-            value = crt(shape, t, pr)
-            cache[key] = value
-        return value
-
-    def _cmt(self, shape: IndexShape, t: float, pm: float | None = None) -> float:
-        cache = self._memo
-        if cache is None:
-            return cmt(shape, t, pm)
-        key = (2, id(shape), t, pm)
-        value = cache.get(key)
-        if value is None:
-            value = cmt(shape, t, pm)
-            cache[key] = value
-        return value
-
-    def _crr(self, shape: IndexShape, records: float, pm: float | None = None) -> float:
-        cache = self._memo
-        if cache is None:
-            return crr(shape, records, pm)
-        key = (3, id(shape), records, pm)
-        value = cache.get(key)
-        if value is None:
-            value = crr(shape, records, pm)
-            cache[key] = value
-        return value
 
     # -- shape builders -------------------------------------------------
     def mx_shape(self, position: int, class_name: str) -> IndexShape:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from repro.costmodel.base import SubpathCostModel
 from repro.costmodel.btree_shape import IndexShape
 from repro.costmodel.params import PathStatistics
-from repro.costmodel.primitives import cml
+from repro.costmodel.primitives import cml, cmt, crt
 from repro.organizations import IndexOrganization
 
 
@@ -47,21 +47,10 @@ class MIXCostModel(SubpathCostModel):
     # ------------------------------------------------------------------
     def query_cost(self, position: int, class_name: str, probes: float = 1.0) -> float:
         self._check_covered(position, class_name)
-        # Start-independent (and class-independent: the inherited index
-        # serves the whole hierarchy), so shared across every row ending
-        # at self.end.
-        cache = self._memo
-        if cache is not None:
-            key = (20, position, self.end, probes)
-            value = cache.get(key)
-            if value is not None:
-                return value
-        total = self._crt(self.shape(self.end), probes, self.config.pr_mix)
+        total = crt(self.shape(self.end), probes, self.config.pr_mix)
         for level in range(self.end - 1, position - 1, -1):
             keys = self.stats.probe_keys(level, self.end, probes)
-            total += self._crt(self.shape(level), keys, self.config.pr_mix)
-        if cache is not None:
-            cache[key] = total
+            total += crt(self.shape(level), keys, self.config.pr_mix)
         return total
 
     def hierarchy_query_cost(self, position: int, probes: float = 1.0) -> float:
@@ -94,7 +83,7 @@ class MIXCostModel(SubpathCostModel):
         )
         for level in range(self.end - 1, position - 1, -1):
             keys = self.stats.probe_keys(level, self.end, matched)
-            total += self._crt(self.shape(level), keys, self.config.pr_mix)
+            total += crt(self.shape(level), keys, self.config.pr_mix)
         return total
 
     # ------------------------------------------------------------------
@@ -102,32 +91,15 @@ class MIXCostModel(SubpathCostModel):
     # ------------------------------------------------------------------
     def insert_cost(self, position: int, class_name: str) -> float:
         self._check_covered(position, class_name)
-        cache = self._memo
-        if cache is not None:
-            key = (21, position, class_name)
-            value = cache.get(key)
-            if value is not None:
-                return value
         nin = self.stats.nin(position, class_name)
-        value = self._cmt(self.shape(position), nin, self.config.pm_mix)
-        if cache is not None:
-            cache[key] = value
-        return value
+        return cmt(self.shape(position), nin, self.config.pm_mix)
 
     def delete_cost(self, position: int, class_name: str) -> float:
         self._check_covered(position, class_name)
-        cache = self._memo
-        if cache is not None:
-            key = (22, position, class_name, position > self.start)
-            value = cache.get(key)
-            if value is not None:
-                return value
         nin = self.stats.nin(position, class_name)
-        total = self._cmt(self.shape(position), nin, self.config.pm_mix)
+        total = cmt(self.shape(position), nin, self.config.pm_mix)
         if position > self.start:
             total += cml(self.shape(position - 1), self.config.pm_mix)
-        if cache is not None:
-            cache[key] = total
         return total
 
     def cmd_cost(self) -> float:

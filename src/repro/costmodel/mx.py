@@ -25,7 +25,7 @@ from __future__ import annotations
 from repro.costmodel.base import SubpathCostModel
 from repro.costmodel.btree_shape import IndexShape
 from repro.costmodel.params import PathStatistics
-from repro.costmodel.primitives import cml
+from repro.costmodel.primitives import cml, cmt, crt
 from repro.organizations import IndexOrganization
 
 
@@ -50,40 +50,25 @@ class MXCostModel(SubpathCostModel):
     # ------------------------------------------------------------------
     def query_cost(self, position: int, class_name: str, probes: float = 1.0) -> float:
         self._check_covered(position, class_name)
-        # The formula never reads the subpath start, so the value is
-        # shared across every matrix row ending at self.end.
-        cache = self._memo
-        if cache is None:
-            return self._query_cost_uncached(position, class_name, probes)
-        key = (10, position, class_name, self.end, probes)
-        value = cache.get(key)
-        if value is None:
-            value = self._query_cost_uncached(position, class_name, probes)
-            cache[key] = value
-        return value
-
-    def _query_cost_uncached(
-        self, position: int, class_name: str, probes: float
-    ) -> float:
         stats = self.stats
         total = 0.0
         # Ending level: every hierarchy member is probed with the equality
         # value(s) — unless the target class itself sits at the ending level,
         # in which case only its own index matters.
         if position == self.end:
-            return self._crt(
+            return crt(
                 self.shape(position, class_name), probes, self.config.pr_mx
             )
         for member in stats.members(self.end):
-            total += self._crt(self.shape(self.end, member), probes, self.config.pr_mx)
+            total += crt(self.shape(self.end, member), probes, self.config.pr_mx)
         # Intermediate levels between the target and the ending attribute.
         for level in range(self.end - 1, position, -1):
             keys = stats.probe_keys(level, self.end, probes)
             for member in stats.members(level):
-                total += self._crt(self.shape(level, member), keys, self.config.pr_mx)
+                total += crt(self.shape(level, member), keys, self.config.pr_mx)
         # Target level: only the target class's index.
         keys = stats.probe_keys(position, self.end, probes)
-        total += self._crt(self.shape(position, class_name), keys, self.config.pr_mx)
+        total += crt(self.shape(position, class_name), keys, self.config.pr_mx)
         return total
 
     def hierarchy_query_cost(self, position: int, probes: float = 1.0) -> float:
@@ -92,7 +77,7 @@ class MXCostModel(SubpathCostModel):
         total = self.query_cost(position, members[0], probes)
         keys = self.stats.probe_keys(position, self.end, probes)
         for member in members[1:]:
-            total += self._crt(self.shape(position, member), keys, self.config.pr_mx)
+            total += crt(self.shape(position, member), keys, self.config.pr_mx)
         return total
 
     def range_query_cost(
@@ -122,9 +107,9 @@ class MXCostModel(SubpathCostModel):
         for level in range(self.end - 1, position, -1):
             keys = stats.probe_keys(level, self.end, matched)
             for member in stats.members(level):
-                total += self._crt(self.shape(level, member), keys, self.config.pr_mx)
+                total += crt(self.shape(level, member), keys, self.config.pr_mx)
         keys = stats.probe_keys(position, self.end, matched)
-        total += self._crt(self.shape(position, class_name), keys, self.config.pr_mx)
+        total += crt(self.shape(position, class_name), keys, self.config.pr_mx)
         return total
 
     # ------------------------------------------------------------------
@@ -132,37 +117,18 @@ class MXCostModel(SubpathCostModel):
     # ------------------------------------------------------------------
     def insert_cost(self, position: int, class_name: str) -> float:
         self._check_covered(position, class_name)
-        cache = self._memo
-        if cache is not None:
-            key = (11, position, class_name)
-            value = cache.get(key)
-            if value is not None:
-                return value
         nin = self.stats.nin(position, class_name)
-        value = self._cmt(self.shape(position, class_name), nin, self.config.pm_mx)
-        if cache is not None:
-            cache[key] = value
-        return value
+        return cmt(self.shape(position, class_name), nin, self.config.pm_mx)
 
     def delete_cost(self, position: int, class_name: str) -> float:
         self._check_covered(position, class_name)
-        # Start-independent except for the interior/boundary distinction,
-        # which the key captures as a flag.
-        cache = self._memo
-        if cache is not None:
-            key = (12, position, class_name, position > self.start)
-            value = cache.get(key)
-            if value is not None:
-                return value
         nin = self.stats.nin(position, class_name)
-        total = self._cmt(self.shape(position, class_name), nin, self.config.pm_mx)
+        total = cmt(self.shape(position, class_name), nin, self.config.pm_mx)
         if position > self.start:
             # The deleted oid keys one record in the index of the previous
             # class and each of its subclasses.
             for member in self.stats.members(position - 1):
                 total += cml(self.shape(position - 1, member), self.config.pm_mx)
-        if cache is not None:
-            cache[key] = total
         return total
 
     def cmd_cost(self) -> float:
@@ -171,18 +137,10 @@ class MXCostModel(SubpathCostModel):
         # paper: the CMD table's MX row; the Σ over subclasses mirrors the
         # CMMX deletion prose ("the index defined on class C_{l-1} and all
         # its subclasses").
-        cache = self._memo
-        if cache is not None:
-            key = (13, self.end)
-            value = cache.get(key)
-            if value is not None:
-                return value
         total = 0.0
         for member in self.stats.members(self.end):
             shape = self.shape(self.end, member)
             total += cml(shape, float(shape.record_pages))
-        if cache is not None:
-            cache[key] = total
         return total
 
     # ------------------------------------------------------------------

@@ -29,7 +29,7 @@ import math
 from repro.costmodel.base import SubpathCostModel
 from repro.costmodel.btree_shape import IndexShape, build_shape
 from repro.costmodel.params import PathStatistics
-from repro.costmodel.primitives import cml
+from repro.costmodel.primitives import cml, cmt, crt
 from repro.costmodel.yao import npa
 from repro.organizations import IndexOrganization
 
@@ -105,23 +105,13 @@ class NXCostModel(SubpathCostModel):
     def query_cost(self, position: int, class_name: str, probes: float = 1.0) -> float:
         self._check_covered(position, class_name)
         if position == self.start:
-            return self._crt(self._shape, probes, self.config.pr_mx)
+            return crt(self._shape, probes, self.config.pr_mx)
         # Intermediate class: the index is of no help; scan the target
-        # extent and the extents below it for forward validation. The scan
-        # cost only sees (position, class, end), so it is shared across
-        # rows.
-        cache = self._memo
-        if cache is not None:
-            key = (31, position, class_name, self.end)
-            value = cache.get(key)
-            if value is not None:
-                return value
+        # extent and the extents below it for forward validation.
         total = self._extent_pages(position, class_name)
         for level in range(position + 1, self.end + 1):
             for member in self.stats.members(level):
                 total += self._extent_pages(level, member)
-        if cache is not None:
-            cache[key] = total
         return total
 
     def hierarchy_query_cost(self, position: int, probes: float = 1.0) -> float:
@@ -155,7 +145,7 @@ class NXCostModel(SubpathCostModel):
     def insert_cost(self, position: int, class_name: str) -> float:
         self._check_covered(position, class_name)
         affected = self.stats.ninbar(position, class_name, self.end)
-        base = self._cmt(self._shape, affected, self.config.pm_mx)
+        base = cmt(self._shape, affected, self.config.pm_mx)
         if position == self.start:
             return base
         # The new object creates reachability for its (future) ancestors —
@@ -167,7 +157,7 @@ class NXCostModel(SubpathCostModel):
     def delete_cost(self, position: int, class_name: str) -> float:
         self._check_covered(position, class_name)
         affected = self.stats.ninbar(position, class_name, self.end)
-        base = self._cmt(self._shape, affected, self.config.pm_mx)
+        base = cmt(self._shape, affected, self.config.pm_mx)
         if position == self.start:
             return base
         # Revalidate the candidate roots of each affected record: fetch

@@ -32,7 +32,7 @@ import math
 from repro.costmodel.base import SubpathCostModel
 from repro.costmodel.btree_shape import IndexShape, build_shape
 from repro.costmodel.params import PathStatistics
-from repro.costmodel.primitives import cml, crr
+from repro.costmodel.primitives import cml, cmt, crr, crt
 from repro.costmodel.yao import npa
 from repro.organizations import IndexOrganization
 
@@ -153,7 +153,7 @@ class NIXCostModel(SubpathCostModel):
 
     def query_cost(self, position: int, class_name: str, probes: float = 1.0) -> float:
         self._check_covered(position, class_name)
-        return self._crt(self._primary, probes, self._partial_pr(position, class_name))
+        return crt(self._primary, probes, self._partial_pr(position, class_name))
 
     def hierarchy_query_cost(self, position: int, probes: float = 1.0) -> float:
         """Retrieval w.r.t. a class and its subclasses (larger record share)."""
@@ -167,7 +167,7 @@ class NIXCostModel(SubpathCostModel):
             )
         pages = 1 + math.ceil(share / self.sizes.page_size)
         pr = float(min(pages, self._primary.record_pages))
-        return self._crt(self._primary, probes, pr)
+        return crt(self._primary, probes, pr)
 
     def range_query_cost(
         self,
@@ -196,7 +196,7 @@ class NIXCostModel(SubpathCostModel):
         nin = stats.nin(position, class_name)
         # CSI3: the new object joins the primary records of every ending
         # value it reaches.
-        primary = self._cmt(
+        primary = cmt(
             self._primary,
             stats.ninbar(position, class_name, self.end),
             self.config.pmi_nix,
@@ -206,12 +206,12 @@ class NIXCostModel(SubpathCostModel):
             # parent, and create the object's own 3-tuple.
             own = 1.0 if position > self.start else 0.0
             nar = stats.occupied_members(position + 1, nin)
-            auxiliary = self._crt(self._auxiliary, nin, 1.0) + self._crr(
+            auxiliary = crt(self._auxiliary, nin, 1.0) + crr(
                 self._auxiliary, nar + own, self.config.pm_ax
             )
         elif position > self.start:
             # Ending-class object: no indexed children; only its own 3-tuple.
-            auxiliary = self._cmt(self._auxiliary, 1.0, self.config.pm_ax)
+            auxiliary = cmt(self._auxiliary, 1.0, self.config.pm_ax)
         else:
             auxiliary = 0.0
         return primary + auxiliary
@@ -225,86 +225,45 @@ class NIXCostModel(SubpathCostModel):
         if position < self.end:
             own = 1.0 if position > self.start else 0.0
             nar = stats.occupied_members(position + 1, nin)
-            csd2 = self._crt(self._auxiliary, nin + own, 1.0) + self._crr(
+            csd2 = crt(self._auxiliary, nin + own, 1.0) + crr(
                 self._auxiliary, nar + own, self.config.pm_ax
             )
         elif position > self.start:
-            csd2 = self._cmt(self._auxiliary, 1.0, self.config.pm_ax)
+            csd2 = cmt(self._auxiliary, 1.0, self.config.pm_ax)
         else:
             csd2 = 0.0
 
         # --- step 3a (CS3a): fetch and rewrite the primary records.
-        cs3a = self._cmt(
+        cs3a = cmt(
             self._primary,
             stats.ninbar(position, class_name, self.end),
             self.config.pmd_nix,
         )
 
         # --- steps 3b/3c (CU3bc) and the parent-oid retrieval (SA1/SA2).
-        # The parent fan-in chain at each level depends only on (position,
-        # level) — the subpath start merely truncates the walk — so the
-        # per-level (parents, narp) pairs are memoized across rows.
-        cache = self._memo
         auxiliary = self._auxiliary
-        auxiliary_id = id(auxiliary)
         pm_ax = self.config.pm_ax
         cu3bc = 0.0
         parents_total = 0.0
         narp_total = 0.0
         parents = 0.0
-        narp = 0.0
         for level in range(position - 1, self.start, -1):
-            pair = cache.get((41, position, level)) if cache is not None else None
-            if pair is None:
-                parents = (parents if parents > 0 else 1.0) * stats.sum_k(level)
-                if self.config.clamp_cardinalities:
-                    parents = min(parents, stats.total_objects(level))
-                narp = stats.occupied_members(level, parents)
-                if cache is not None:
-                    cache[(41, position, level)] = (parents, narp)
-            else:
-                parents, narp = pair
-            if cache is None:
-                cu3bc += crr(auxiliary, narp, pm_ax)
-            else:
-                rewrite_key = (3, auxiliary_id, narp, pm_ax)
-                rewrite = cache.get(rewrite_key)
-                if rewrite is None:
-                    rewrite = crr(auxiliary, narp, pm_ax)
-                    cache[rewrite_key] = rewrite
-                cu3bc += rewrite
+            parents = (parents if parents > 0 else 1.0) * stats.sum_k(level)
+            if self.config.clamp_cardinalities:
+                parents = min(parents, stats.total_objects(level))
+            narp = stats.occupied_members(level, parents)
+            cu3bc += crr(auxiliary, narp, pm_ax)
             parents_total += parents
             narp_total += narp
         retrieval = 0.0
-        if parents_total > 0 and not self._auxiliary.empty:
-            # The SA1/SA2 Yao retrievals over the auxiliary leaf profile
-            # are pure functions of (shape, parents_total, narp_total),
-            # and the chain totals repeat across every hierarchy member
-            # of a position and across load-only recomputes — so the
-            # min(SA1, SA2) choice is tabulated in the statistics-owned
-            # memo alongside the other evaluation caches (tag 42).
-            retrieval_key = (
-                (42, auxiliary_id, parents_total, narp_total)
-                if cache is not None
-                else None
-            )
-            retrieval = (
-                cache.get(retrieval_key) if retrieval_key is not None else None
-            )
-            if retrieval is None:
-                leaf = auxiliary.levels[0]
-                sa1 = npa(
-                    min(parents_total, leaf.records), leaf.records, leaf.pages
-                )
-                if auxiliary.oversized:
-                    sa2 = narp_total
-                else:
-                    sa2 = npa(
-                        min(narp_total, leaf.records), leaf.records, leaf.pages
-                    )
-                retrieval = min(sa1, sa2)
-                if retrieval_key is not None:
-                    cache[retrieval_key] = retrieval
+        if parents_total > 0 and not auxiliary.empty:
+            leaf = auxiliary.levels[0]
+            sa1 = npa(min(parents_total, leaf.records), leaf.records, leaf.pages)
+            if auxiliary.oversized:
+                sa2 = narp_total
+            else:
+                sa2 = npa(min(narp_total, leaf.records), leaf.records, leaf.pages)
+            retrieval = min(sa1, sa2)
         return csd2 + cs3a + cu3bc + retrieval
 
     def cmd_cost(self) -> float:
@@ -323,18 +282,11 @@ class NIXCostModel(SubpathCostModel):
         # — the touched 3-tuples are estimated by the per-class average
         # nested-value counts, and the pages they sit on are fetched and
         # rewritten.
-        cache = self._memo
         touched = 0.0
         for position in range(self.start + 1, self.end + 1):
-            subtotal = (
-                cache.get((40, position, self.end)) if cache is not None else None
-            )
-            if subtotal is None:
-                subtotal = 0.0
-                for member in self.stats.members(position):
-                    subtotal += self.stats.ninbar(position, member, self.end)
-                if cache is not None:
-                    cache[(40, position, self.end)] = subtotal
+            subtotal = 0.0
+            for member in self.stats.members(position):
+                subtotal += self.stats.ninbar(position, member, self.end)
             touched += subtotal
         leaf = self._auxiliary.levels[0]
         return 2.0 * npa(min(touched, leaf.records), leaf.records, leaf.pages)

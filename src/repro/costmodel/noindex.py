@@ -43,21 +43,11 @@ class NoIndexCostModel(SubpathCostModel):
         self._check_covered(position, class_name)
         # One pass over the target class's extent plus one pass over every
         # extent below it in the subpath; the probe count does not change
-        # the scan cost (the predicate set is checked in memory). The
-        # value only sees (position, class, end), so it is shared across
-        # rows via the statistics' evaluation cache.
-        cache = self._memo
-        if cache is not None:
-            key = (30, position, class_name, self.end)
-            value = cache.get(key)
-            if value is not None:
-                return value
+        # the scan cost (the predicate set is checked in memory).
         total = self._extent_pages(position, class_name)
         for level in range(position + 1, self.end + 1):
             for member in self.stats.members(level):
                 total += self._extent_pages(level, member)
-        if cache is not None:
-            cache[key] = total
         return total
 
     def hierarchy_query_cost(self, position: int, probes: float = 1.0) -> float:

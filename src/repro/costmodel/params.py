@@ -84,12 +84,6 @@ class CostModelConfig:
     ``clamp_cardinalities`` keeps Yao's formula well-defined by clamping
     retrieved-record estimates at the number of records that exist; the
     clamp only binds on workloads far more skewed than the paper's.
-
-    ``cache_evaluation`` enables the shared evaluation caches on
-    :class:`PathStatistics` (index shapes, probe-key fan-in chains,
-    ``nin-bar`` products, Yao sums). Statistics are immutable, so the
-    caches are always exact; the switch exists for memory-constrained
-    callers and for benchmarking the uncached evaluation path.
     """
 
     sizes: SizeModel = field(default_factory=SizeModel)
@@ -102,7 +96,6 @@ class CostModelConfig:
     pmi_nix: float | None = None
     pm_ax: float | None = None
     clamp_cardinalities: bool = True
-    cache_evaluation: bool = True
     #: Optional cap on the union of distinct ending-attribute values across
     #: the ending class hierarchy (e.g. the size of an atomic domain).
     ending_domain_distinct: float | None = None
@@ -137,7 +130,6 @@ class PathStatistics:
         self.path = path
         self.config = config or CostModelConfig()
         self.length = path.length
-        self._cache_enabled = self.config.cache_evaluation
         missing = [name for name in path.scope if name not in per_class]
         if missing:
             raise CostModelError(f"missing ClassStats for scope classes: {missing}")
@@ -151,17 +143,15 @@ class PathStatistics:
         self._sum_k_cache: dict[int, float] = {}
         self._mean_fanout_cache: dict[int, float] = {}
         self._distinct_union_cache: dict[int, float] = {}
-        # Cross-row evaluation caches (gated by config.cache_evaluation):
-        # the quantities below depend only on the immutable statistics, yet
-        # Cost_Matrix construction recomputes them for every subpath ×
-        # organization. Keys are plain tuples of positions/names/floats, so
-        # identical inputs hit identical entries and the cached evaluation
-        # is bit-for-bit equal to the uncached one.
+        # Cross-row evaluation caches: the quantities below depend only on
+        # the immutable statistics, yet Cost_Matrix construction recomputes
+        # them for every subpath × organization. Keys are plain tuples of
+        # positions/names/floats, so identical inputs hit identical entries
+        # and the cached evaluation is bit-for-bit equal to the uncached one.
         self._probe_keys_cache: dict[tuple[int, int, float], float] = {}
         self._ninbar_cache: dict[tuple[int, str, int], float] = {}
         self._occupied_cache: dict[tuple[int, float], float] = {}
         self._shape_cache: dict[tuple, object] = {}
-        self._primitive_cache: dict[tuple, float] = {}
         # Persistent columnar lowerings (repro.kernel.arrays.StatArrays)
         # keyed by workload identity; bounded, managed by the kernel.
         self._stat_arrays_cache: list = []
@@ -170,15 +160,13 @@ class PathStatistics:
         """Pickle support for parallel ``Cost_Matrix`` workers.
 
         The cross-row evaluation caches are dropped: they are rebuilt on
-        demand, and the primitive memo is keyed by in-process object ids
-        that must never cross a process boundary.
+        demand.
         """
         state = self.__dict__.copy()
         state["_probe_keys_cache"] = {}
         state["_ninbar_cache"] = {}
         state["_occupied_cache"] = {}
         state["_shape_cache"] = {}
-        state["_primitive_cache"] = {}
         state["_stat_arrays_cache"] = []
         return state
 
@@ -312,18 +300,15 @@ class PathStatistics:
             raise CostModelError(
                 f"ninbar positions out of range: {position}..{end} in 1..{self.length}"
             )
-        cache = self._ninbar_cache if self._cache_enabled else None
-        if cache is not None:
-            cached = cache.get((position, class_name, end))
-            if cached is not None:
-                return cached
+        cached = self._ninbar_cache.get((position, class_name, end))
+        if cached is not None:
+            return cached
         value = self.nin(position, class_name)
         for level in range(position + 1, end + 1):
             value *= self.mean_fanout(level)
         cap = self.distinct_union(end)
         value = min(value, cap) if cap > 0 else value
-        if cache is not None:
-            cache[(position, class_name, end)] = value
+        self._ninbar_cache[(position, class_name, end)] = value
         return value
 
     # ------------------------------------------------------------------
@@ -337,11 +322,9 @@ class PathStatistics:
         fan-in ``Σ_j k``. Clamped at the population of the level above
         (keys are oids of ``C_{position+1}`` objects) when clamping is on.
         """
-        cache = self._probe_keys_cache if self._cache_enabled else None
-        if cache is not None:
-            cached = cache.get((position, end, probes))
-            if cached is not None:
-                return cached
+        cached = self._probe_keys_cache.get((position, end, probes))
+        if cached is not None:
+            return cached
         clamp = self.config.clamp_cardinalities
         value = probes
         for level in range(end, position, -1):
@@ -350,8 +333,7 @@ class PathStatistics:
                 cap = self.total_objects(level)
                 if value > cap:
                     value = cap
-        if cache is not None:
-            cache[(position, end, probes)] = value
+        self._probe_keys_cache[(position, end, probes)] = value
         return value
 
     def noid(
@@ -383,11 +365,9 @@ class PathStatistics:
         """
         if values <= 0:
             return 0.0
-        cache = self._occupied_cache if self._cache_enabled else None
-        if cache is not None:
-            cached = cache.get((position, values))
-            if cached is not None:
-                return cached
+        cached = self._occupied_cache.get((position, values))
+        if cached is not None:
+            return cached
         total = self.total_objects(position)
         if total <= 0:
             return 0.0
@@ -397,8 +377,7 @@ class PathStatistics:
             if share > 0:
                 occupied += 1.0 - (1.0 - share) ** values
         occupied = min(occupied, float(self.nc(position)), values)
-        if cache is not None:
-            cache[(position, values)] = occupied
+        self._occupied_cache[(position, values)] = occupied
         return occupied
 
     # ------------------------------------------------------------------
@@ -410,22 +389,13 @@ class PathStatistics:
         Every cost model's shapes are pure functions of these statistics,
         yet matrix construction instantiates a fresh model per subpath ×
         organization. ``key`` identifies the shape (e.g. ``("mx", l, C)``);
-        ``builder`` is invoked only on a miss. With
-        ``config.cache_evaluation`` off the builder always runs.
+        ``builder`` is invoked only on a miss.
         """
-        if not self._cache_enabled:
-            return builder()
         shape = self._shape_cache.get(key)
         if shape is None:
             shape = builder()
             self._shape_cache[key] = shape
         return shape
-
-    def primitive_cache(self) -> dict | None:
-        """The CRT/CMT/CRR memo table, or ``None`` when caching is off."""
-        if not self._cache_enabled:
-            return None
-        return self._primitive_cache
 
     def _check_member(self, position: int, class_name: str) -> None:
         if class_name not in self.members(position):

@@ -32,7 +32,7 @@ from __future__ import annotations
 from repro.costmodel.base import SubpathCostModel
 from repro.costmodel.btree_shape import IndexShape, build_shape
 from repro.costmodel.params import PathStatistics
-from repro.costmodel.primitives import cml
+from repro.costmodel.primitives import cml, cmt, crt
 from repro.organizations import IndexOrganization
 
 
@@ -87,7 +87,7 @@ class PXCostModel(SubpathCostModel):
     # ------------------------------------------------------------------
     def query_cost(self, position: int, class_name: str, probes: float = 1.0) -> float:
         self._check_covered(position, class_name)
-        return self._crt(self._shape, probes, self.config.pr_mx)
+        return crt(self._shape, probes, self.config.pr_mx)
 
     def hierarchy_query_cost(self, position: int, probes: float = 1.0) -> float:
         """Identical: the whole record is organized by instantiation."""
@@ -115,12 +115,12 @@ class PXCostModel(SubpathCostModel):
     def insert_cost(self, position: int, class_name: str) -> float:
         self._check_covered(position, class_name)
         affected = self.stats.ninbar(position, class_name, self.end)
-        return self._cmt(self._shape, affected, self.config.pm_mx)
+        return cmt(self._shape, affected, self.config.pm_mx)
 
     def delete_cost(self, position: int, class_name: str) -> float:
         self._check_covered(position, class_name)
         affected = self.stats.ninbar(position, class_name, self.end)
-        return self._cmt(self._shape, affected, self.config.pm_mx)
+        return cmt(self._shape, affected, self.config.pm_mx)
 
     def cmd_cost(self) -> float:
         return cml(self._shape, float(self._shape.record_pages))

@@ -20,12 +20,9 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from repro.errors import CostModelError
+import numpy as np
 
-try:  # Optional acceleration; the pure-Python loop is the reference.
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment without numpy
-    _np = None
+from repro.errors import CostModelError
 
 #: Below this many factors the Python loop beats the array round-trip.
 #: numpy's multiply-reduce accumulates sequentially (no pairwise
@@ -116,9 +113,9 @@ def _untouched_fraction(t: int, n: float, m: float) -> float:
     if available - t + 1 <= 0:
         # A factor of the product is non-positive: every page is touched.
         return 0.0
-    if _np is not None and t >= _VECTORIZE_MIN_FACTORS:
-        offsets = _np.arange(1.0, t + 1.0)
-        product = float(_np.prod((available + 1.0 - offsets) / (n + 1.0 - offsets)))
+    if t >= _VECTORIZE_MIN_FACTORS:
+        offsets = np.arange(1.0, t + 1.0)
+        product = float(np.prod((available + 1.0 - offsets) / (n + 1.0 - offsets)))
         return product if product >= 1e-18 else 0.0
     product = 1.0
     for i in range(1, t + 1):

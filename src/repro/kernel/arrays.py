@@ -4,7 +4,7 @@
 and a :class:`~repro.workload.load.LoadDistribution` into contiguous
 arrays indexed by a **global member axis**: every hierarchy member of
 every position gets one slot ``gm`` (positions ascending, members in
-hierarchy order — the exact iteration order of the legacy evaluator).
+hierarchy order — the exact iteration order of the scalar cost model).
 On top of it sit the row-independent tables every organization shares:
 probe-key chains, ``nin-bar`` chains, occupancy counts, extent pages and
 the NIX parent-chain recurrences.
@@ -20,14 +20,13 @@ operands — so batched results are bit-identical to scalar calls.
 
 :func:`fold_segments` is the kernel's accumulation workhorse: it folds
 per-segment term lists **sequentially in rank order** (padding with the
-fold identity, which never perturbs float bits), reproducing the legacy
-evaluator's left-to-right accumulation chains exactly.
+fold identity, which never perturbs float bits), reproducing the scalar
+cost model's left-to-right accumulation chains exactly.
 
 Lowerings persist: :func:`get_stat_arrays` keeps a bounded cache of
-:class:`StatArrays` on the statistics object (gated by
-``config.cache_evaluation``), and :meth:`StatArrays.patched` derives the
-arrays for a drifted workload from an existing lowering by patching only
-the load-derived columns — the stats-derived tables, including the
+:class:`StatArrays` on the statistics object, and :meth:`StatArrays.patched`
+derives the arrays for a drifted workload from an existing lowering by
+patching only the load-derived columns — the stats-derived tables, including the
 per-organization probe/insert tables that accumulate in ``_tables``, are
 shared by reference across the patch chain.
 """
@@ -307,8 +306,8 @@ class StatArrays:
     """Per-position/per-member arrays lowered from the scalar inputs.
 
     All quantities are computed through the statistics object's own
-    accessors (which memoize when ``config.cache_evaluation`` is on), so
-    the lowered values are the very floats the legacy evaluator reads.
+    accessors (which memoize), so the lowered values are the very floats
+    the scalar cost model reads.
     """
 
     def __init__(
@@ -605,7 +604,7 @@ class StatArrays:
     # shared (subpath-independent) shapes
     # ------------------------------------------------------------------
     def mx_shape(self, position: int, name: str) -> IndexShape:
-        """The MX per-class shape (same key as the legacy shape cache)."""
+        """The MX per-class shape (same key as the scalar shape cache)."""
         sizes = self.sizes
         stats = self.stats
 
@@ -625,7 +624,7 @@ class StatArrays:
         return stats.cached_shape(("mx", position, name), build)
 
     def mix_shape(self, position: int) -> IndexShape:
-        """The MIX per-level shape (same key as the legacy shape cache)."""
+        """The MIX per-level shape (same key as the scalar shape cache)."""
         sizes = self.sizes
         stats = self.stats
 
@@ -659,10 +658,8 @@ _RESULT_CACHE_LIMIT = 32
 _UNITS_CACHE_LIMIT = 64
 
 
-def _stats_cache(stats: PathStatistics) -> list | None:
-    """The bounded lowering cache on ``stats``, or None when disabled."""
-    if not stats.config.cache_evaluation:
-        return None
+def _stats_cache(stats: PathStatistics) -> list:
+    """The bounded lowering cache on ``stats``."""
     cache = getattr(stats, "_stat_arrays_cache", None)
     if cache is None:
         # Statistics unpickled from pre-cache checkpoints lack the slot.
@@ -677,10 +674,7 @@ def find_cached_arrays(
     range_selectivity: float | None = None,
 ) -> StatArrays | None:
     """The cached lowering for exactly (stats, load, selectivity), if any."""
-    cache = _stats_cache(stats)
-    if cache is None:
-        return None
-    for arrays in reversed(cache):
+    for arrays in reversed(_stats_cache(stats)):
         if arrays.load is load and arrays.range_selectivity == range_selectivity:
             return arrays
     return None
@@ -689,8 +683,6 @@ def find_cached_arrays(
 def remember_stat_arrays(arrays: StatArrays) -> None:
     """Retain one lowering in its statistics object's bounded cache."""
     cache = _stats_cache(arrays.stats)
-    if cache is None:
-        return
     cache.append(arrays)
     if len(cache) > _ARRAYS_CACHE_LIMIT:
         del cache[: len(cache) - _ARRAYS_CACHE_LIMIT]
@@ -705,8 +697,7 @@ def get_stat_arrays(
 
     Identity of the workload object is the cache key — a drifted load is
     a *new* object, for which :meth:`StatArrays.patched` (reached through
-    the recompute path) is the cheap route. With
-    ``config.cache_evaluation`` off every call lowers afresh.
+    the recompute path) is the cheap route.
     """
     found = find_cached_arrays(stats, load, range_selectivity)
     if found is not None:

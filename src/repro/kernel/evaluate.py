@@ -5,16 +5,16 @@ organizations in one pass. Rows and their (position, member) entries are
 flattened into index arrays once (:class:`_RowBatch`); each organization
 is then evaluated as a handful of batched CRT/CMT/CRR calls plus
 :func:`~repro.kernel.arrays.fold_segments` accumulations that replay the
-legacy evaluator's left-to-right sums **in the same order**, so every
+scalar cost model's left-to-right sums **in the same order**, so every
 matrix value is bit-identical to
 :func:`repro.costmodel.subpath.subpath_processing_cost`.
 
 Masked terms are padded with ``+0.0`` (all accumulators and terms are
 non-negative, so ``x + 0.0`` leaves the bits unchanged) and per-row
 scalar tails (index heights, storage sums) run through the very scalar
-primitives the legacy evaluator uses. Range-predicate rows ending at the
-path's last attribute fall back to the legacy evaluator — they price a
-leaf-walk that is already row-constant and outside the hot loop.
+primitives the scalar cost model uses. Range-predicate rows ending at the
+path's last attribute go through the scalar cost model itself — they
+price a leaf-walk that is already row-constant and outside the hot loop.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def evaluate_rows(
     for start, end in rows:
         if range_selectivity is not None and end == length:
             # Range-ending rows price a contiguous leaf walk (a different
-            # query primitive); the legacy evaluator stays their oracle.
+            # query primitive); the scalar cost model prices them.
             context = SubpathContext.build(
                 stats, load, start, end, range_selectivity=range_selectivity
             )
@@ -146,7 +146,7 @@ def evaluate_rows(
 
 class _RowBatch:
     """Index arrays over the batch's rows, (row, position) pairs and
-    (row, position, member) entries, in the legacy iteration order."""
+    (row, position, member) entries, in the scalar iteration order."""
 
     def __init__(self, arrays: StatArrays, rows: list[tuple[int, int]]) -> None:
         self.arrays = arrays
@@ -251,7 +251,7 @@ class _RowBatch:
         ``term(position)`` returns the ordered scalar storage terms of one
         position; rows sharing a start accumulate the same left fold, so
         the walk extends one running sum per start — the exact partial
-        sums of the legacy per-row loops.
+        sums of the scalar per-row loops.
         """
         storage = np.zeros(self.row_count)
         by_start: dict[int, list[int]] = {}
@@ -338,7 +338,7 @@ class _RowBatch:
         # the interior levels share the table).
         table_c = np.zeros((count, length + 1))
         # T[p, e]: the ending + interior levels above a target at p,
-        # accumulated in the legacy's level-descending member order.
+        # accumulated in the scalar level-descending member order.
         table_t = np.zeros((length + 2, length + 1))
         cmd_table = np.zeros(length + 1)
         for end in ends:
@@ -389,7 +389,7 @@ class _RowBatch:
 
     def _mx_column(self, shapes, end: int):
         """One end's (C column, T column, CMD rate) — the exact scalar
-        loop of the legacy evaluator, level-descending member order."""
+        loop of the scalar cost model, level-descending member order."""
         a = self.arrays
         config = a.config
         c_col = np.zeros(a.member_count)
@@ -435,7 +435,7 @@ class _RowBatch:
         length = a.length
         shapes = a.cached_table("mix_shapes", self._mix_shapes)
         ends = sorted({int(end) for end in self.erow})
-        # H[p, e]: levels e down to p, legacy accumulation order.
+        # H[p, e]: levels e down to p, scalar accumulation order.
         table_h = np.zeros((length + 2, length + 1))
         cmd_table = np.zeros(length + 1)
         for end in ends:
@@ -478,7 +478,7 @@ class _RowBatch:
         }
 
     def _mix_column(self, shapes, end: int):
-        """One end's (H column, CMD rate), legacy accumulation order."""
+        """One end's (H column, CMD rate), scalar accumulation order."""
         a = self.arrays
         config = a.config
         h_col = np.zeros(a.length + 2)

@@ -19,9 +19,6 @@ achieved by construction, not by accident:
 * the boundary and exotic cases (a staircase just under the scalar's
   vectorization threshold, Cardenas territory) are routed through the
   scalar reference one element at a time, so they cannot drift.
-
-The module imports numpy unconditionally; callers gate on
-:func:`repro.kernel.is_available` before importing it.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ ad-hoc attributes (``RecomputeReport.kernel_slice_rows``,
 ``StatArrays`` lowering-cache hits) and re-exports them under one
 namespace. A metric is identified by a dotted ``name`` plus optional
 ``labels``; the canonical key renders labels sorted
-(``matrix.kernel_fallback{reason=numpy unavailable}``), so snapshots are
-deterministic regardless of observation order.
+(``resilience.degradations{action=serial_fallback,layer=matrix}``), so
+snapshots are deterministic regardless of observation order.
 
 Instruments are plain mutable objects handed out by
 :class:`MetricsRegistry` — call sites fetch them once (cheap dict hit)

@@ -130,7 +130,7 @@ def whatif_table(
     much matrix work the step needed (rows re-priced + rows CMD-patched,
     or ``full`` on a fallback rebuild — with ``kN`` marking the ``N``
     rows the columnar kernel re-priced as one dirty slice and ``!`` a
-    step whose kernel slice fell back to the legacy evaluator), the
+    step whose dirty rows the kernel left to the scalar oracle), the
     resulting optimal cost and its delta, and the selected configuration
     — printed only when it changed from the previous step, so
     drifting-workload reports surface the re-indexing points at a
@@ -171,7 +171,7 @@ def whatif_table(
         title=title,
     )
     if fallback_reasons:
-        table += "\n! kernel slice fell back to the legacy evaluator: " + (
+        table += "\n! kernel slice fell back to the scalar oracle: " + (
             ", ".join(sorted(fallback_reasons))
         )
     return table

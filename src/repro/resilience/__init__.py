@@ -61,10 +61,6 @@ __all__ = [
 # which in turn import core.cost_matrix — the module that imports *us*.
 _LAZY = {
     "degraded_search": ("repro.resilience.degrade", "degraded_search"),
-    "reprice_configuration": (
-        "repro.resilience.degrade",
-        "reprice_configuration",
-    ),
     "save_advisor": ("repro.resilience.checkpoint", "save_advisor"),
     "restore_advisor": ("repro.resilience.checkpoint", "restore_advisor"),
     "save_session": ("repro.resilience.checkpoint", "save_session"),

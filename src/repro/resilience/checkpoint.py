@@ -290,9 +290,9 @@ def _restore_session_state(
     """Rebuild + prime one session from its checkpoint record.
 
     The fresh matrix is computed from the stored *current* inputs (the
-    bit-identity of ``CostMatrix.compute`` across kernels and worker
-    counts makes it equal to the incrementally recomputed one that died
-    with the process), then one priming ``advise()`` fills the search
+    bit-identity of ``CostMatrix.compute`` across worker counts and
+    against ``CostMatrix.recompute`` makes it equal to the incrementally
+    recomputed one that died with the process), then one priming ``advise()`` fills the search
     tables. The primed answer doubles as verification: when the stored
     last result was exact and nothing was pending, it must match cost
     and configuration exactly — a mismatch means the caller supplied

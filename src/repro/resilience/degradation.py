@@ -1,8 +1,7 @@
 """Structured accounting of every degraded decision.
 
 A resilient advisor is allowed to answer from a cheaper rung — serial
-instead of parallel, legacy evaluator instead of the columnar kernel,
-a beam instead of the exact DP, the last-known-good configuration
+instead of parallel, a beam instead of the exact DP, the last-known-good configuration
 instead of any fresh search — but it is *never* allowed to do so
 silently. Every fallback records a :class:`DegradationEvent` into the
 :class:`DegradationReport` threaded through the stack, so tests (and
@@ -19,8 +18,8 @@ from typing import Any
 class DegradationEvent:
     """One degraded decision: which layer fell back, to what, and why."""
 
-    #: The layer that degraded: ``"matrix"``, ``"kernel"``, ``"search"``,
-    #: ``"session"``, ``"multipath"``, ``"trace"`` or ``"checkpoint"``.
+    #: The layer that degraded: ``"matrix"``, ``"search"``, ``"session"``,
+    #: ``"multipath"``, ``"trace"`` or ``"checkpoint"``.
     layer: str
     #: What the layer did instead (e.g. ``"serial_fallback"``,
     #: ``"greedy_beam"``, ``"last_known_good"``, ``"skip_line"``).

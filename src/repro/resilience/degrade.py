@@ -22,6 +22,7 @@ absence means ``"exact"``).
 
 from __future__ import annotations
 
+from repro.core.evaluation import configuration_cost
 from repro.errors import DeadlineExceeded
 from repro.search.base import SearchResult
 from repro.search.greedy_beam import GreedyBeamStrategy
@@ -32,14 +33,6 @@ BEAM_LADDER = (8, 4, 2)
 #: ``SearchResult.strategy`` of an answer taken from the last-known-good
 #: configuration (rung 3): no search ran, the configuration was re-priced.
 LAST_KNOWN_GOOD = "last_known_good"
-
-
-def reprice_configuration(matrix, configuration) -> float:
-    """The configuration's total cost against the (current) matrix."""
-    return sum(
-        matrix.cost(part.start, part.end, part.organization)
-        for part in configuration.assignments
-    )
 
 
 def degraded_search(
@@ -89,7 +82,7 @@ def degraded_search(
         return result
 
     if last_known_good is not None:
-        cost = reprice_configuration(matrix, last_known_good.configuration)
+        cost = configuration_cost(matrix, last_known_good.configuration)
         count_rung(LAST_KNOWN_GOOD)
         if degradation is not None:
             degradation.record(layer, LAST_KNOWN_GOOD, reason)

@@ -223,9 +223,8 @@ class ContinuousAdvisor:
     degradation:
         An optional :class:`~repro.resilience.DegradationReport` shared
         with the session — every fallback anywhere in the stack
-        (deadline rungs, serial matrix fallbacks, kernel downgrades)
-        lands in it. One is created when omitted; read it at
-        ``advisor.degradation``.
+        (deadline rungs, serial matrix fallbacks) lands in it. One is
+        created when omitted; read it at ``advisor.degradation``.
     recorder:
         An optional :class:`~repro.obs.Recorder` shared with the
         session: stream counters (``replay.events``, ``replay.windows``,
@@ -235,8 +234,7 @@ class ContinuousAdvisor:
         event; with the default ``None`` that is a no-op call.
     session_options:
         Forwarded to :class:`~repro.whatif.AdvisorSession` (``strategy``,
-        ``organizations``, ``include_noindex``, ``workers``,
-        ``kernel``, ...).
+        ``organizations``, ``include_noindex``, ``workers``, ...).
     """
 
     def __init__(

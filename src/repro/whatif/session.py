@@ -76,12 +76,7 @@ class AdvisorSession:
     without a ``refine`` method are simply re-run against the
     incrementally updated matrix). ``workers`` applies to the initial
     matrix construction and, by default, to every recompute (dirty sets
-    are small, so ``0``/serial is the right default). ``kernel`` selects
-    the matrix evaluation engine (see :meth:`CostMatrix.compute`) for the
-    initial build and sticks for every recompute — ``"auto"`` (default)
-    builds the full matrix through the columnar numpy kernel when
-    available and re-prices small dirty sets through the legacy
-    evaluator, bit-identically either way.
+    are small, so ``0``/serial is the right default).
 
     The session's observable guarantees:
 
@@ -106,7 +101,6 @@ class AdvisorSession:
         range_selectivity: float | None = None,
         strategy: str = DEFAULT_SESSION_STRATEGY,
         workers: int | None = 0,
-        kernel: str = "auto",
         degradation: DegradationReport | None = None,
         retry_policy=None,
         recorder=None,
@@ -119,7 +113,6 @@ class AdvisorSession:
         self.stats = stats
         self.load = load
         self._workers = workers
-        self._kernel = kernel
         #: Every fallback this session (and its matrix updates) takes is
         #: recorded here; pass a shared report to aggregate across
         #: sessions (ContinuousAdvisor does).
@@ -138,7 +131,6 @@ class AdvisorSession:
             include_noindex=include_noindex,
             range_selectivity=range_selectivity,
             workers=workers,
-            kernel=kernel,
             retry_policy=retry_policy,
             degradation=self.degradation,
             recorder=self.recorder,

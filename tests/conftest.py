@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.cost_matrix import CostMatrix
 from repro.costmodel.params import ClassStats, CostModelConfig, PathStatistics
+from repro.costmodel.subpath import SubpathContext, subpath_processing_cost
 from repro.model.examples import (
     build_vehicle_schema,
     pe_path,
     pexa_path,
     populate_vehicle_database,
+)
+from repro.organizations import (
+    CONFIGURABLE_ORGANIZATIONS,
+    EXTENDED_ORGANIZATIONS,
+    IndexOrganization,
 )
 from repro.paper import figure6_matrix, figure7_load, figure7_statistics
 from repro.storage.pager import Pager
@@ -108,3 +115,45 @@ def small_synth_stats(small_synth):
 
     _schema, path, database, _specs = small_synth
     return derive_path_statistics(database, path)
+
+
+def oracle_matrix(
+    stats,
+    load,
+    organizations=CONFIGURABLE_ORGANIZATIONS,
+    include_noindex=False,
+    range_selectivity=None,
+):
+    """The cost matrix priced row by row through the scalar cost model.
+
+    Every entry is one :func:`subpath_processing_cost` call (sharing one
+    :class:`SubpathContext` per row) — the paper-faithful oracle the
+    columnar kernel behind :meth:`CostMatrix.compute` must match bit for
+    bit. Arguments mirror :meth:`CostMatrix.compute`.
+    """
+    if include_noindex and IndexOrganization.NONE not in organizations:
+        organizations = EXTENDED_ORGANIZATIONS
+    entries = {}
+    breakdowns = {}
+    for start in range(1, stats.length + 1):
+        for end in range(start, stats.length + 1):
+            context = SubpathContext.build(
+                stats, load, start, end, range_selectivity=range_selectivity
+            )
+            row = {
+                organization: subpath_processing_cost(
+                    stats,
+                    load,
+                    start,
+                    end,
+                    organization,
+                    range_selectivity=range_selectivity,
+                    context=context,
+                )
+                for organization in organizations
+            }
+            breakdowns[(start, end)] = row
+            entries[(start, end)] = {
+                organization: cost.total for organization, cost in row.items()
+            }
+    return CostMatrix(stats.length, tuple(organizations), entries, breakdowns)

@@ -1,38 +1,36 @@
-"""Parity pins for the columnar numpy kernel (PR 6).
+"""Parity pins for the columnar numpy kernel.
 
-The columnar kernel (``repro.kernel``) must be a *bit-identical* drop-in
-for the legacy per-row evaluator — same entry values, same breakdowns,
-same row minima, under every configuration knob the matrix exposes.
-These tests pin that contract with Hypothesis-driven random worlds,
-cover the dirty-row recompute path, the ``npa_array`` primitive against
-its scalar oracle, kernel resolution/validation, and the pure-Python
-fallback when numpy is absent (exercised in a subprocess with a stub
-numpy on the path).
+The columnar kernel (``repro.kernel``) prices every matrix and must be
+*bit-identical* to the scalar cost model it vectorizes — same entry
+values, same breakdowns, same row minima, under every configuration knob
+the matrix exposes. These tests pin that contract against the scalar
+oracle (:func:`conftest.oracle_matrix`) with Hypothesis-driven random
+worlds, cover the dirty-row recompute path and the ``npa_array``
+primitive against its scalar counterpart, and pin the single-engine
+surface: no public entry point takes an engine selector, the kernel
+exports a closed set of names, and the auto-parallel threshold.
 """
 
-import os
-import subprocess
-import sys
-import textwrap
+import inspect
 
+import numpy
 import pytest
+from conftest import oracle_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cost_matrix import (
-    KERNEL_AUTO_MIN_ROWS,
-    KERNELS,
-    CostMatrix,
-)
-from repro.costmodel.params import ClassStats, CostModelConfig, PathStatistics
-from repro.errors import OptimizerError
+from repro import kernel
+from repro.cli import build_parser
+from repro.core import cost_matrix
+from repro.core.advisor import advise
+from repro.core.cost_matrix import PARALLEL_AUTO_MIN_LENGTH, CostMatrix
+from repro.core.multipath import optimize_multipath
+from repro.costmodel.params import ClassStats, PathStatistics
+from repro.costmodel.yao import npa
+from repro.kernel.yao_vec import npa_array
 from repro.synth import LevelSpec, linear_path_schema
+from repro.whatif import AdvisorSession
 from repro.workload.load import LoadDistribution, LoadTriplet
-
-numpy = pytest.importorskip("numpy")
-
-from repro.costmodel.yao import npa  # noqa: E402
-from repro.kernel.yao_vec import npa_array  # noqa: E402
 
 
 def make_world(
@@ -40,7 +38,6 @@ def make_world(
     subclasses=(0, 1, 0, 2, 0),
     objects=40_000,
     fanout=1.0,
-    cache_evaluation=True,
     query=0.3,
     insert=0.1,
     delete=0.05,
@@ -60,8 +57,7 @@ def make_world(
                 fanout=fanout,
             )
         remaining = max(50, remaining // 5)
-    config = CostModelConfig(cache_evaluation=cache_evaluation)
-    stats = PathStatistics(path, per_class, config)
+    stats = PathStatistics(path, per_class)
     load = LoadDistribution.uniform(
         path, query=query, insert=insert, delete=delete
     )
@@ -127,7 +123,6 @@ world_strategy = st.fixed_dictionaries(
         ),
         "objects": st.sampled_from([900, 25_000, 400_000]),
         "fanout": st.sampled_from([1.0, 1.5, 4.0]),
-        "cache_evaluation": st.booleans(),
         "query": st.floats(min_value=0.0, max_value=2.0),
         "insert": st.floats(min_value=0.0, max_value=1.0),
         "delete": st.floats(min_value=0.0, max_value=1.0),
@@ -136,59 +131,47 @@ world_strategy = st.fixed_dictionaries(
 
 
 class TestColumnarMatchesLegacy:
+    """The kernel-built matrix against the scalar oracle."""
+
     @given(world=world_strategy)
     @settings(max_examples=25, deadline=None)
     def test_random_worlds_bit_identical(self, world):
         stats, load = make_world(**world)
-        legacy = CostMatrix.compute(
-            stats, load, include_noindex=True, kernel="legacy"
-        )
-        columnar = CostMatrix.compute(
-            stats, load, include_noindex=True, kernel="columnar"
-        )
-        assert_matrices_identical(legacy, columnar)
+        scalar = oracle_matrix(stats, load, include_noindex=True)
+        columnar = CostMatrix.compute(stats, load, include_noindex=True)
+        assert_matrices_identical(scalar, columnar)
 
     def test_length_40_bit_identical(self):
         """The benchmark's own shape: every org, all 820 rows."""
         stats, load = make_world(length=40, objects=400_000)
-        legacy = CostMatrix.compute(
-            stats, load, include_noindex=True, kernel="legacy"
-        )
-        columnar = CostMatrix.compute(
-            stats, load, include_noindex=True, kernel="columnar"
-        )
-        assert_matrices_identical(legacy, columnar)
+        scalar = oracle_matrix(stats, load, include_noindex=True)
+        columnar = CostMatrix.compute(stats, load, include_noindex=True)
+        assert_matrices_identical(scalar, columnar)
 
     @pytest.mark.parametrize("selectivity", [0.05, 0.5, 1.0])
     def test_range_selectivity_bit_identical(self, selectivity):
         stats, load = make_world(length=6, subclasses=(0, 2, 0, 1, 0, 0))
-        legacy = CostMatrix.compute(
-            stats,
-            load,
-            range_selectivity=selectivity,
-            include_noindex=True,
-            kernel="legacy",
+        scalar = oracle_matrix(
+            stats, load, range_selectivity=selectivity, include_noindex=True
         )
         columnar = CostMatrix.compute(
-            stats,
-            load,
-            range_selectivity=selectivity,
-            include_noindex=True,
-            kernel="columnar",
+            stats, load, range_selectivity=selectivity, include_noindex=True
         )
-        assert_matrices_identical(legacy, columnar)
+        assert_matrices_identical(scalar, columnar)
 
     def test_auto_matches_explicit_kernels(self):
+        """The default build (paper organizations, fresh statistics)."""
         stats, load = make_world()
-        auto = CostMatrix.compute(stats, load)
-        legacy = CostMatrix.compute(stats, load, kernel="legacy")
-        assert_matrices_identical(auto, legacy)
+        assert_matrices_identical(
+            CostMatrix.compute(stats, load),
+            oracle_matrix(make_world()[0], load),
+        )
 
     def test_columnar_workers_match_serial(self):
         stats, load = make_world(length=8)
-        serial = CostMatrix.compute(stats, load, workers=0, kernel="columnar")
+        serial = CostMatrix.compute(stats, load, workers=0)
         parallel = CostMatrix.compute(
-            make_world(length=8)[0], load, workers=2, kernel="columnar"
+            make_world(length=8)[0], load, workers=2
         )
         assert_matrices_identical(serial, parallel)
 
@@ -208,32 +191,17 @@ class TestRecomputeParity:
     @settings(max_examples=20, deadline=None)
     def test_perturbation_batches_match_fresh_compute(self, batch):
         stats, load = make_world()
-        for kernel in ("columnar", "legacy", "auto"):
-            matrix = CostMatrix.compute(stats, load, kernel=kernel)
-            new_stats, new_load = stats, load
-            for class_name, component, factor in batch:
-                if component == "stats":
-                    new_stats = perturb_stats(new_stats, class_name, factor)
-                else:
-                    new_load = perturb_load(
-                        new_load, class_name, component, factor
-                    )
-            recomputed = matrix.recompute(stats=new_stats, load=new_load)
-            fresh = CostMatrix.compute(
-                new_stats, new_load, kernel="legacy"
-            )
-            assert_matrices_identical(recomputed, fresh)
-
-    def test_recompute_kernel_override(self):
-        stats, load = make_world()
-        matrix = CostMatrix.compute(stats, load, kernel="legacy")
-        new_load = perturb_load(load, "L2", "query", 3.0)
-        overridden = matrix.recompute(load=new_load, kernel="columnar")
+        matrix = CostMatrix.compute(stats, load)
+        new_stats, new_load = stats, load
+        for class_name, component, factor in batch:
+            if component == "stats":
+                new_stats = perturb_stats(new_stats, class_name, factor)
+            else:
+                new_load = perturb_load(new_load, class_name, component, factor)
+        recomputed = matrix.recompute(stats=new_stats, load=new_load)
         assert_matrices_identical(
-            overridden, CostMatrix.compute(stats, new_load)
+            recomputed, oracle_matrix(new_stats, new_load)
         )
-        # The override sticks for the next recompute.
-        assert overridden._kernel == "columnar"
 
 
 class TestNpaArray:
@@ -277,90 +245,44 @@ class TestNpaArray:
 
 
 class TestKernelResolution:
-    def test_unknown_kernel_rejected(self):
+    def test_unknown_kernel_rejected(self, capsys):
+        """One engine: no public entry point or CLI subcommand takes an
+        engine selector, so every kernel name is rejected."""
+        for function in (
+            advise,
+            CostMatrix.compute,
+            CostMatrix.recompute,
+            optimize_multipath,
+            AdvisorSession,
+        ):
+            assert "kernel" not in inspect.signature(function).parameters
         stats, load = make_world(length=2, subclasses=(0, 0))
-        with pytest.raises(OptimizerError, match="unknown kernel"):
-            CostMatrix.compute(stats, load, kernel="simd")
+        with pytest.raises(TypeError, match="kernel"):
+            CostMatrix.compute(stats, load, kernel="columnar")
+        parser = build_parser()
+        for command in ("advise", "matrix", "multipath", "whatif", "replay"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--help"])
+            assert "--kernel" not in capsys.readouterr().out
 
     def test_kernel_names_are_closed(self):
-        assert KERNELS == ("auto", "columnar", "legacy")
+        """The kernel's public surface, read by checkpoints and the
+        benchmark's per-layer trace, stays exactly these four names."""
+        assert kernel.__all__ == [
+            "compute_rows",
+            "lower",
+            "cached_lowering",
+            "patch_lowering",
+        ]
 
-    def test_auto_resolution_thresholds(self):
-        resolve = CostMatrix._resolve_kernel
-        assert resolve("auto", KERNEL_AUTO_MIN_ROWS) == "columnar"
-        assert resolve("auto", KERNEL_AUTO_MIN_ROWS - 1) == "legacy"
-        assert resolve(None, KERNEL_AUTO_MIN_ROWS) == "columnar"
-        assert resolve("legacy", 10_000) == "legacy"
-        assert resolve("columnar", 1) == "columnar"
-
-    def test_matrix_remembers_requested_kernel(self):
-        stats, load = make_world(length=3, subclasses=(0, 0, 0))
-        assert CostMatrix.compute(stats, load)._kernel == "auto"
-        assert (
-            CostMatrix.compute(stats, load, kernel="legacy")._kernel
-            == "legacy"
-        )
-
-
-NO_NUMPY_PROBE = textwrap.dedent(
-    """
-    from repro import kernel
-    assert kernel.is_available() is False
-
-    from repro.core.cost_matrix import CostMatrix
-    from repro.costmodel.params import ClassStats, PathStatistics
-    from repro.errors import OptimizerError
-    from repro.synth import LevelSpec, linear_path_schema
-    from repro.workload.load import LoadDistribution
-
-    levels = [LevelSpec(f"L{i}", subclasses=0) for i in range(8)]
-    _schema, path = linear_path_schema(levels)
-    per_class = {}
-    objects = 40_000
-    for position in range(1, 9):
-        for member in path.hierarchy_at(position):
-            per_class[member] = ClassStats(
-                objects=objects, distinct=max(10, objects // 6), fanout=1.0
-            )
-        objects = max(50, objects // 5)
-    stats = PathStatistics(path, per_class)
-    load = LoadDistribution.uniform(path, 0.3, 0.1, 0.05)
-
-    # auto falls back to the legacy evaluator and still computes.
-    matrix = CostMatrix.compute(stats, load, kernel="auto")
-    assert matrix.min_cost(1, 8).cost > 0
-
-    # An explicit columnar request fails loudly, not silently.
-    try:
-        CostMatrix.compute(stats, load, kernel="columnar")
-    except OptimizerError as error:
-        assert "numpy" in str(error)
-    else:
-        raise AssertionError("columnar kernel ran without numpy")
-    print("OK")
-    """
-)
-
-
-class TestNoNumpyFallback:
-    def test_auto_falls_back_without_numpy(self, tmp_path):
-        """Run a probe in a subprocess where ``import numpy`` fails."""
-        stub = tmp_path / "numpy.py"
-        stub.write_text(
-            'raise ImportError("numpy disabled for fallback test")\n'
-        )
-        repo_src = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "src",
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), repo_src])
-        completed = subprocess.run(
-            [sys.executable, "-c", NO_NUMPY_PROBE],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert "OK" in completed.stdout
+    def test_auto_resolution_thresholds(self, monkeypatch):
+        """``workers=None`` stays serial below a length-60 matrix and
+        fans out one worker per CPU from there; explicit counts win."""
+        monkeypatch.setattr(cost_matrix.os, "cpu_count", lambda: 4)
+        resolve = CostMatrix._resolve_workers
+        threshold = PARALLEL_AUTO_MIN_LENGTH * (PARALLEL_AUTO_MIN_LENGTH + 1) // 2
+        assert PARALLEL_AUTO_MIN_LENGTH == 60
+        assert resolve(None, threshold - 1) == 1
+        assert resolve(None, threshold) == 4
+        assert resolve(0, threshold) == 1
+        assert resolve(2, 10_000) == 2

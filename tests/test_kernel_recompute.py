@@ -1,88 +1,33 @@
-"""Parity and counter pins for the kernel dirty-slice recompute (PR 9).
+"""Parity and counter pins for the kernel dirty-slice recompute.
 
 ``CostMatrix.recompute`` routes dirty-row sets through the columnar
 kernel as array-slice re-evaluations over cached (or freshly patched)
-lowerings. These tests pin the contract three ways:
+lowerings. These tests pin the contract two ways:
 
-* **bit-identity** — a recomputed matrix equals a from-scratch legacy
-  build for every organization, under kernel on/off × evaluation-cache
-  on/off, across Hypothesis-driven perturbation batches;
+* **bit-identity** — a recomputed matrix equals the scalar oracle
+  (:func:`conftest.oracle_matrix`) over the new inputs for every
+  organization, across Hypothesis-driven perturbation batches;
 * **counters** — ``RecomputeReport.kernel_slice_rows`` counts exactly
-  the kernel-priced rows and ``kernel_fallback_reason`` names why the
-  slice went legacy (requested, below threshold without a lowering,
-  range-ending oracle rows, numpy missing);
-* **fallbacks** — the "numpy unavailable" path runs in-process when
-  this environment has no numpy (the no-numpy CI job) and in a
-  stub-numpy subprocess everywhere else.
+  the kernel-priced rows and ``kernel_fallback_reason`` names why any
+  dirty rows were left to the scalar oracle (range-ending rows).
 """
 
-import os
-import subprocess
-import sys
-import textwrap
-
-import pytest
+from conftest import oracle_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_kernel_parity import (
+    assert_matrices_identical,
+    make_world,
+    perturb_load,
+    perturb_stats,
+)
 
-from repro import kernel
-from repro.core.cost_matrix import KERNEL_AUTO_MIN_ROWS, CostMatrix
-from repro.costmodel.params import ClassStats, PathStatistics
-from repro.synth import LevelSpec, linear_path_schema
-from repro.workload.load import LoadDistribution, LoadTriplet
-
-NUMPY = kernel.is_available()
-needs_numpy = pytest.mark.skipif(not NUMPY, reason="requires numpy")
-
-if NUMPY:
-    # test_kernel_parity skips itself (module-level importorskip) when
-    # numpy is missing, so its world helpers are only reachable here.
-    from test_kernel_parity import (
-        assert_matrices_identical,
-        make_world,
-        perturb_load,
-        perturb_stats,
-    )
+from repro.core.cost_matrix import CostMatrix
 
 
-def plain_world(length=5):
-    """A linear-chain world buildable with or without numpy."""
-    levels = [LevelSpec(f"L{i}", subclasses=0) for i in range(length)]
-    _schema, path = linear_path_schema(levels)
-    per_class = {}
-    objects = 40_000
-    for position in range(1, length + 1):
-        for member in path.hierarchy_at(position):
-            per_class[member] = ClassStats(
-                objects=objects, distinct=max(10, objects // 6), fanout=1.0
-            )
-        objects = max(50, objects // 5)
-    stats = PathStatistics(path, per_class)
-    load = LoadDistribution.uniform(path, 0.3, 0.1, 0.05)
-    return stats, load
-
-
-def scale_insert(load, class_name, factor):
-    """One class's insert frequency scaled (a minimal load perturbation)."""
-    triplets = {}
-    for name, triplet in load.items():
-        if name == class_name:
-            triplet = LoadTriplet(
-                query=triplet.query,
-                insert=triplet.insert * factor + 0.01,
-                delete=triplet.delete,
-            )
-        triplets[name] = triplet
-    return LoadDistribution(load.path, triplets)
-
-
-def small_world(cache_evaluation=True):
-    """A world whose six rows all sit below the auto-kernel threshold."""
-    stats, load = make_world(
-        length=3, subclasses=(0, 0, 0), cache_evaluation=cache_evaluation
-    )
-    assert stats.length * (stats.length + 1) // 2 < KERNEL_AUTO_MIN_ROWS
-    return stats, load
+def small_world():
+    """A six-row world: dirty sets of a handful of rows."""
+    return make_world(length=3, subclasses=(0, 0, 0))
 
 
 perturbation_batches = st.lists(
@@ -96,44 +41,33 @@ perturbation_batches = st.lists(
 )
 
 
-@needs_numpy
 class TestDirtySliceBitIdentity:
-    @given(batch=perturbation_batches, cache=st.booleans())
+    @given(batch=perturbation_batches)
     @settings(max_examples=15, deadline=None)
-    def test_recompute_matches_fresh_build(self, batch, cache):
-        """recompute(dirty) == fresh build, kernel × cache, all orgs."""
-        stats, load = make_world(cache_evaluation=cache)
-        for kern in ("columnar", "legacy"):
-            matrix = CostMatrix.compute(
-                stats, load, include_noindex=True, kernel=kern
-            )
-            new_stats, new_load = stats, load
-            for class_name, component, factor in batch:
-                if component == "stats":
-                    new_stats = perturb_stats(new_stats, class_name, factor)
-                else:
-                    new_load = perturb_load(
-                        new_load, class_name, component, factor
-                    )
-            recomputed = matrix.recompute(stats=new_stats, load=new_load)
-            fresh = CostMatrix.compute(
-                new_stats, new_load, include_noindex=True, kernel="legacy"
-            )
-            assert_matrices_identical(recomputed, fresh)
-            report = recomputed.recompute_report
-            if report.kernel_sliced:
-                assert report.kernel_fallback_reason is None
-            elif kern == "legacy":
-                assert (
-                    report.kernel_fallback_reason == "legacy kernel requested"
-                )
+    def test_recompute_matches_fresh_build(self, batch):
+        """recompute(dirty) == the scalar oracle, all orgs."""
+        stats, load = make_world()
+        matrix = CostMatrix.compute(stats, load, include_noindex=True)
+        new_stats, new_load = stats, load
+        for class_name, component, factor in batch:
+            if component == "stats":
+                new_stats = perturb_stats(new_stats, class_name, factor)
+            else:
+                new_load = perturb_load(new_load, class_name, component, factor)
+        recomputed = matrix.recompute(stats=new_stats, load=new_load)
+        assert_matrices_identical(
+            recomputed, oracle_matrix(new_stats, new_load, include_noindex=True)
+        )
+        report = recomputed.recompute_report
+        assert report.kernel_slice_rows == len(report.recomputed_rows)
+        assert report.kernel_fallback_reason is None
 
     def test_chained_drifts_keep_slicing_through_patched_lowerings(self):
         """Consecutive steps chain workload patches: every step stays on
         the kernel (the previous step's patched lowering is found in the
-        persistent cache) and stays bit-identical to a fresh build."""
+        persistent cache) and stays bit-identical to the scalar oracle."""
         stats, load = make_world(length=8)
-        matrix = CostMatrix.compute(stats, load, kernel="columnar")
+        matrix = CostMatrix.compute(stats, load)
         current = load
         for step, factor in enumerate((1.5, 0.5, 3.0), start=1):
             current = perturb_load(current, "L3", "query", factor)
@@ -141,46 +75,15 @@ class TestDirtySliceBitIdentity:
             report = matrix.recompute_report
             assert report.kernel_sliced, f"step {step} fell off the kernel"
             assert report.kernel_slice_rows == len(report.recomputed_rows)
-            assert_matrices_identical(
-                matrix, CostMatrix.compute(stats, current, kernel="legacy")
-            )
+            assert_matrices_identical(matrix, oracle_matrix(stats, current))
 
 
-@needs_numpy
 class TestKernelSliceCounters:
-    def test_legacy_request_reports_reason(self):
-        stats, load = make_world()
-        matrix = CostMatrix.compute(stats, load, kernel="legacy")
-        recomputed = matrix.recompute(
-            load=perturb_load(load, "L1", "insert", 2.0)
-        )
-        report = recomputed.recompute_report
-        assert report.kernel_slice_rows == 0
-        assert not report.kernel_sliced
-        assert report.kernel_fallback_reason == "legacy kernel requested"
-        assert "legacy: legacy kernel requested" in report.describe()
-
-    def test_small_dirty_set_without_lowering_falls_back(self):
-        """auto + a dirty set below the threshold + no cached lowering
-        (the matrix was built legacy) stays on the legacy evaluator."""
-        stats, load = small_world()
-        matrix = CostMatrix.compute(stats, load, kernel="legacy")
-        recomputed = matrix.recompute(
-            load=perturb_load(load, "L1", "insert", 2.0), kernel="auto"
-        )
-        report = recomputed.recompute_report
-        assert report.kernel_slice_rows == 0
-        assert report.kernel_fallback_reason == (
-            f"dirty set of {len(report.recomputed_rows)} rows below the "
-            f"kernel threshold ({KERNEL_AUTO_MIN_ROWS}) with no cached "
-            f"lowering"
-        )
-
     def test_cached_lowering_lifts_the_threshold(self):
-        """The same below-threshold dirty set rides the kernel when the
-        columnar build left its lowering in the persistent cache."""
+        """A dirty set of a handful of rows rides the kernel over the
+        lowering the build left in the persistent cache."""
         stats, load = small_world()
-        matrix = CostMatrix.compute(stats, load, kernel="columnar")
+        matrix = CostMatrix.compute(stats, load)
         recomputed = matrix.recompute(
             load=perturb_load(load, "L1", "insert", 2.0)
         )
@@ -193,158 +96,33 @@ class TestKernelSliceCounters:
             in report.describe()
         )
 
-    def test_cache_off_explicit_columnar_lowers_fresh(self):
-        """With the evaluation cache disabled nothing persists, but an
-        explicit columnar request still prices the slice on the kernel
-        through a fresh lowering."""
-        stats, load = small_world(cache_evaluation=False)
-        matrix = CostMatrix.compute(stats, load, kernel="columnar")
-        recomputed = matrix.recompute(
-            load=perturb_load(load, "L1", "insert", 2.0)
-        )
-        report = recomputed.recompute_report
-        assert report.kernel_sliced
-        assert report.kernel_fallback_reason is None
-
-    def test_cache_off_auto_small_set_falls_back(self):
-        stats, load = small_world(cache_evaluation=False)
-        matrix = CostMatrix.compute(stats, load, kernel="auto")
-        recomputed = matrix.recompute(
-            load=perturb_load(load, "L1", "insert", 2.0)
-        )
-        report = recomputed.recompute_report
-        assert report.kernel_slice_rows == 0
-        assert "below the kernel threshold" in report.kernel_fallback_reason
-
     def test_range_ending_rows_report_the_legacy_oracle(self):
         """Under a range predicate, rows ending at the path's last
-        attribute are legacy-oracle territory; a dirty set made of only
-        those rows reports the oracle as its fallback."""
+        attribute are priced by the scalar oracle; a dirty set made of
+        only those rows reports the oracle as its fallback."""
         stats, load = make_world()
-        matrix = CostMatrix.compute(
-            stats, load, kernel="columnar", range_selectivity=0.4
-        )
-        recomputed = matrix.recompute(
-            load=perturb_load(load, "L4", "insert", 2.0)
-        )
+        matrix = CostMatrix.compute(stats, load, range_selectivity=0.4)
+        new_load = perturb_load(load, "L4", "insert", 2.0)
+        recomputed = matrix.recompute(load=new_load)
         report = recomputed.recompute_report
         assert report.recomputed_rows
         assert all(end == stats.length for _s, end in report.recomputed_rows)
         assert report.kernel_slice_rows == 0
         assert report.kernel_fallback_reason == (
             "all dirty rows end at the path's last attribute under a "
-            "range predicate (legacy oracle)"
+            "range predicate (scalar oracle)"
         )
+        assert "(scalar: all dirty rows end" in report.describe()
         assert_matrices_identical(
-            recomputed,
-            CostMatrix.compute(
-                stats,
-                perturb_load(load, "L4", "insert", 2.0),
-                kernel="legacy",
-                range_selectivity=0.4,
-            ),
+            recomputed, oracle_matrix(stats, new_load, range_selectivity=0.4)
         )
 
     def test_stats_change_relowers_and_slices(self):
-        """New statistics invalidate every cached lowering; a large
-        enough dirty set still prices on the kernel via a fresh one."""
+        """New statistics invalidate every cached lowering; the dirty set
+        still prices on the kernel via a fresh one."""
         stats, load = make_world()
-        matrix = CostMatrix.compute(stats, load, kernel="columnar")
+        matrix = CostMatrix.compute(stats, load)
         recomputed = matrix.recompute(stats=perturb_stats(stats, "L2", 1.7))
         report = recomputed.recompute_report
         assert report.kernel_sliced
         assert report.kernel_fallback_reason is None
-
-
-class TestWithoutNumpyInProcess:
-    """Direct coverage for the no-numpy CI job (skipped where numpy is
-    importable — the subprocess probe below covers those environments)."""
-
-    @pytest.mark.skipif(NUMPY, reason="requires a numpy-free environment")
-    def test_auto_recompute_reports_numpy_unavailable(self):
-        stats, load = plain_world()
-        matrix = CostMatrix.compute(stats, load, kernel="auto")
-        recomputed = matrix.recompute(load=scale_insert(load, "L1", 2.0))
-        report = recomputed.recompute_report
-        assert report.recomputed_rows
-        assert report.kernel_slice_rows == 0
-        assert report.kernel_fallback_reason == "numpy unavailable"
-        fresh = CostMatrix.compute(
-            stats, scale_insert(load, "L1", 2.0), kernel="legacy"
-        )
-        for start, end in fresh.rows():
-            for organization in fresh.organizations:
-                assert recomputed.cost(
-                    start, end, organization
-                ) == fresh.cost(start, end, organization)
-
-
-NO_NUMPY_RECOMPUTE_PROBE = textwrap.dedent(
-    """
-    from repro import kernel
-    assert kernel.is_available() is False
-
-    from repro.core.cost_matrix import CostMatrix
-    from repro.costmodel.params import ClassStats, PathStatistics
-    from repro.synth import LevelSpec, linear_path_schema
-    from repro.workload.load import LoadDistribution, LoadTriplet
-
-    levels = [LevelSpec(f"L{i}", subclasses=0) for i in range(8)]
-    _schema, path = linear_path_schema(levels)
-    per_class = {}
-    objects = 40_000
-    for position in range(1, 9):
-        for member in path.hierarchy_at(position):
-            per_class[member] = ClassStats(
-                objects=objects, distinct=max(10, objects // 6), fanout=1.0
-            )
-        objects = max(50, objects // 5)
-    stats = PathStatistics(path, per_class)
-    load = LoadDistribution.uniform(path, 0.3, 0.1, 0.05)
-
-    matrix = CostMatrix.compute(stats, load, kernel="auto")
-    triplets = dict(load.items())
-    triplets["L3"] = LoadTriplet(query=0.9, insert=0.1, delete=0.05)
-    recomputed = matrix.recompute(
-        load=LoadDistribution(path, triplets), kernel="auto"
-    )
-    report = recomputed.recompute_report
-    assert report.recomputed_rows, "perturbation must dirty rows"
-    assert report.kernel_slice_rows == 0
-    assert report.kernel_fallback_reason == "numpy unavailable", (
-        report.kernel_fallback_reason
-    )
-    fresh = CostMatrix.compute(
-        stats, LoadDistribution(path, triplets), kernel="legacy"
-    )
-    for start, end in fresh.rows():
-        for organization in fresh.organizations:
-            assert recomputed.cost(start, end, organization) == fresh.cost(
-                start, end, organization
-            )
-    print("OK")
-    """
-)
-
-
-class TestNoNumpyRecompute:
-    def test_recompute_degrades_and_reports_without_numpy(self, tmp_path):
-        stub = tmp_path / "numpy.py"
-        stub.write_text(
-            'raise ImportError("numpy disabled for fallback test")\n'
-        )
-        repo_src = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "src",
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), repo_src])
-        completed = subprocess.run(
-            [sys.executable, "-c", NO_NUMPY_RECOMPUTE_PROBE],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert "OK" in completed.stdout

@@ -10,11 +10,12 @@ organization ranking.
 import dataclasses
 
 import pytest
+from conftest import oracle_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cost_matrix import CostMatrix, TIE_RELATIVE_TOLERANCE
-from repro.costmodel.params import ClassStats, CostModelConfig, PathStatistics
+from repro.costmodel.params import ClassStats, PathStatistics
 from repro.costmodel.subpath import SubpathContext, subpath_processing_cost
 from repro.errors import CostModelError, OptimizerError
 from repro.organizations import CONFIGURABLE_ORGANIZATIONS, IndexOrganization
@@ -26,7 +27,7 @@ MIX = IndexOrganization.MIX
 NIX = IndexOrganization.NIX
 
 
-def make_world(length=5, subclasses=(0, 1, 0, 2, 0), config=None):
+def make_world(length=5, subclasses=(0, 1, 0, 2, 0)):
     levels = [
         LevelSpec(f"L{i}", subclasses=subclasses[i % len(subclasses)])
         for i in range(length)
@@ -40,7 +41,7 @@ def make_world(length=5, subclasses=(0, 1, 0, 2, 0), config=None):
                 objects=objects, distinct=max(10, objects // 6), fanout=1.0
             )
         objects = max(50, objects // 5)
-    stats = PathStatistics(path, per_class, config)
+    stats = PathStatistics(path, per_class)
     load = LoadDistribution.uniform(path, query=0.3, insert=0.1, delete=0.05)
     return stats, load
 
@@ -98,12 +99,12 @@ class TestSubpathContext:
             subpath_processing_cost(other_stats, load, 1, 2, MX, context=context)
 
     def test_cached_and_uncached_evaluations_identical(self):
+        """A kernel build over warm caches against the scalar oracle over
+        fresh statistics."""
         stats, load = make_world()
-        cold = make_world(
-            config=CostModelConfig(cache_evaluation=False)
-        )[0]
+        CostMatrix.compute(stats, load)
         warm_matrix = CostMatrix.compute(stats, load)
-        cold_matrix = CostMatrix.compute(cold, load)
+        cold_matrix = oracle_matrix(make_world()[0], load)
         assert_matrices_identical(warm_matrix, cold_matrix)
 
 

@@ -7,6 +7,7 @@ degrades monotonically as it tightens).
 """
 
 import pytest
+from conftest import oracle_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -494,9 +495,10 @@ class TestStorageBudget:
 
 
 class TestBatchedPricing:
-    """The batched candidate pricer must be bit-identical to the scalar
-    per-candidate loop it replaces (PR 9) — same query folds, same
-    per-key maintenance/storage splits, same candidate order."""
+    """The batched candidate pricer must be bit-identical to a scalar
+    per-candidate loop over the scalar oracle's breakdowns — same query
+    folds, same per-key maintenance/storage splits, same candidate
+    order."""
 
     @staticmethod
     def _snapshot(candidates):
@@ -505,9 +507,40 @@ class TestBatchedPricing:
             for c in candidates
         ]
 
+    @staticmethod
+    def _scalar_snapshot(stats, oracle, candidates):
+        """Re-price each candidate's blocks one ``+=`` at a time."""
+        from repro.core import multipath as mp
+
+        snapshot = []
+        for candidate in candidates:
+            query_cost = 0.0
+            maintenance = {}
+            storage = {}
+            for part in candidate.configuration.assignments:
+                breakdown = oracle.breakdown(
+                    part.start, part.end, part.organization
+                )
+                query_cost += breakdown.query
+                key = mp._subpath_key(
+                    stats, part.start, part.end, part.organization
+                )
+                maintenance[key] = (
+                    maintenance.get(key, 0.0)
+                    + breakdown.insert
+                    + breakdown.delete
+                    + breakdown.cmd
+                )
+                storage[key] = max(
+                    storage.get(key, 0.0), breakdown.storage_pages
+                )
+            snapshot.append(
+                (candidate.configuration, query_cost, maintenance, storage)
+            )
+        return snapshot
+
     @pytest.mark.parametrize("generator", ["exact", "beam", "budget"])
-    def test_batched_matches_scalar_pricing(self, generator, monkeypatch):
-        pytest.importorskip("numpy")
+    def test_batched_matches_scalar_pricing(self, generator):
         from repro.core import multipath as mp
 
         workload = synthetic_workload(7)
@@ -521,33 +554,23 @@ class TestBatchedPricing:
             "beam": lambda: mp._candidates_beam(workload, matrix, 2, 16),
             "budget": lambda: mp._candidates_budget(workload, matrix, 16),
         }[generator]
-        batched = self._snapshot(run())
-        monkeypatch.setattr(mp, "_BATCH_PRICING_MIN", 10**9)
-        scalar = self._snapshot(run())
-        assert batched == scalar
+        candidates = run()
+        oracle = oracle_matrix(
+            workload.stats, workload.load, organizations=EXTENDED_ORGANIZATIONS
+        )
+        assert self._snapshot(candidates) == self._scalar_snapshot(
+            workload.stats, oracle, candidates
+        )
 
-    def test_small_sets_and_missing_numpy_use_the_scalar_path(self):
-        """Below the batching threshold the scalar loop prices directly
-        (no numpy import), so candidate generation works without it."""
-        from repro.core import multipath as mp
-
-        workload = synthetic_workload(3)
-        matrix = CostMatrix.compute(workload.stats, workload.load)
-        candidates = mp._candidates_beam(workload, matrix, 1, 2)
-        assert 0 < len(candidates) <= 2
-        for candidate in candidates:
-            assert candidate.total == candidate.query_cost + sum(
-                candidate.maintenance.values()
-            )
-
-    def test_joint_selection_unchanged_by_batching(self, monkeypatch):
-        pytest.importorskip("numpy")
-        from repro.core import multipath as mp
-
+    def test_joint_selection_unchanged_by_batching(self):
+        """Joint selection over kernel-built matrices equals the same
+        selection over the scalar oracle's matrices."""
         workloads = [synthetic_workload(6), synthetic_workload(6, scale=2.0)]
         batched = optimize_multipath(workloads)
-        monkeypatch.setattr(mp, "_BATCH_PRICING_MIN", 10**9)
-        scalar = optimize_multipath(workloads)
+        scalar = optimize_multipath(
+            workloads,
+            matrices=[oracle_matrix(w.stats, w.load) for w in workloads],
+        )
         assert batched.configurations == scalar.configurations
         assert batched.total_cost == scalar.total_cost
         assert batched.shared_savings == scalar.shared_savings

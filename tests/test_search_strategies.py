@@ -316,22 +316,6 @@ class TestAdvisorIntegration:
         with pytest.raises(OptimizerError):
             advise(fig7_stats, fig7_load, strategy="nope")
 
-    @pytest.mark.parametrize(
-        "module", ["optimizer", "exhaustive", "dynprog"]
-    )
-    def test_retired_import_paths_raise_helpful_error(self, module):
-        """The PR 1 shims are gone; the old paths point at repro.search."""
-        import importlib
-        import sys
-
-        name = f"repro.core.{module}"
-        sys.modules.pop(name, None)
-        with pytest.raises(ImportError, match="repro.search"):
-            importlib.import_module(name)
-        # A failed module import must not leave a half-initialized entry
-        # behind (it would turn the next import into a silent no-op).
-        assert name not in sys.modules
-
 
 def advise_with(stats, load, strategy):
     from repro.core.advisor import advise
