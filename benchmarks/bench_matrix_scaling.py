@@ -8,8 +8,9 @@ dynamic-program search over the array-backed matrix (every ``min_cost``
 is an O(1) read of the precomputed row minima).
 
 ``test_construction_speedups`` additionally proves three construction
-wins on a length-30 path — a warm rebuild (persistent lowering cache)
-against a cold build, worker-pool parity, and incremental recompute —
+wins on a length-30 path — the serial kernel build against the scalar
+oracle pricing every entry one at a time, worker-pool parity, and
+incremental recompute —
 sharing the measurement code with :mod:`benchmarks.run_all` (which writes
 the machine-readable ``BENCH_costmatrix.json``).
 """
@@ -18,10 +19,9 @@ from benchmarks.conftest import write_report
 from benchmarks.run_all import (
     make_inputs,
     perturb_ending_insert,
-    time_cold_build,
     time_compute,
     time_incremental,
-    time_warm_build,
+    time_scalar_oracle,
 )
 from repro.core.cost_matrix import CostMatrix
 from repro.reporting.tables import ascii_table
@@ -32,11 +32,12 @@ LENGTHS = [2, 3, 4, 5, 6, 7, 8, 10, 12]
 #: Length of the speedup measurements (the ROADMAP's problem size).
 SPEEDUP_LENGTH = 30
 
-#: Generous regression floors: a warm serial rebuild against a cold serial
-#: build, and incremental against full recompute. The assertions only
-#: trip when a change genuinely loses the lowering cache or the dirty-row
+#: Generous regression floors: a serial kernel build on fresh inputs
+#: against the per-entry scalar oracle (measured ~14x on a 2-CPU
+#: runner), and incremental against full recompute. The assertions only
+#: trip when a change genuinely slows the kernel or loses the dirty-row
 #: analysis, not on CI noise.
-MIN_SERIAL_SPEEDUP = 3.0
+MIN_SERIAL_SPEEDUP = 5.0
 MIN_INCREMENTAL_SPEEDUP = 4.0
 
 
@@ -87,17 +88,16 @@ def test_matrix_entry_count_and_time(benchmark):
 
 
 def test_construction_speedups(benchmark):
-    """Construction at length 30: warm rebuild, workers, incremental."""
+    """Construction at length 30: kernel vs oracle, workers, incremental."""
 
     def measure():
-        cold_ms = time_cold_build(SPEEDUP_LENGTH)
-        warm_ms = time_warm_build(SPEEDUP_LENGTH)
+        oracle_ms = time_scalar_oracle(SPEEDUP_LENGTH)
         serial_ms = time_compute(SPEEDUP_LENGTH, workers=0)
         parallel_ms = time_compute(SPEEDUP_LENGTH, workers=2, repeats=1)
         incremental = time_incremental(SPEEDUP_LENGTH)
-        return cold_ms, warm_ms, serial_ms, parallel_ms, incremental
+        return oracle_ms, serial_ms, parallel_ms, incremental
 
-    cold_ms, warm_ms, serial_ms, parallel_ms, incremental = benchmark(measure)
+    oracle_ms, serial_ms, parallel_ms, incremental = benchmark(measure)
 
     # Worker output is bit-identical to serial regardless of worker count.
     stats, load = make_inputs(SPEEDUP_LENGTH)
@@ -111,10 +111,10 @@ def test_construction_speedups(benchmark):
                 serial_matrix.cost(start, end, organization)
             )
 
-    warm_speedup = cold_ms / warm_ms
-    assert warm_speedup >= MIN_SERIAL_SPEEDUP, (
-        f"lowering cache regressed: warm rebuild {warm_speedup:.1f}x vs "
-        f"cold build (floor {MIN_SERIAL_SPEEDUP}x)"
+    serial_speedup = oracle_ms / serial_ms
+    assert serial_speedup >= MIN_SERIAL_SPEEDUP, (
+        f"kernel build regressed: {serial_speedup:.1f}x vs the per-entry "
+        f"scalar oracle (floor {MIN_SERIAL_SPEEDUP}x)"
     )
     assert incremental["speedup"] >= MIN_INCREMENTAL_SPEEDUP, (
         f"incremental recompute regressed: {incremental['speedup']:.1f}x "
@@ -127,21 +127,16 @@ def test_construction_speedups(benchmark):
     report = ascii_table(
         ["measurement", "ms", "speedup"],
         [
-            ["cold serial build", f"{cold_ms:.1f}", "1.0x"],
+            ["scalar oracle, entry by entry", f"{oracle_ms:.1f}", "1.0x"],
             [
-                "warm serial rebuild (lowering cache)",
-                f"{warm_ms:.1f}",
-                f"{warm_speedup:.1f}x",
-            ],
-            [
-                "serial build on fresh inputs",
+                "serial kernel build",
                 f"{serial_ms:.1f}",
-                f"{cold_ms / serial_ms:.1f}x",
+                f"{serial_speedup:.1f}x",
             ],
             [
                 "2-worker pool (parity-checked)",
                 f"{parallel_ms:.1f}",
-                f"{cold_ms / parallel_ms:.1f}x",
+                f"{oracle_ms / parallel_ms:.1f}x",
             ],
             [
                 "full recompute after load change",
@@ -156,7 +151,7 @@ def test_construction_speedups(benchmark):
         ],
         title=(
             f"Cost_Matrix construction speedups at length {SPEEDUP_LENGTH} "
-            "(cached, parallel, incremental)"
+            "(kernel, parallel, incremental)"
         ),
     )
     write_report("matrix_construction_speedups", report)

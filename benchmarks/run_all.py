@@ -3,12 +3,11 @@
 Four benchmark families, each with its own machine-readable artifact:
 
 * **cost matrix** (``BENCH_costmatrix.json``) — construction on
-  synthetic long paths: a cold serial ``CostMatrix.compute`` (fresh
-  statistics, cleared Yao memo tables) against a warm rebuild of the
-  same inputs (the persistent lowering cache); serial builds on fresh
-  inputs and the same construction fanned out over a process pool; and
-  ``CostMatrix.recompute`` after a single-class load change against a
-  full recompute;
+  synthetic long paths: serial ``CostMatrix.compute`` on fresh inputs
+  against the scalar oracle pricing every entry one at a time (fresh
+  statistics, cleared Yao memo tables); the same construction fanned
+  out over a process pool; and ``CostMatrix.recompute`` after a
+  single-class load change against a full recompute;
 * **what-if loop** (``BENCH_whatif.json``, via
   :mod:`benchmarks.bench_whatif_loop`) — the PR 4 end-to-end win: a
   drifting-workload loop answered by an incremental
@@ -20,7 +19,7 @@ Four benchmark families, each with its own machine-readable artifact:
   one ``apply_many`` recompute against one recompute per perturbation;
 * **columnar kernel** (``BENCH_kernel.json``, via
   :mod:`benchmarks.bench_kernel`) — end-to-end kernel matrix builds:
-  fresh-state, warm-cache and dirty-slice regimes.
+  scalar-oracle, fresh-state, warm-cache and dirty-slice regimes.
 
 Usage::
 
@@ -43,10 +42,11 @@ import platform
 import sys
 import time
 
+from benchmarks.bench_kernel import clear_module_caches, oracle_costs
 from benchmarks.env_meta import environment_metadata
 from repro.core.cost_matrix import CostMatrix
-from repro.costmodel import yao
 from repro.costmodel.params import ClassStats, PathStatistics
+from repro.organizations import CONFIGURABLE_ORGANIZATIONS
 from repro.synth import LevelSpec, linear_path_schema
 from repro.workload.load import LoadDistribution, LoadTriplet
 
@@ -79,28 +79,14 @@ def make_inputs(length: int):
     return stats, load
 
 
-def time_cold_build(length: int) -> float:
-    """Milliseconds for a cold serial build: fresh statistics and cleared
-    module-level Yao memo tables, so nothing is cached."""
+def time_scalar_oracle(length: int) -> float:
+    """Milliseconds for pricing every entry one at a time with the scalar
+    oracle on fresh statistics with cleared Yao memo tables."""
     stats, load = make_inputs(length)
-    yao._npa_integer.cache_clear()
-    yao._npa_pair.cache_clear()
+    clear_module_caches()
     started = time.perf_counter()
-    CostMatrix.compute(stats, load, workers=0)
+    oracle_costs(stats, load, CONFIGURABLE_ORGANIZATIONS)
     return (time.perf_counter() - started) * 1000.0
-
-
-def time_warm_build(length: int, repeats: int = 3) -> float:
-    """Best-of-N milliseconds for rebuilding already-built inputs (the
-    persistent lowering cache answers)."""
-    stats, load = make_inputs(length)
-    CostMatrix.compute(stats, load, workers=0)
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        CostMatrix.compute(stats, load, workers=0)
-        best = min(best, (time.perf_counter() - started) * 1000.0)
-    return best
 
 
 def time_compute(length: int, workers: int | None, repeats: int = 3) -> float:
@@ -164,21 +150,19 @@ def time_incremental(length: int, repeats: int = 3) -> dict:
 def measure(length: int, parallel_workers: int) -> dict:
     """Every construction measurement for one path length.
 
-    Order matters: the cold build runs first, because it clears the
+    Order matters: the scalar oracle runs first, because it clears the
     shared module-level memo tables (Yao's formula) the later builds
-    reuse.
+    reuse, so those tables never favour the oracle.
     """
-    cold_ms = time_cold_build(length)
-    warm_ms = time_warm_build(length)
+    oracle_ms = time_scalar_oracle(length)
     serial_ms = time_compute(length, workers=0)
     parallel_ms = time_compute(length, workers=parallel_workers)
     result = {
         "length": length,
         "rows": length * (length + 1) // 2,
-        "cold_ms": round(cold_ms, 3),
-        "warm_ms": round(warm_ms, 3),
-        "warm_speedup_vs_cold": round(cold_ms / warm_ms, 2),
+        "scalar_oracle_ms": round(oracle_ms, 3),
         "serial_ms": round(serial_ms, 3),
+        "serial_speedup_vs_oracle": round(oracle_ms / serial_ms, 2),
         "parallel_workers": parallel_workers,
         "parallel_ms": round(parallel_ms, 3),
         "parallel_speedup_vs_serial": round(serial_ms / parallel_ms, 2),

@@ -59,10 +59,13 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.configuration import IndexConfiguration, IndexedSubpath
 from repro.core.cost_matrix import CostMatrix
 from repro.costmodel.params import PathStatistics
 from repro.errors import OptimizerError
+from repro.kernel.arrays import fold_segments
 from repro.obs.recorder import NULL_RECORDER, resolve_recorder
 from repro.organizations import CONFIGURABLE_ORGANIZATIONS, IndexOrganization
 from repro.search.greedy_beam import top_configurations
@@ -237,10 +240,6 @@ def _price_candidates(
     price is bit-identical to summing the matrix breakdowns one candidate
     at a time.
     """
-    import numpy as np
-
-    from repro.kernel.arrays import fold_segments
-
     # One breakdown lookup and one key construction per distinct triple
     # (candidate sets repeat each block's ranked organizations across
     # hundreds of partitions).

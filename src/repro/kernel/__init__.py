@@ -21,6 +21,13 @@ The scalar cost model stays the paper-faithful parity oracle.
 
 from __future__ import annotations
 
+from repro.kernel.arrays import (
+    find_cached_arrays,
+    get_stat_arrays,
+    remember_stat_arrays,
+)
+from repro.kernel.evaluate import evaluate_rows
+
 
 def compute_rows(
     stats, load, organizations, rows, range_selectivity=None, arrays=None
@@ -33,8 +40,6 @@ def compute_rows(
     optionally supplies a pre-lowered (or workload-patched)
     :class:`~repro.kernel.arrays.StatArrays` for these inputs.
     """
-    from repro.kernel.evaluate import evaluate_rows
-
     return evaluate_rows(
         stats, load, organizations, rows, range_selectivity, arrays=arrays
     )
@@ -46,8 +51,6 @@ def lower(stats, load, range_selectivity=None):
     Used to lower once in the parent before a fork fan-out and to warm
     the persistent cache ahead of session loops.
     """
-    from repro.kernel.arrays import get_stat_arrays
-
     return get_stat_arrays(stats, load, range_selectivity)
 
 
@@ -58,8 +61,6 @@ def cached_lowering(stats, load, range_selectivity=None):
     which only pays for a workload patch when a base lowering already
     exists.
     """
-    from repro.kernel.arrays import find_cached_arrays
-
     return find_cached_arrays(stats, load, range_selectivity)
 
 
@@ -72,8 +73,6 @@ def patch_lowering(arrays, load):
     lowering joins the persistent cache so consecutive what-if steps
     chain patches instead of re-lowering.
     """
-    from repro.kernel.arrays import remember_stat_arrays
-
     patched = arrays.patched(load)
     remember_stat_arrays(patched)
     return patched
