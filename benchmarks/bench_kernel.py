@@ -83,9 +83,6 @@ FULL_LENGTH = 40
 SMOKE_LENGTH = 20
 REPEATS = 5
 
-#: Scalar-oracle builds are slow (~0.4 s at length 20, ~5 s at 40).
-ORACLE_REPEATS = 3
-
 
 def make_inputs(length: int):
     """A deep-hierarchy world: subclasses on every third position, big
@@ -200,11 +197,10 @@ def oracle_costs(stats, load, organizations) -> dict:
 
 
 def time_oracle(length: int) -> dict:
-    """Best/median milliseconds over ORACLE_REPEATS fresh-state scalar
-    oracle builds; the last one's entries must equal the kernel's bit
-    for bit."""
+    """Best/median milliseconds over REPEATS fresh-state scalar oracle
+    builds; the last one's entries must equal the kernel's bit for bit."""
     samples = []
-    for _ in range(ORACLE_REPEATS):
+    for _ in range(REPEATS):
         stats, load = make_inputs(length)
         clear_module_caches()
         started = time.perf_counter()
