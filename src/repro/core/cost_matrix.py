@@ -969,27 +969,24 @@ class CostMatrix:
         reaches it is the following-deletion mass of its ``CMD`` term —
         any row also dirtied through its own derived load or statistics
         must go through the cost model again.
+
+        The delta reduces to four facts, whatever its size: the largest
+        position with changed statistics (rows starting at or before it
+        are dirty), the smallest position with a changed query frequency
+        (rows ending at or after it), the positions with a changed
+        insert or delete frequency (rows covering one), and the row ends
+        just before a changed delete frequency (``CMD`` candidates). One
+        walk over the row triangle then classifies every row.
         """
         old_stats = self._stats
         old_load = self._load
         length = self.length
-        dirty: set[tuple[int, int]] = set()
-        cmd_candidates: set[tuple[int, int]] = set()
-
-        def rows_with_start_at_most(p: int) -> None:
-            for start in range(1, min(p, length) + 1):
-                for end in range(start, length + 1):
-                    dirty.add((start, end))
-
-        def rows_covering(p: int) -> None:
-            for start in range(1, p + 1):
-                for end in range(p, length + 1):
-                    dirty.add((start, end))
-
-        def rows_ending_at_least(p: int) -> None:
-            for end in range(p, length + 1):
-                for start in range(1, end + 1):
-                    dirty.add((start, end))
+        # Sentinels: no stats change sits before position 1, and no
+        # query or coverage change after the last position.
+        last_stats = 0
+        first_query = length + 1
+        covered: set[int] = set()
+        cmd_ends: set[int] = set()
 
         if new_stats is not old_stats:
             if new_stats.config != old_stats.config:
@@ -1000,7 +997,7 @@ class CostMatrix:
             for position in range(1, length + 1):
                 for member in new_stats.members(position):
                     if new_stats.stats_of(member) != old_stats.stats_of(member):
-                        rows_with_start_at_most(position)
+                        last_stats = position
 
         if new_load is not old_load:
             for position in range(1, length + 1):
@@ -1008,22 +1005,40 @@ class CostMatrix:
                     old_triplet = old_load.triplet(member)
                     new_triplet = new_load.triplet(member)
                     if new_triplet.query != old_triplet.query:
-                        rows_ending_at_least(position)
+                        first_query = min(first_query, position)
                     if new_triplet.insert != old_triplet.insert:
-                        rows_covering(position)
+                        covered.add(position)
                     if new_triplet.delete != old_triplet.delete:
-                        rows_covering(position)
+                        covered.add(position)
                         if position >= 2:
-                            for start in range(1, position):
-                                cmd_candidates.add((start, position - 1))
-        # A CMD patch reads the cached breakdown; rows without one (never
-        # the case for computed matrices, but cheap to guard) re-price.
-        patch = {
-            row
-            for row in cmd_candidates - dirty
-            if row in self._breakdowns
-        }
-        return dirty | (cmd_candidates - dirty - patch), patch
+                            cmd_ends.add(position - 1)
+
+        recompute: set[tuple[int, int]] = set()
+        patch: set[tuple[int, int]] = set()
+        # Walk the starts backwards so the first covered position at or
+        # after ``start`` is a running value.
+        next_covered = length + 1
+        for start in range(length, 0, -1):
+            if start in covered:
+                next_covered = start
+            # Row (start, end) is dirty iff end >= first_dirty.
+            if start <= last_stats:
+                first_dirty = start
+            else:
+                first_dirty = max(start, min(first_query, next_covered))
+            for end in range(first_dirty, length + 1):
+                recompute.add((start, end))
+            # A CMD patch reads the cached breakdown; rows without one
+            # (never the case for computed matrices, but cheap to guard)
+            # re-price.
+            for end in range(start, first_dirty):
+                if end in cmd_ends:
+                    row = (start, end)
+                    if row in self._breakdowns:
+                        patch.add(row)
+                    else:
+                        recompute.add(row)
+        return recompute, patch
 
     # ------------------------------------------------------------------
     # access

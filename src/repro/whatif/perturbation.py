@@ -15,12 +15,14 @@ stats components (``objects``/``distinct``/``fanout``) rebuild the
 :class:`~repro.costmodel.params.ClassStats` replaced. Both constructions
 go through the normal validating constructors, so a perturbation can
 never produce inputs the cost model would reject at evaluation time.
+:func:`apply_perturbations` applies a whole batch with one rebuild per
+side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 from repro.costmodel.params import ClassStats, PathStatistics
 from repro.errors import OptimizerError
@@ -85,33 +87,10 @@ class Perturbation:
         Exactly one of the two objects is replaced; the other is returned
         unchanged (by identity), which is what lets
         :meth:`~repro.core.cost_matrix.CostMatrix.recompute` skip its
-        dirty analysis for the untouched side.
+        dirty analysis for the untouched side. The one-perturbation case
+        of :func:`apply_perturbations`.
         """
-        if self.kind == "load":
-            current = load.triplet(self.class_name)  # validates the class
-            values = {
-                "query": current.query,
-                "insert": current.insert,
-                "delete": current.delete,
-            }
-            values[self.component] = self._updated(values[self.component])
-            triplets = {name: triplet for name, triplet in load.items()}
-            triplets[self.class_name] = LoadTriplet(**values)
-            return stats, LoadDistribution(load.path, triplets)
-        current_stats = stats.stats_of(self.class_name)  # validates the class
-        fields = {
-            "objects": current_stats.objects,
-            "distinct": current_stats.distinct,
-            "fanout": current_stats.fanout,
-        }
-        fields[self.component] = self._updated(fields[self.component])
-        per_class = {
-            member: stats.stats_of(member)
-            for position in range(1, stats.length + 1)
-            for member in stats.members(position)
-        }
-        per_class[self.class_name] = ClassStats(**fields)
-        return PathStatistics(stats.path, per_class, stats.config), load
+        return apply_perturbations((self,), stats, load)
 
     def _updated(self, current: float) -> float:
         return current * self.value if self.mode == "scale" else self.value
@@ -191,6 +170,69 @@ class Perturbation:
             "component": self.component,
             self.mode: self.value,
         }
+
+
+def apply_perturbations(
+    perturbations: Iterable[Perturbation],
+    stats: PathStatistics,
+    load: LoadDistribution,
+) -> tuple[PathStatistics, LoadDistribution]:
+    """The ``(stats, load)`` pair after applying ``perturbations`` in order.
+
+    On every class of the path's scope, value for value what chaining
+    :meth:`Perturbation.apply` over the batch returns, with each side
+    rebuilt at most once. The batch walks per-class dicts; every
+    perturbation still checks its class name and builds its
+    :class:`LoadTriplet` or :class:`ClassStats` through the validating
+    constructor, so an illegal intermediate state raises at the same
+    perturbation, with the same error, as the chain. Then one
+    :class:`LoadDistribution` and one :class:`PathStatistics` are built
+    for the sides the batch touched; an untouched side is returned
+    unchanged (by identity).
+    """
+    triplets: dict[str, LoadTriplet] | None = None
+    per_class: dict[str, ClassStats] | None = None
+    for perturbation in perturbations:
+        name = perturbation.class_name
+        if perturbation.kind == "load":
+            if triplets is None:
+                triplets = dict(load.items())
+            # The lookup on ``load`` rejects a class outside the scope.
+            current = triplets[name] if name in triplets else load.triplet(name)
+            values = {
+                "query": current.query,
+                "insert": current.insert,
+                "delete": current.delete,
+            }
+            values[perturbation.component] = perturbation._updated(
+                values[perturbation.component]
+            )
+            triplets[name] = LoadTriplet(**values)
+        else:
+            if per_class is None:
+                per_class = {
+                    member: stats.stats_of(member)
+                    for position in range(1, stats.length + 1)
+                    for member in stats.members(position)
+                }
+            # The lookup on ``stats`` rejects a class it has no entry for.
+            current_stats = (
+                per_class[name] if name in per_class else stats.stats_of(name)
+            )
+            fields = {
+                "objects": current_stats.objects,
+                "distinct": current_stats.distinct,
+                "fanout": current_stats.fanout,
+            }
+            fields[perturbation.component] = perturbation._updated(
+                fields[perturbation.component]
+            )
+            per_class[name] = ClassStats(**fields)
+    if triplets is not None:
+        load = LoadDistribution(load.path, triplets)
+    if per_class is not None:
+        stats = PathStatistics(stats.path, per_class, stats.config)
+    return stats, load
 
 
 def perturbations_between(

@@ -38,7 +38,7 @@ from repro.organizations import CONFIGURABLE_ORGANIZATIONS, IndexOrganization
 from repro.resilience.degradation import DegradationReport
 from repro.resilience.degrade import degraded_search
 from repro.search import SearchResult, get_strategy
-from repro.whatif.perturbation import Perturbation
+from repro.whatif.perturbation import Perturbation, apply_perturbations
 from repro.workload.load import LoadDistribution
 
 #: The session default: the search layer that can consume dirty sets.
@@ -212,12 +212,14 @@ class AdvisorSession:
         """Apply a whole perturbation batch with **one** matrix recompute.
 
         The perturbations are folded into a single ``(stats, load)``
-        delta first, so the recompute's dirty analysis sees the *union*
-        of their row reaches and prices every touched row exactly once —
-        a bursty drift stream pays one array assembly and one search
-        refinement per batch instead of one per event. The resulting
-        session state (and therefore every subsequent :meth:`advise`)
-        is bit-identical to applying the same perturbations one by one.
+        delta first (:func:`~repro.whatif.perturbation.apply_perturbations`:
+        one input construction per side, however long the batch), so the
+        recompute's dirty analysis sees the *union* of their row reaches
+        and prices every touched row exactly once — a bursty drift
+        stream pays one array assembly and one search refinement per
+        batch instead of one per event. The resulting session state (and
+        therefore every subsequent :meth:`advise`) is bit-identical to
+        applying the same perturbations one by one.
         """
         items = list(perturbations)
         if not items:
@@ -225,9 +227,7 @@ class AdvisorSession:
                 "apply_many requires at least one perturbation"
             )
         with self.recorder.span("session.apply_many", batch=len(items)):
-            stats, load = self.stats, self.load
-            for perturbation in items:
-                stats, load = perturbation.apply(stats, load)
+            stats, load = apply_perturbations(items, self.stats, self.load)
             self.batched_steps += 1
             self.recorder.counter("whatif.batched_steps").add()
             return self.apply(

@@ -61,6 +61,11 @@ class LoadTriplet:
         return LoadTriplet(query=query, insert=self.insert, delete=self.delete)
 
 
+#: The triplet of every scope class a distribution omits; frozen, so one
+#: instance is shared rather than one validated per class and construction.
+_ZERO_TRIPLET = LoadTriplet()
+
+
 class LoadDistribution:
     """The workload over every class in a path's scope.
 
@@ -82,7 +87,7 @@ class LoadDistribution:
                 f"triplets for classes outside scope({path}): {sorted(unknown)}"
             )
         self._triplets = {
-            name: triplets.get(name, LoadTriplet()) for name in path.scope
+            name: triplets.get(name, _ZERO_TRIPLET) for name in path.scope
         }
         # Lazy per-position caches for the subpath derivation: the
         # hierarchy tuples and the running prefix of upstream query mass

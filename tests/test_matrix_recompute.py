@@ -342,6 +342,114 @@ class TestRecomputeProperty:
         assert_matrices_identical(chained, CostMatrix.compute(new_stats, load))
 
 
+def reference_classify_dirty(matrix, new_stats, new_load):
+    """The per-change closure loops ``_classify_dirty`` replaced: the oracle.
+
+    Every changed statistic or frequency adds its whole row reach, one
+    tuple at a time; the CMD candidates not dirtied otherwise are patched
+    when the row has a cached breakdown and re-priced when it has not.
+    """
+    old_stats = matrix._stats
+    old_load = matrix._load
+    length = matrix.length
+    dirty = set()
+    cmd_candidates = set()
+
+    def rows_with_start_at_most(p):
+        for start in range(1, min(p, length) + 1):
+            for end in range(start, length + 1):
+                dirty.add((start, end))
+
+    def rows_covering(p):
+        for start in range(1, p + 1):
+            for end in range(p, length + 1):
+                dirty.add((start, end))
+
+    def rows_ending_at_least(p):
+        for end in range(p, length + 1):
+            for start in range(1, end + 1):
+                dirty.add((start, end))
+
+    if new_stats is not old_stats:
+        if new_stats.config != old_stats.config:
+            return None
+        for position in range(1, length + 1):
+            if new_stats.members(position) != old_stats.members(position):
+                return None
+        for position in range(1, length + 1):
+            for member in new_stats.members(position):
+                if new_stats.stats_of(member) != old_stats.stats_of(member):
+                    rows_with_start_at_most(position)
+
+    if new_load is not old_load:
+        for position in range(1, length + 1):
+            for member in old_stats.members(position):
+                old_triplet = old_load.triplet(member)
+                new_triplet = new_load.triplet(member)
+                if new_triplet.query != old_triplet.query:
+                    rows_ending_at_least(position)
+                if new_triplet.insert != old_triplet.insert:
+                    rows_covering(position)
+                if new_triplet.delete != old_triplet.delete:
+                    rows_covering(position)
+                    if position >= 2:
+                        for start in range(1, position):
+                            cmd_candidates.add((start, position - 1))
+    patch = {
+        row
+        for row in cmd_candidates - dirty
+        if row in matrix._breakdowns
+    }
+    return dirty | (cmd_candidates - dirty - patch), patch
+
+
+@st.composite
+def multi_class_deltas(draw):
+    """A computed matrix and new inputs changing several classes at once.
+
+    Some rows may lose their cached breakdown, which sends their CMD
+    patches back through the cost model.
+    """
+    length = draw(st.integers(min_value=1, max_value=7))
+    subclasses = tuple(
+        draw(st.integers(min_value=0, max_value=2)) for _ in range(length)
+    )
+    stats, load = make_world(length=length, subclasses=subclasses)
+    scope = list(stats.path.scope)
+    changes = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(scope),
+                st.sampled_from(["query", "insert", "delete", "stats"]),
+            ),
+            max_size=8,
+        )
+    )
+    new_stats, new_load = stats, load
+    for class_name, component in changes:
+        if component == "stats":
+            new_stats = perturb_stats(new_stats, class_name, 2.0)
+        else:
+            new_load = perturb_load(new_load, class_name, component, 2.0)
+    # New objects with unchanged values must classify nothing as dirty.
+    if draw(st.booleans()):
+        new_load = LoadDistribution(new_load.path, dict(new_load.items()))
+    matrix = CostMatrix.compute(stats, load)
+    for row in draw(st.sets(st.sampled_from(matrix.rows()), max_size=4)):
+        del matrix._breakdowns[row]
+    return matrix, new_stats, new_load
+
+
+class TestClassifyDirtyProperty:
+    @given(world=multi_class_deltas())
+    @settings(max_examples=60, deadline=None)
+    def test_classification_equals_per_change_reference(self, world):
+        matrix, new_stats, new_load = world
+        assert matrix._classify_dirty(new_stats, new_load) == (
+            reference_classify_dirty(matrix, new_stats, new_load)
+        )
+
+
 class TestRankedOrganizations:
     def test_ranking_is_ascending_and_complete(self):
         stats, load = make_world()

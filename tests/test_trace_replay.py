@@ -14,17 +14,21 @@ The load-bearing properties:
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.cost_matrix import CostMatrix
 from repro.costmodel.params import ClassStats, PathStatistics
-from repro.errors import OptimizerError
+from repro.errors import CostModelError, OptimizerError, ReproError
 from repro.search import get_strategy
 from repro.synth import LevelSpec, linear_path_schema
 from repro.trace import ContinuousAdvisor, generate_trace
 from repro.whatif import AdvisorSession, MultiPathSession, Perturbation
-from repro.whatif.perturbation import perturbations_between
+from repro.whatif.perturbation import (
+    LOAD_COMPONENTS,
+    STATS_COMPONENTS,
+    perturbations_between,
+)
 from repro.workload.load import LoadDistribution, LoadTriplet
 
 
@@ -49,6 +53,76 @@ def make_world(length=4, subclasses=(0, 1, 0, 0), prefix="L", objects=20_000):
 
 def fresh_result(stats, load, strategy="dynamic_program"):
     return get_strategy(strategy).search(CostMatrix.compute(stats, load))
+
+
+#: Smallest non-zero and largest value a drawn batch may give any
+#: component, so compounded scalings stay far from underflow and
+#: overflow and every matrix entry is finite.
+BATCH_VALUE_RANGE = (1e-3, 1e7)
+
+
+@st.composite
+def perturbation_batches(draw):
+    """A world and a legal batch of 1-200 perturbations over it.
+
+    The (class, component) pairs come from a small drawn pool, so they
+    repeat within a batch. A drawn perturbation is kept only when it
+    leaves the chain legal and the value it sets zero or within
+    :data:`BATCH_VALUE_RANGE`.
+    """
+    stats, load = make_world()
+    scope = list(stats.path.scope)
+    pool = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(scope),
+                st.sampled_from(LOAD_COMPONENTS + STATS_COMPONENTS),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    current_stats, current_load = stats, load
+    batch = []
+    for _ in range(draw(st.integers(min_value=1, max_value=200))):
+        class_name, component = draw(st.sampled_from(pool))
+        mode = draw(st.sampled_from(["scale", "set"]))
+        ceiling = 3.0 if mode == "scale" else 50_000.0
+        value = draw(st.floats(min_value=0.0, max_value=ceiling))
+        perturbation = Perturbation(class_name, component, mode, value)
+        try:
+            new_stats, new_load = perturbation.apply(current_stats, current_load)
+        except CostModelError:
+            continue
+        touched = (
+            new_load.triplet(class_name)
+            if perturbation.kind == "load"
+            else new_stats.stats_of(class_name)
+        )
+        updated = getattr(touched, component)
+        low, high = BATCH_VALUE_RANGE
+        if updated and not low <= updated <= high:
+            continue
+        current_stats, current_load = new_stats, new_load
+        batch.append(perturbation)
+    assume(batch)
+    return stats, load, batch
+
+
+def assert_same_session_state(left, right):
+    """Value-equal inputs, entry-identical matrices, identical answers."""
+    for name in left.stats.path.scope:
+        assert left.stats.stats_of(name) == right.stats.stats_of(name)
+        assert left.load.triplet(name) == right.load.triplet(name)
+    for start, end in left.matrix.rows():
+        for organization in left.matrix.organizations:
+            assert left.matrix.cost(start, end, organization) == (
+                right.matrix.cost(start, end, organization)
+            )
+    left_answer = left.advise()
+    right_answer = right.advise()
+    assert left_answer.cost == right_answer.cost
+    assert left_answer.configuration == right_answer.configuration
 
 
 class TestApplyMany:
@@ -84,15 +158,7 @@ class TestApplyMany:
         batched.apply_many(batch)
         for perturbation in batch:
             sequential.perturb(perturbation)
-        for start, end in batched.matrix.rows():
-            for organization in batched.matrix.organizations:
-                assert batched.matrix.cost(
-                    start, end, organization
-                ) == sequential.matrix.cost(start, end, organization)
-        batched_answer = batched.advise()
-        sequential_answer = sequential.advise()
-        assert batched_answer.cost == sequential_answer.cost
-        assert batched_answer.configuration == sequential_answer.configuration
+        assert_same_session_state(batched, sequential)
 
     def test_batched_answer_matches_fresh(self):
         stats, load = make_world()
@@ -107,6 +173,83 @@ class TestApplyMany:
         result = session.advise()
         assert result.cost == fresh.cost
         assert result.configuration == fresh.configuration
+
+    @given(drawn=perturbation_batches())
+    @settings(max_examples=20, deadline=None)
+    def test_any_batch_matches_one_by_one_loop(self, drawn):
+        stats, load, batch = drawn
+        batched = AdvisorSession(stats, load)
+        sequential = AdvisorSession(stats, load)
+        batched.apply_many(batch)
+        for perturbation in batch:
+            sequential.perturb(perturbation)
+        assert_same_session_state(batched, sequential)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            # Objects drop below L1's distinct count one step before
+            # distinct follows: only the intermediate state is illegal.
+            Perturbation("L1", "objects", "set", 10.0),
+            Perturbation("Nope", "query", "scale", 2.0),
+            Perturbation("Nope", "objects", "scale", 2.0),
+        ],
+        ids=["illegal-class-stats", "unknown-load-class", "unknown-stats-class"],
+    )
+    def test_illegal_step_raises_like_the_loop(self, bad):
+        stats, load = make_world()
+        batch = [
+            Perturbation("L2", "query", "scale", 2.0),
+            Perturbation("L0", "fanout", "set", 2.0),
+            bad,
+            Perturbation("L1", "distinct", "set", 5.0),
+        ]
+        batched = AdvisorSession(stats, load)
+        with pytest.raises(ReproError) as batch_error:
+            batched.apply_many(batch)
+        sequential = AdvisorSession(stats, load)
+        with pytest.raises(ReproError) as loop_error:
+            for perturbation in batch:
+                sequential.perturb(perturbation)
+        assert type(batch_error.value) is type(loop_error.value)
+        assert str(batch_error.value) == str(loop_error.value)
+        # The loop got exactly as far as the batch checked.
+        assert sequential.applied_steps == 2
+        # A failed batch applies nothing.
+        assert batched.stats is stats and batched.load is load
+        assert batched.applied_steps == 0
+
+    @given(size=st.integers(min_value=1, max_value=200))
+    @settings(max_examples=10, deadline=None)
+    def test_load_only_batch_builds_one_distribution(self, size):
+        stats, load = make_world()
+        session = AdvisorSession(stats, load)
+        scope = stats.path.scope
+        batch = [
+            Perturbation(
+                scope[index % len(scope)],
+                LOAD_COMPONENTS[index % len(LOAD_COMPONENTS)],
+                "scale",
+                1.25,
+            )
+            for index in range(size)
+        ]
+        built = {LoadDistribution: 0, PathStatistics: 0}
+
+        def counted(cls):
+            original = cls.__init__
+
+            def init(self, *args, **kwargs):
+                built[cls] += 1
+                original(self, *args, **kwargs)
+
+            return init
+
+        with pytest.MonkeyPatch.context() as patch:
+            for cls in built:
+                patch.setattr(cls, "__init__", counted(cls))
+            session.apply_many(batch)
+        assert built == {LoadDistribution: 1, PathStatistics: 0}
 
     def test_multipath_apply_many(self):
         first = make_world(prefix="A")
