@@ -24,6 +24,11 @@ Four timing regimes:
   per step over the same loads; the chain must beat the rebuilds by
   :data:`DIRTY_MIN_SPEEDUP`.
 
+The full run also records **fold_split**: median milliseconds of the
+``kernel.fold`` span and of each ``kernel.fold.<organization>`` child
+over fresh serial builds at every :data:`FOLD_SPLIT_LENGTHS` length
+(recorded only, never gated).
+
 Results land in ``benchmarks/results/BENCH_kernel.json``. ``--smoke``
 runs length 20 and fails when the fresh build stops beating the scalar
 oracle, the warm rebuild drops below the persistent-lowering floor, or
@@ -51,6 +56,7 @@ from repro.core.cost_matrix import CostMatrix
 from repro.costmodel import yao
 from repro.costmodel.params import ClassStats, CostModelConfig, PathStatistics
 from repro.costmodel.subpath import subpath_processing_cost
+from repro.obs import Recorder
 from repro.organizations import EXTENDED_ORGANIZATIONS
 from repro.synth import LevelSpec, linear_path_schema
 from repro.workload.load import LoadDistribution, LoadTriplet
@@ -82,6 +88,9 @@ DIRTY_STEPS = 25
 FULL_LENGTH = 40
 SMOKE_LENGTH = 20
 REPEATS = 5
+
+#: Path lengths of the full run's per-organization cold fold split.
+FOLD_SPLIT_LENGTHS = (20, 40, 64)
 
 
 def make_inputs(length: int):
@@ -184,6 +193,26 @@ def time_dirty_slice(length: int) -> dict:
     }
 
 
+def time_fold_split(length: int) -> dict:
+    """Median ms of ``kernel.fold`` and each ``kernel.fold.<organization>``
+    span over REPEATS fresh serial builds."""
+    samples: dict[str, list[float]] = {}
+    for _ in range(REPEATS):
+        stats, load = make_inputs(length)
+        clear_module_caches()
+        recorder = Recorder()
+        CostMatrix.compute(
+            stats, load, include_noindex=True, workers=0, recorder=recorder
+        )
+        for span in recorder.spans:
+            if span["name"].startswith("kernel.fold"):
+                samples.setdefault(span["name"], []).append(span["dur"] * 1000.0)
+    return {
+        name: round(statistics.median(values), 3)
+        for name, values in sorted(samples.items())
+    }
+
+
 def oracle_costs(stats, load, organizations) -> dict:
     """Every matrix entry priced one at a time by the scalar oracle."""
     return {
@@ -238,6 +267,10 @@ def run(smoke: bool) -> dict:
         report["fresh"]["best_ms"] / report["warm"]["best_ms"], 2
     )
     report["dirty_slice"] = time_dirty_slice(length)
+    if not smoke:
+        report["fold_split"] = {
+            str(split): time_fold_split(split) for split in FOLD_SPLIT_LENGTHS
+        }
     return report
 
 

@@ -112,6 +112,17 @@ def _run_pool_once(pool_options: dict, payloads: list) -> tuple[dict, list]:
     return results, profiles
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on, not the host's count.
+
+    ``os.cpu_count()`` ignores ``taskset`` masks and cpusets, so the
+    scheduler affinity decides where the platform reports it.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
+
+
 def _warn_parallel_fallback(reason: str) -> None:
     """One :class:`RuntimeWarning` per distinct fallback cause.
 
@@ -246,9 +257,11 @@ def _evaluate_rows(
     With an enabled ``recorder`` the evaluation splits into
     ``kernel.lower`` / ``kernel.fold`` spans (the explicit ``lower`` is
     the same cache-backed lookup the kernel performs internally, so
-    timing it changes nothing) and the lowering-cache probe lands on the
-    ``kernel.lowering_cache.*`` counters; every batch adds its size to
-    ``matrix.rows_priced``.
+    timing it changes nothing), ``kernel.fold`` opens one
+    ``kernel.fold.<organization>`` child per canonical organization, and
+    the lowering-cache probe lands on the ``kernel.lowering_cache.*``
+    counters; every batch adds its size to ``matrix.rows_priced`` and its
+    (row, organization) entries to ``kernel.entries``.
     """
     recorder.counter("matrix.rows_priced").add(len(rows))
     if recorder.enabled and arrays is None:
@@ -263,7 +276,7 @@ def _evaluate_rows(
     with recorder.span("kernel.fold", rows=len(rows)):
         return kernel.compute_rows(
             stats, load, organizations, rows, range_selectivity,
-            arrays=arrays,
+            arrays=arrays, recorder=recorder,
         )
 
 
@@ -452,7 +465,7 @@ class CostMatrix:
 
         ``workers`` fans the (independent) rows out over a process pool:
         ``None`` (default) parallelizes automatically on long paths
-        (length ≥ :data:`PARALLEL_AUTO_MIN_LENGTH`, one worker per CPU),
+        (length ≥ :data:`PARALLEL_AUTO_MIN_LENGTH`, one worker per usable CPU),
         ``0`` or ``1`` forces serial evaluation, ``N > 1`` uses exactly
         ``N`` workers. Every worker count produces a bit-identical
         matrix; only construction speed differs.
@@ -511,7 +524,7 @@ class CostMatrix:
         if workers is None:
             if row_count < PARALLEL_AUTO_MIN_LENGTH * (PARALLEL_AUTO_MIN_LENGTH + 1) // 2:
                 return 1
-            workers = os.cpu_count() or 1
+            workers = _usable_cpus()
         if workers < 0:
             raise OptimizerError(f"workers must be >= 0, got {workers}")
         return max(1, min(workers, row_count))

@@ -27,10 +27,18 @@ from repro.kernel.arrays import (
     remember_stat_arrays,
 )
 from repro.kernel.evaluate import evaluate_rows
+from repro.obs.recorder import NULL_RECORDER
 
 
 def compute_rows(
-    stats, load, organizations, rows, range_selectivity=None, arrays=None
+    stats,
+    load,
+    organizations,
+    rows,
+    range_selectivity=None,
+    arrays=None,
+    *,
+    recorder=NULL_RECORDER,
 ):
     """Price matrix rows with the columnar kernel.
 
@@ -39,9 +47,17 @@ def compute_rows(
     :func:`~repro.costmodel.subpath.subpath_processing_cost`. ``arrays``
     optionally supplies a pre-lowered (or workload-patched)
     :class:`~repro.kernel.arrays.StatArrays` for these inputs.
+    ``recorder`` receives one ``kernel.fold.<organization>`` span per
+    canonical organization priced and the ``kernel.entries`` count.
     """
     return evaluate_rows(
-        stats, load, organizations, rows, range_selectivity, arrays=arrays
+        stats,
+        load,
+        organizations,
+        rows,
+        range_selectivity,
+        arrays=arrays,
+        recorder=recorder,
     )
 
 

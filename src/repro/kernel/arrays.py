@@ -34,6 +34,7 @@ shared by reference across the patch chain.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -302,6 +303,21 @@ def cml_batch(table: ShapeTable, pm=None) -> np.ndarray:
 # ----------------------------------------------------------------------
 # statistics lowering
 # ----------------------------------------------------------------------
+class NixChains(NamedTuple):
+    """The NIX parent chains of one lowering (:meth:`StatArrays.nix_chains`).
+
+    ``parents_prefix[p, k]`` / ``narp_prefix[p, k]`` fold the first ``k``
+    terms of position ``p``'s chain (levels ``p-1`` downward) in the
+    scalar order; ``narp_code[p, level]`` indexes the distinct
+    ``narp_values``.
+    """
+
+    parents_prefix: np.ndarray
+    narp_prefix: np.ndarray
+    narp_values: np.ndarray
+    narp_code: np.ndarray
+
+
 class StatArrays:
     """Per-position/per-member arrays lowered from the scalar inputs.
 
@@ -580,6 +596,40 @@ class StatArrays:
             )
         clone.following = following
         return clone
+
+    def nix_chains(self) -> "NixChains":
+        """Prefix folds and value codes of the NIX parent chains.
+
+        A deletion at position ``p`` of a subpath starting at ``s`` walks
+        the chain of levels ``p-1`` down to ``s+1``; every term of that
+        walk depends on ``p`` and the level only, so the chain of length
+        ``k = p - s - 1`` is the first ``k`` terms of one per-position
+        sequence. Stats-only, built once per lowering.
+        """
+        return self.cached_table("nix_chains", self._build_nix_chains)
+
+    def _build_nix_chains(self) -> "NixChains":
+        length = self.length
+        parents = np.array(self.parents)
+        narp = np.array(self.narp)
+        # [p, k]: the scalar's left fold of the first k chain terms.
+        parents_prefix = np.zeros((length + 1, max(length, 1)))
+        narp_prefix = np.zeros((length + 1, max(length, 1)))
+        for k in range(1, length):
+            positions = np.arange(k + 1, length + 1)
+            parents_prefix[k + 1 :, k] = (
+                parents_prefix[k + 1 :, k - 1] + parents[positions, positions - k]
+            )
+            narp_prefix[k + 1 :, k] = (
+                narp_prefix[k + 1 :, k - 1] + narp[positions, positions - k]
+            )
+        below = np.tri(length + 1, k=-1, dtype=bool)
+        below[0] = False
+        below[:, 0] = False
+        narp_values, codes = np.unique(narp[below], return_inverse=True)
+        narp_code = np.zeros((length + 1, length + 1), dtype=np.intp)
+        narp_code[below] = codes
+        return NixChains(parents_prefix, narp_prefix, narp_values, narp_code)
 
     # ------------------------------------------------------------------
     # geometry helpers (mirroring SubpathCostModel)

@@ -38,6 +38,7 @@ from repro.kernel.arrays import (
     get_stat_arrays,
 )
 from repro.kernel.yao_vec import npa_array
+from repro.obs.recorder import NULL_RECORDER
 from repro.organizations import IndexOrganization
 
 _CANONICAL = {
@@ -51,15 +52,25 @@ def _canonical(organization: IndexOrganization) -> IndexOrganization:
 
 
 def evaluate_rows(
-    stats, load, organizations, rows, range_selectivity=None, arrays=None
+    stats,
+    load,
+    organizations,
+    rows,
+    range_selectivity=None,
+    arrays=None,
+    recorder=NULL_RECORDER,
 ):
     """Price ``rows`` for every organization; see :func:`repro.kernel.compute_rows`.
 
     ``arrays`` short-circuits the lowering: callers holding a (possibly
     patched) :class:`StatArrays` for exactly these inputs pass it in;
     otherwise the persistent cache on ``stats`` is consulted.
+    ``recorder`` times each canonical organization in its own
+    ``kernel.fold.<organization>`` span and counts the priced (row,
+    organization) entries in ``kernel.entries``.
     """
     organizations = list(organizations)
+    recorder.counter("kernel.entries").add(len(rows) * len(organizations))
     length = stats.length
     results: dict = {}
     kernel_rows = []
@@ -90,48 +101,25 @@ def evaluate_rows(
     if arrays is None:
         arrays = get_stat_arrays(stats, load, range_selectivity)
     rows_key = tuple(kernel_rows)
-    batch = None
     # SIX/IIX share MX/MIX's pricing, so each canonical organization is
     # evaluated once and its per-row SubpathCost objects are reused for
     # every alias that requested it. Identical (organization, rows)
     # requests against a persistent lowering replay the memoized arrays.
+    canonicals = list(dict.fromkeys(map(_canonical, organizations)))
+    memo = {c: arrays.cached_result(c, rows_key) for c in canonicals}
+    batch = None
+    if any(priced is None for priced in memo.values()):
+        batch = _RowBatch(arrays, kernel_rows)
     costs: dict = {}
-    for organization in organizations:
-        canonical = _canonical(organization)
-        if canonical in costs:
-            continue
-        cached = arrays.cached_result(canonical, rows_key)
-        if cached is None:
-            if batch is None:
-                batch = _RowBatch(arrays, kernel_rows)
-            cached = batch.evaluate(canonical)
-            arrays.store_result(canonical, rows_key, cached)
-        query, insert, delete, cmd_rate, storage = cached
-        queries = query.tolist()
-        inserts = insert.tolist()
-        deletes = delete.tolist()
-        rates = cmd_rate.tolist()
-        storages = storage.tolist()
-        built = []
-        for index, (start, end) in enumerate(kernel_rows):
-            per_deletion = rates[index] if end < length else 0.0
-            cmd = 0.0
-            if per_deletion:
-                cmd = arrays.following[end] * per_deletion
-            built.append(
-                SubpathCost(
-                    organization=canonical,
-                    start=start,
-                    end=end,
-                    query=queries[index],
-                    insert=inserts[index],
-                    delete=deletes[index],
-                    cmd=cmd,
-                    storage_pages=storages[index],
-                    cmd_per_deletion=per_deletion,
-                )
-            )
-        costs[canonical] = built
+    for canonical in canonicals:
+        with recorder.span(
+            f"kernel.fold.{canonical.value.lower()}", rows=len(kernel_rows)
+        ):
+            priced = memo[canonical]
+            if priced is None:
+                priced = batch.evaluate(canonical)
+                arrays.store_result(canonical, rows_key, priced)
+            costs[canonical] = _row_costs(arrays, canonical, kernel_rows, priced)
 
     columns = [
         (organization, costs[_canonical(organization)])
@@ -142,6 +130,37 @@ def evaluate_rows(
             organization: built[index] for organization, built in columns
         }
     return results
+
+
+def _row_costs(arrays, organization, rows, priced) -> list[SubpathCost]:
+    """One organization's per-row :class:`SubpathCost` objects."""
+    query, insert, delete, cmd_rate, storage = priced
+    length = arrays.length
+    queries = query.tolist()
+    inserts = insert.tolist()
+    deletes = delete.tolist()
+    rates = cmd_rate.tolist()
+    storages = storage.tolist()
+    built = []
+    for index, (start, end) in enumerate(rows):
+        per_deletion = rates[index] if end < length else 0.0
+        cmd = 0.0
+        if per_deletion:
+            cmd = arrays.following[end] * per_deletion
+        built.append(
+            SubpathCost(
+                organization=organization,
+                start=start,
+                end=end,
+                query=queries[index],
+                insert=inserts[index],
+                delete=deletes[index],
+                cmd=cmd,
+                storage_pages=storages[index],
+                cmd_per_deletion=per_deletion,
+            )
+        )
+    return built
 
 
 class _RowBatch:
@@ -202,8 +221,6 @@ class _RowBatch:
         # -- per-entry statistics and derived load ---------------------
         probes_np = np.array(a.probes)
         self.probes_row = probes_np[self.erow]
-        self.probes_entry = probes_np[self.entry_end]
-        self.nin_entry = a.nin[self.entry_gm]
         self.ninbar_entry = a.ninbar[self.entry_gm, self.entry_end]
         alpha = a.alpha[self.entry_gm].copy()
         root_gm = np.zeros(length + 1, dtype=np.int64)
@@ -706,7 +723,24 @@ class _RowBatch:
         )
         own = np.where(interior, 1.0, 0.0)
         nar = a.occupied_next[self.entry_gm]
-        crt_children = crt_batch(auxiliary, self.entry_row, self.nin_entry, 1.0)
+        before_end = self.entry_pos < self.entry_end
+        # The children's 3-tuples are read with nin records on insertion
+        # and nin + own on deletion: few distinct (row, count) pairs, each
+        # priced once.
+        reads, read_code = np.unique(
+            np.concatenate((a.nin, a.nin + 1.0)), return_inverse=True
+        )
+        width = reads.shape[0]
+        child_key = self.entry_row * width + read_code[self.entry_gm]
+        delete_key = self.entry_row * width + read_code[
+            np.where(interior, a.member_count, 0) + self.entry_gm
+        ]
+        read_costs = _price_distinct(
+            count,
+            width,
+            (child_key[before_end], delete_key[before_end]),
+            lambda rows, codes: crt_batch(auxiliary, rows, reads[codes], 1.0),
+        )
         crr_rewrite = crr_batch(
             auxiliary, self.entry_row, nar + own, config.pm_ax
         )
@@ -715,54 +749,33 @@ class _RowBatch:
         own_tuple = cmt_batch(
             auxiliary, selector, np.ones(count), config.pm_ax
         )[self.entry_row]
-        before_end = self.entry_pos < self.entry_end
         aux_insert = np.where(
             before_end,
-            crt_children + crr_rewrite,
+            read_costs[child_key] + crr_rewrite,
             np.where(interior, own_tuple, 0.0),
         )
         unit_i = primary_insert + aux_insert
 
         # -- deletion: CSD2 + CS3a + CU3bc + min(SA1, SA2) -------------
-        crt_delete = crt_batch(
-            auxiliary, self.entry_row, self.nin_entry + own, 1.0
-        )
         csd2 = np.where(
             before_end,
-            crt_delete + crr_rewrite,
+            read_costs[delete_key] + crr_rewrite,
             np.where(interior, own_tuple, 0.0),
         )
-        cs3a = cmt_batch(
-            primary, self.entry_row, self.ninbar_entry, config.pmd_nix
-        )
+        # CS3a rewrites the same primary records CSI3 does; only the page
+        # override may differ.
+        cs3a = primary_insert
+        if config.pmd_nix != config.pmi_nix:
+            cs3a = cmt_batch(
+                primary, self.entry_row, self.ninbar_entry, config.pmd_nix
+            )
+        # A pair's parent chain is the first p - start - 1 levels of its
+        # position's chain, so its totals are prefix-table reads.
+        chains = a.nix_chains()
         chain_len = np.maximum(self.pair_pos - self.srow[self.pair_row] - 1, 0)
-        chain_total = int(chain_len.sum())
-        cu3bc = np.zeros(pairs)
-        parents_total = np.zeros(pairs)
-        narp_total = np.zeros(pairs)
-        if chain_total:
-            chain_pair = np.repeat(np.arange(pairs), chain_len)
-            chain_offsets = np.concatenate(([0], np.cumsum(chain_len)[:-1]))
-            chain_rank = np.arange(chain_total) - chain_offsets[chain_pair]
-            chain_level = self.pair_pos[chain_pair] - 1 - chain_rank
-            parents_np = np.array(a.parents)
-            narp_np = np.array(a.narp)
-            chain_position = self.pair_pos[chain_pair]
-            parents_chain = parents_np[chain_position, chain_level]
-            narp_chain = narp_np[chain_position, chain_level]
-            rewrites = crr_batch(
-                auxiliary, self.pair_row[chain_pair], narp_chain, config.pm_ax
-            )
-            max_chain = int(chain_len.max())
-            cu3bc = fold_segments(
-                rewrites, chain_pair, chain_rank, pairs, max_chain
-            )
-            parents_total = fold_segments(
-                parents_chain, chain_pair, chain_rank, pairs, max_chain
-            )
-            narp_total = fold_segments(
-                narp_chain, chain_pair, chain_rank, pairs, max_chain
-            )
+        parents_total = chains.parents_prefix[self.pair_pos, chain_len]
+        narp_total = chains.narp_prefix[self.pair_pos, chain_len]
+        cu3bc = self._cu3bc(chains, chain_len, auxiliary, config.pm_ax)
         retrieval = np.zeros(pairs)
         pair_leaf_records = auxiliary.leaf_records[self.pair_row]
         pair_leaf_pages = auxiliary.leaf_pages[self.pair_row]
@@ -824,3 +837,59 @@ class _RowBatch:
         )
         storage = np.where(auxiliary.empty, primary_storage, with_aux)
         return unit_q, unit_i, unit_d, cmd_rate, storage
+
+    def _cu3bc(self, chains, chain_len, auxiliary, pm_ax) -> np.ndarray:
+        """Per-pair CU3bc: the ancestor 3-tuple rewrites of a deletion.
+
+        Pair ``(row, p)`` sums ``crr(aux_row, narp[p][level], pm_ax)`` over
+        the levels ``p-1`` down to ``start+1``. A term depends on the row
+        and the narp value only, so each distinct (row, value) is priced
+        once; the sums then walk the chain ranks left to right over the
+        pairs whose chains are still that long (longest chain first) —
+        the scalar's accumulation order.
+        """
+        cu3bc = np.zeros(self.pair_count)
+        longest = int(chain_len.max(initial=0))
+        if not longest:
+            return cu3bc
+        values = chains.narp_values
+        width = values.shape[0]
+        by_length = np.argsort(-chain_len, kind="stable")
+        climbing = self.pair_count - np.cumsum(np.bincount(chain_len))
+        base = (self.pair_row * width)[by_length]
+        # Flat narp_code index of (p, p - 1); rank r reads (p, p - 1 - r).
+        head = (self.pair_pos * (self.arrays.length + 2) - 1)[by_length]
+        codes = chains.narp_code.ravel()
+        keys = [
+            base[:pairs] + codes[head[:pairs] - rank]
+            for rank, pairs in enumerate(climbing[:longest].tolist())
+        ]
+        rewrites = _price_distinct(
+            self.row_count,
+            width,
+            keys,
+            lambda rows, code: crr_batch(auxiliary, rows, values[code], pm_ax),
+        )
+        folded = np.zeros(self.pair_count)
+        for key in keys:
+            folded[: key.shape[0]] += rewrites[key]
+        cu3bc[by_length] = folded
+        return cu3bc
+
+
+def _price_distinct(row_count: int, width: int, keys, price) -> np.ndarray:
+    """A flat ``row_count × width`` table of ``price`` at the given keys.
+
+    Every array in ``keys`` holds flat ``row * width + code`` indices;
+    ``price(rows, codes)`` runs once over the distinct ones, and the table
+    is ``0.0`` elsewhere. Pricing is elementwise, so each value is the one
+    the repeated batch would have produced.
+    """
+    seen = np.zeros(row_count * width, dtype=bool)
+    for batch in keys:
+        seen[batch] = True
+    distinct = np.flatnonzero(seen)
+    table = np.zeros(row_count * width)
+    if distinct.size:
+        table[distinct] = price(distinct // width, distinct % width)
+    return table

@@ -13,15 +13,19 @@ achieved by construction, not by accident:
   fractional ``t`` (:func:`repro.costmodel.yao._npa_pair`);
 * hard elements with many factors — where the scalar itself switches to a
   sequential numpy product over an ``arange`` of factors — are grouped by
-  ``(n, m)`` and answered from one ``cumprod`` per group: ``cumprod`` and
-  ``multiply.reduce`` accumulate in the same left-to-right order, so every
-  prefix product carries exactly the scalar's bits;
+  ``(n, m)``; all groups climb their factor staircases together, side by
+  side in cache-sized strips reduced down the step axis, each strip
+  seeded with the previous one's products. Every column thus multiplies
+  strictly left to right, the order of the scalar's ``multiply.reduce``,
+  so every prefix product carries exactly the scalar's bits;
 * the boundary and exotic cases (a staircase just under the scalar's
   vectorization threshold, Cardenas territory) are routed through the
   scalar reference one element at a time, so they cannot drift.
 """
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 
@@ -35,6 +39,10 @@ _SMALL_T_MAX = 64
 
 #: The scalar early-exit threshold of ``_untouched_fraction``.
 _PRODUCT_FLOOR = 1e-18
+
+#: Staircase factors per strip of :func:`_staircase_prefixes`: 128 KiB
+#: of float64 per temporary, so a strip stays in cache.
+_STRIP_FACTORS = 1 << 14
 
 
 def npa_array(t, n, m) -> np.ndarray:
@@ -123,62 +131,123 @@ def _npa_hard(t: np.ndarray, n: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _npa_big(t: np.ndarray, n: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Hard elements with a long staircase: one ``cumprod`` per ``(n, m)``.
+    """Hard elements with a long staircase, all ``(n, m)`` groups at once.
 
     For ``floor(t) >= _VECTORIZE_MIN_FACTORS`` the scalar
     ``_untouched_fraction`` computes a full sequential numpy product over
     ``arange`` factors (no mid-loop early exit; a trailing ``1e-18``
     threshold instead). All elements sharing ``(n, m)`` draw prefixes of
-    the *same* factor sequence, so one ``cumprod`` per group yields every
-    element's product with identical bits — ``cumprod`` and the scalar's
-    ``multiply.reduce`` both accumulate strictly left to right.
+    the *same* factor sequence, so each group climbs its staircase once
+    and answers every element on it (:func:`_staircase_prefixes`).
+    Elements past the scalar's pre-product guard never climb: a
+    non-positive factor in range means every page is touched.
     """
-    out = np.empty(t.shape)
+    low_t = np.floor(t)
+    frac = t - low_t
+    available = n - n / m
+    guarded = available - low_t + 1.0 <= 0.0
     order = np.lexsort((n, m))
-    ts, ns, ms = t[order], n[order], m[order]
-    first = np.empty(ts.shape, dtype=bool)
+    ns, ms = n[order], m[order]
+    first = np.empty(t.shape, dtype=bool)
     first[:1] = True
     first[1:] = (ns[1:] != ns[:-1]) | (ms[1:] != ms[:-1])
-    starts = np.nonzero(first)[0]
-    bounds = np.append(starts, ts.shape[0])
-    for g in range(starts.shape[0]):
-        span = slice(int(bounds[g]), int(bounds[g + 1]))
-        nv = float(ns.flat[starts[g]])
-        mv = float(ms.flat[starts[g]])
-        tg = ts[span]
-        low_t = np.floor(tg)
-        frac = tg - low_t
-        available = nv - nv / mv
-        top = int(low_t.max())
-        offsets = np.arange(1.0, top + 1.0)
-        factors = (available + 1.0 - offsets) / (nv + 1.0 - offsets)
-        prefix = np.cumprod(factors)
-        product = prefix[low_t.astype(np.intp) - 1]
-        product = np.where(product >= _PRODUCT_FLOOR, product, 0.0)
-        # The scalar's pre-product guard: a non-positive factor in range
-        # means every page is touched.
-        product[available - low_t + 1.0 <= 0.0] = 0.0
-        low_value = np.minimum(np.maximum(mv * (1.0 - product), 0.0), mv)
-        fractional = frac > 0.0
-        if fractional.any():
-            # _npa_pair's one-more-factor extension to the upper
-            # neighbour, in the scalar's exact operation order.
-            upper = low_t + 1.0
-            numerator = available - upper + 1.0
-            saturated = (product == 0.0) | (numerator <= 0.0)
-            extended = product * (numerator / (nv - upper + 1.0))
-            high_value = np.where(
-                saturated,
-                mv,
-                np.minimum(np.maximum(mv * (1.0 - extended), 0.0), mv),
+    group = np.empty(t.shape, dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    steps = np.where(guarded, 0.0, low_t).astype(np.intp)
+    heads = order[first]
+    top = np.maximum.reduceat(steps[order], np.flatnonzero(first))
+    product = _staircase_prefixes(
+        available[heads] + 1.0, n[heads] + 1.0, top, group, steps
+    )
+    product = np.where(product >= _PRODUCT_FLOOR, product, 0.0)
+    product[guarded] = 0.0
+    low_value = _clamp(m * (1.0 - product), m)
+    fractional = frac > 0.0
+    if not fractional.any():
+        return low_value
+    # _npa_pair's one-more-factor extension to the upper neighbour, in
+    # the scalar's exact operation order.
+    upper = low_t + 1.0
+    numerator = available - upper + 1.0
+    saturated = (product == 0.0) | (numerator <= 0.0)
+    extended = product * (numerator / (n - upper + 1.0))
+    high_value = np.where(saturated, m, _clamp(m * (1.0 - extended), m))
+    return np.where(
+        fractional, (1.0 - frac) * low_value + frac * high_value, low_value
+    )
+
+
+def _staircase_prefixes(
+    available1: np.ndarray,
+    n1: np.ndarray,
+    top: np.ndarray,
+    group: np.ndarray,
+    steps: np.ndarray,
+) -> np.ndarray:
+    """``prod_{i=1..steps[k]} (available1 - i) / (n1 - i)`` of group ``group[k]``.
+
+    Every group's staircase runs down one column of a sequence of strips
+    of about ``_STRIP_FACTORS`` factors; columns are ordered longest
+    staircase first, so a strip holds exactly the groups still climbing.
+    The strip's first row is multiplied by the previous strip's column
+    products and each column is reduced down the step axis, so every
+    running product extends strictly left to right — the accumulation
+    order of the scalar's ``np.prod``, hence its bits. An element reads
+    its column's prefix with the rows past its step masked to ``1.0``.
+    A group whose staircase ends inside a strip has its offsets clamped
+    to its top there, so the rows past it never divide by zero or
+    overflow. Elements with ``steps == 0`` are left at ``0.0``.
+    """
+    rank = np.argsort(-top, kind="stable")
+    column = np.empty(rank.shape, dtype=np.intp)
+    column[rank] = np.arange(rank.shape[0])
+    top = top[rank]
+    tops = top.astype(np.float64)
+    available1 = available1[rank]
+    n1 = n1[rank]
+    # Strip bounds (low, high, climbing columns, columns climbing past
+    # the strip's last step), longest staircase first.
+    descending = (-top).tolist()
+    end = int(top[0]) + 1
+    strips = []
+    low = 1
+    while low < end:
+        width = bisect.bisect_right(descending, -low)
+        high = min(low + max(1, _STRIP_FACTORS // width), end)
+        strips.append(
+            (low, high, width, bisect.bisect_right(descending, 1 - high))
+        )
+        low = high
+    by_step = np.argsort(steps, kind="stable")
+    sorted_steps = steps[by_step]
+    sorted_column = column[group[by_step]]
+    # Elements of strip k sit between cuts[k] and cuts[k + 1].
+    cuts = np.searchsorted(
+        sorted_steps, [strip[0] for strip in strips] + [end]
+    ).tolist()
+    out = np.zeros(steps.shape)
+    seed = None
+    for index, (low, high, width, full) in enumerate(strips):
+        offsets = np.arange(float(low), float(high))[:, None]
+        strip = np.empty((high - low, width))
+        np.divide(
+            available1[:full] - offsets, n1[:full] - offsets, out=strip[:, :full]
+        )
+        if full < width:
+            clamped = np.minimum(offsets, tops[full:width])
+            np.divide(
+                available1[full:width] - clamped,
+                n1[full:width] - clamped,
+                out=strip[:, full:],
             )
-            out[order[span]] = np.where(
-                fractional,
-                (1.0 - frac) * low_value + frac * high_value,
-                low_value,
-            )
-        else:
-            out[order[span]] = low_value
+        if seed is not None:
+            strip[0] *= seed[:width]
+        first, last = cuts[index], cuts[index + 1]
+        if last > first:
+            picked = strip[:, sorted_column[first:last]]
+            picked[offsets > sorted_steps[first:last]] = 1.0
+            out[by_step[first:last]] = np.multiply.reduce(picked, axis=0)
+        seed = np.multiply.reduce(strip, axis=0)
     return out
 
 

@@ -12,11 +12,15 @@ exports a closed set of names, and the auto-parallel threshold.
 """
 
 import inspect
+import math
+import random
+import warnings
+from unittest import mock
 
 import numpy
 import pytest
 from conftest import oracle_matrix
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import kernel
@@ -25,11 +29,15 @@ from repro.core import cost_matrix
 from repro.core.advisor import advise
 from repro.core.cost_matrix import PARALLEL_AUTO_MIN_LENGTH, CostMatrix
 from repro.core.multipath import optimize_multipath
-from repro.costmodel.params import ClassStats, PathStatistics
-from repro.costmodel.yao import npa
+from repro.costmodel.params import ClassStats, CostModelConfig, PathStatistics
+from repro.costmodel.yao import _EXACT_LIMIT, npa
+from repro.kernel import yao_vec
 from repro.kernel.yao_vec import npa_array
+from repro.organizations import ALL_ORGANIZATIONS, EXTENDED_ORGANIZATIONS
+from repro.paper import figure7_load, figure7_statistics
 from repro.synth import LevelSpec, linear_path_schema
 from repro.whatif import AdvisorSession
+from repro.workload.generator import WorkloadGenerator
 from repro.workload.load import LoadDistribution, LoadTriplet
 
 
@@ -60,6 +68,41 @@ def make_world(
     stats = PathStatistics(path, per_class)
     load = LoadDistribution.uniform(
         path, query=query, insert=insert, delete=delete
+    )
+    return stats, load
+
+
+def make_nix_heavy_world(length, seed):
+    """A deterministic linear path with 0/1/2 subclasses in equal thirds,
+    a quarter of the levels set-valued (fan-out 1.5-3), 2e4-2e5 objects
+    decaying 1.5-4x per level, and a 2:1 query:update mixed load."""
+    rng = random.Random(seed)
+    subclasses = [position % 3 for position in range(length)]
+    rng.shuffle(subclasses)
+    levels = [
+        LevelSpec(
+            f"L{index}",
+            subclasses=subclasses[index],
+            multi_valued=rng.random() < 0.25,
+        )
+        for index in range(length)
+    ]
+    _schema, path = linear_path_schema(levels)
+    per_class = {}
+    objects = rng.uniform(2e4, 2e5)
+    for position, spec in enumerate(levels, start=1):
+        for name in path.hierarchy_at(position):
+            share = 1.0 if name == spec.name else rng.uniform(0.1, 0.5)
+            count = max(50, round(objects * share))
+            fanout = rng.uniform(1.5, 3.0) if spec.multi_valued else 1.0
+            distinct = max(10, round(count * fanout / rng.uniform(2.0, 10.0)))
+            per_class[name] = ClassStats(
+                objects=count, distinct=distinct, fanout=fanout
+            )
+        objects = max(100.0, objects / rng.uniform(1.5, 4.0))
+    stats = PathStatistics(path, per_class)
+    load = WorkloadGenerator(rng.randrange(2**31)).mixed(
+        path, query_weight=2.0, update_weight=1.0
     )
     return stats, load
 
@@ -148,6 +191,34 @@ class TestColumnarMatchesLegacy:
         columnar = CostMatrix.compute(stats, load, include_noindex=True)
         assert_matrices_identical(scalar, columnar)
 
+    def test_length_30_nix_heavy_world_bit_identical(self):
+        """A long world shaped like the benchmark's: 0/1/2 subclasses and
+        set-valued levels, so NIX deletions climb parent chains of up to
+        28 levels and SA1 prices staircases far past 64 steps."""
+        stats, load = make_nix_heavy_world(length=30, seed=7)
+        scalar = oracle_matrix(stats, load, EXTENDED_ORGANIZATIONS)
+        columnar = CostMatrix.compute(
+            stats, load, EXTENDED_ORGANIZATIONS, workers=0
+        )
+        assert_matrices_identical(scalar, columnar)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"pmd_nix": 40.0, "pmi_nix": 1.0},
+            {"pmd_nix": 3.0, "pmi_nix": 3.0, "pm_ax": 2.0, "pr_nix": 5.0},
+        ],
+    )
+    def test_page_overrides_bit_identical(self, overrides):
+        """The pr/pm overrides on the Figure 7 path, whose NIX primary
+        records span pages: deletion and insertion price their primary
+        rewrites apart exactly when pmd and pmi differ."""
+        load = figure7_load()
+        stats = figure7_statistics(CostModelConfig(**overrides), load.path)
+        scalar = oracle_matrix(stats, load, ALL_ORGANIZATIONS)
+        columnar = CostMatrix.compute(stats, load, ALL_ORGANIZATIONS)
+        assert_matrices_identical(scalar, columnar)
+
     @pytest.mark.parametrize("selectivity", [0.05, 0.5, 1.0])
     def test_range_selectivity_bit_identical(self, selectivity):
         stats, load = make_world(length=6, subclasses=(0, 2, 0, 1, 0, 0))
@@ -204,6 +275,54 @@ class TestRecomputeParity:
         )
 
 
+@st.composite
+def yao_batches(draw):
+    """1-400 ``(t, n, m)`` triples drawn with repetition from up to 40
+    distinct ones over up to 12 ``(n, m)`` groups, ``t`` covering the
+    short loop, the 63/64 switch, long staircases (integral and
+    fractional), staircases ending just below ``n`` (whose strip padding
+    would reach a zero or negative denominator) and Cardenas territory
+    beyond the exact limit."""
+    groups = draw(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.floats(min_value=200.0, max_value=300_000.0),
+                    st.integers(min_value=200, max_value=300_000).map(float),
+                ),
+                st.floats(min_value=1.05, max_value=2_000.0),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    triples = []
+    for _ in range(draw(st.integers(min_value=1, max_value=40))):
+        n, ratio = draw(st.sampled_from(groups))
+        m = max(1.0, n / ratio)
+        regime = draw(
+            st.sampled_from(["short", "switch", "long", "top", "cardenas"])
+        )
+        if regime == "top":
+            t = draw(st.floats(min_value=max(64.0, n - n / m - 3.0), max_value=n))
+        elif regime == "short":
+            t = draw(st.floats(min_value=0.0, max_value=64.0))
+        elif regime == "switch":
+            t = draw(st.integers(min_value=62, max_value=65)) + draw(
+                st.sampled_from([0.0, 0.25, 0.5, 0.999])
+            )
+        elif regime == "long":
+            t = draw(st.floats(min_value=64.0, max_value=min(n, 60_000.0)))
+            if draw(st.booleans()):
+                t = float(math.floor(t))
+        else:
+            t = draw(
+                st.floats(min_value=_EXACT_LIMIT, max_value=1.5 * _EXACT_LIMIT)
+            )
+        triples.append((t, n, m))
+    return draw(st.lists(st.sampled_from(triples), min_size=1, max_size=400))
+
+
 class TestNpaArray:
     @given(
         t=st.floats(min_value=0.0, max_value=250_000.0),
@@ -220,9 +339,34 @@ class TestNpaArray:
         )
         assert got[0] == expected, (t, n, m)
 
+    @given(batch=yao_batches(), strip=st.sampled_from([None, 256]))
+    @example(
+        # The short staircase ends at step 997 inside the long one's
+        # strip; its padding would pass n + 1 = 1001, a zero denominator.
+        batch=[(40_000.0, 50_000.0, 1_250.0), (997.0, 1_000.0, 1_000.0 / 1.05)],
+        strip=None,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batches_over_many_groups_match_scalar(self, batch, strip):
+        """Batches of repeated triples over many (n, m) groups: the
+        staircases climb side by side through several strips, end in
+        different ones, and straddle the 63/64 and exact-limit switches.
+        ``strip`` optionally shrinks the strip size so even short
+        staircases cross many strips. Elementwise equal to the scalar,
+        without numpy warnings."""
+        t, n, m = (numpy.array(column) for column in zip(*batch))
+        expected = numpy.array([npa(*triple) for triple in batch])
+        factors = yao_vec._STRIP_FACTORS if strip is None else strip
+        with mock.patch.object(yao_vec, "_STRIP_FACTORS", factors):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = npa_array(t, n, m)
+        mismatched = numpy.flatnonzero(got != expected)
+        assert mismatched.size == 0, [batch[i] for i in mismatched[:5]]
+
     def test_grouped_big_region_matches_scalar(self):
         """Many elements sharing (n, m) with floor(t) >= 64 — the grouped
-        cumprod branch — must reproduce the scalar numpy-product path."""
+        staircase branch — must reproduce the scalar numpy-product path."""
         n, m = 500_000.0, 125.0
         t = numpy.linspace(64.0, 99_999.0, 301)
         expected = numpy.array([npa(float(v), n, m) for v in t])
@@ -277,8 +421,20 @@ class TestKernelResolution:
 
     def test_auto_resolution_thresholds(self, monkeypatch):
         """``workers=None`` stays serial below a length-60 matrix and
-        fans out one worker per CPU from there; explicit counts win."""
-        monkeypatch.setattr(cost_matrix.os, "cpu_count", lambda: 4)
+        fans out one worker per usable CPU from there; explicit counts
+        win."""
+
+        def usable(cpus):
+            # An 8-CPU host whose affinity mask allows ``cpus`` of them.
+            monkeypatch.setattr(
+                cost_matrix.os,
+                "sched_getaffinity",
+                lambda pid: set(range(cpus)),
+                raising=False,
+            )
+            monkeypatch.setattr(cost_matrix.os, "cpu_count", lambda: 8)
+
+        usable(4)
         resolve = CostMatrix._resolve_workers
         threshold = PARALLEL_AUTO_MIN_LENGTH * (PARALLEL_AUTO_MIN_LENGTH + 1) // 2
         assert PARALLEL_AUTO_MIN_LENGTH == 60
@@ -286,3 +442,9 @@ class TestKernelResolution:
         assert resolve(None, threshold) == 4
         assert resolve(0, threshold) == 1
         assert resolve(2, 10_000) == 2
+        # Pinned to one CPU (taskset, a cpuset): auto stays serial.
+        usable(1)
+        assert resolve(None, threshold) == 1
+        # Platforms without affinity support size the pool by the host.
+        monkeypatch.delattr(cost_matrix.os, "sched_getaffinity", raising=False)
+        assert resolve(None, threshold) == 8

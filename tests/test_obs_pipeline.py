@@ -9,6 +9,9 @@ What PR 10 promises and these tests pin:
 * worker-parallel matrix builds merge worker profiles into the parent:
   worker spans land on their own ``tid`` lanes and the merged
   ``matrix.rows_priced`` total equals the serial build's;
+* ``kernel.fold`` splits into one ``kernel.fold.<organization>`` span
+  per canonical organization, and ``kernel.entries`` counts the priced
+  (row, organization) entries the same for serial and pooled builds;
 * the what-if session, multipath optimizer, continuous advisor and the
   ground-truth backend all record under their documented names;
 * the CLI ``--profile`` flag writes a file that
@@ -29,6 +32,7 @@ from repro.core.multipath import PathWorkload, optimize_multipath
 from repro.costmodel.params import ClassStats, PathStatistics
 from repro.io import spec_to_dict
 from repro.obs import Recorder, dumps_profile, profile_document
+from repro.organizations import ALL_ORGANIZATIONS
 from repro.paper import figure7_load, figure7_statistics
 from repro.resilience import FakeClock
 from repro.synth import LevelSpec, linear_path_schema, populate_path_database
@@ -117,6 +121,38 @@ class TestWorkerAggregation:
         # Worker lanes render distinctly in the Chrome trace.
         document = profile_document(parallel)
         assert check_trace.validate(document) == []
+
+
+class TestKernelFoldSpans:
+    ORGANIZATIONS = ("mx", "mix", "nix", "px", "nx", "none")
+
+    def test_organization_spans_nest_under_fold(self):
+        stats, load = make_world(length=6)
+        recorder = Recorder()
+        CostMatrix.compute(stats, load, ALL_ORGANIZATIONS, recorder=recorder)
+        spans = recorder.spans
+        (fold,) = [s for s in spans if s["name"] == "kernel.fold"]
+        children = [s for s in spans if s["name"].startswith("kernel.fold.")]
+        assert sorted(s["name"] for s in children) == sorted(
+            f"kernel.fold.{name}" for name in self.ORGANIZATIONS
+        )
+        for child in children:
+            assert child["depth"] == fold["depth"] + 1
+            assert fold["ts"] <= child["ts"]
+            assert child["ts"] + child["dur"] <= fold["ts"] + fold["dur"]
+
+    def test_entry_count_matches_across_worker_counts(self):
+        counts = []
+        for workers in (0, 2):
+            stats, load = make_world(length=8)
+            recorder = Recorder()
+            matrix = CostMatrix.compute(
+                stats, load, workers=workers, recorder=recorder
+            )
+            counts.append(
+                recorder.profile()["metrics"]["counters"]["kernel.entries"]
+            )
+        assert counts[0] == counts[1] == 36 * len(matrix.organizations)
 
 
 class TestSessionSpans:
@@ -222,7 +258,9 @@ class TestDeterministicExport:
         return dumps_profile(recorder, meta={"command": "advise"})
 
     def test_fake_clock_profiles_are_byte_identical(self):
-        assert self.run_once() == self.run_once()
+        first = self.run_once()
+        assert first == self.run_once()
+        assert '"kernel.fold.nix"' in first
 
 
 class TestCliProfile:
