@@ -188,12 +188,10 @@ def _cmd_multipath(arguments: argparse.Namespace) -> int:
     )
     specs = [load_spec(spec_path) for spec_path in arguments.specs]
     workloads = [PathWorkload(stats=spec.stats, load=spec.load) for spec in specs]
-    # Each matrix honours its own spec's options; --noindex forces the
-    # zero-storage fallback on every path through the same
-    # include_noindex seam as advise/matrix (note compute's semantics: a
-    # restricted organization list that already contains NONE is kept,
-    # one without NONE is widened to the full extended set), which keeps
-    # tight --budget-pages runs feasible.
+    # Each matrix honours its own spec's options; --noindex adds the
+    # zero-storage NONE fallback to every path's organizations through the
+    # same include_noindex seam as advise/matrix, which keeps tight
+    # --budget-pages runs feasible.
     recorder = _recorder_for(arguments)
     matrices = [
         CostMatrix.compute(

@@ -56,15 +56,6 @@ class BudgetedResult:
         )
 
 
-def _storage_of(matrix: CostMatrix, start: int, end: int, organization) -> float:
-    breakdown = matrix.breakdown(start, end, organization)
-    if breakdown is None:
-        raise OptimizerError(
-            "budget-constrained selection requires a computed cost matrix"
-        )
-    return breakdown.storage_pages
-
-
 def optimize_with_budget(
     matrix: CostMatrix, budget_pages: float
 ) -> BudgetedResult:
@@ -76,6 +67,7 @@ def optimize_with_budget(
     """
     if budget_pages < 0:
         raise OptimizerError(f"negative storage budget: {budget_pages}")
+    pages = matrix._storage_matrix()
     best_cost = float("inf")
     best_parts: tuple[IndexedSubpath, ...] | None = None
     best_storage = 0.0
@@ -90,7 +82,7 @@ def optimize_with_budget(
                     (
                         IndexedSubpath(start, end, organization),
                         matrix.cost(start, end, organization),
-                        _storage_of(matrix, start, end, organization),
+                        pages.cost(start, end, organization),
                     )
                     for organization in matrix.organizations
                 ]

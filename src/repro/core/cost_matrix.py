@@ -6,10 +6,14 @@ them in a matrix whose rows are subpaths and whose columns are
 organizations (Figure 6). ``Min_Cost`` underlines the minimum of each row
 — the best organization for each subpath in isolation.
 
-Storage is a flat dense array indexed by ``(row_index(start, end),
-org_index)`` with the row minima precomputed at construction, so every
-search strategy's inner loop (``min_cost``) is an O(1) array read instead
-of a dict-of-dicts walk plus a ``min()`` scan.
+Storage is the kernel's own format, a
+:class:`~repro.kernel.evaluate.RowCosts`: one ``(rows × organizations)``
+float64 array per cost component, rows in Figure 6 order. Construction
+finds every row minimum in one pass over the columns and keeps the totals
+and minima as Python lists too, so the search strategies' inner loops
+(``cost``, ``min_cost``) are O(1) reads; :meth:`CostMatrix.breakdown`
+assembles a :class:`~repro.costmodel.subpath.SubpathCost` from the arrays
+on demand.
 
 A matrix can also be constructed from literal values
 (:meth:`CostMatrix.from_values`), which is how the Figure 6 hypothetical
@@ -30,17 +34,21 @@ import os
 import pickle
 import warnings
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from repro import kernel
 from repro.costmodel.params import PathStatistics
 from repro.costmodel.subpath import SubpathCost
 from repro.errors import OptimizerError
+from repro.kernel.evaluate import RowCosts, cmd_and_total
 from repro.obs.recorder import NULL_RECORDER, Recorder, resolve_recorder
 from repro.resilience.retry import DEFAULT_RETRY_POLICY, run_with_retry
 from repro.organizations import (
     CONFIGURABLE_ORGANIZATIONS,
-    EXTENDED_ORGANIZATIONS,
     IndexOrganization,
+    canonical_organization,
 )
 from repro.workload.load import LoadDistribution
 
@@ -83,7 +91,7 @@ def _fork_context() -> multiprocessing.context.BaseContext | None:
     return multiprocessing.get_context("fork")
 
 
-def _run_pool_once(pool_options: dict, payloads: list) -> tuple[dict, list]:
+def _run_pool_once(pool_options: dict, payloads: list) -> tuple[list, list]:
     """One worker-pool fan-out attempt (the fault-injection seam).
 
     Kept as a module-level function so the retry loop in
@@ -91,23 +99,23 @@ def _run_pool_once(pool_options: dict, payloads: list) -> tuple[dict, list]:
     monkeypatching) can re-run or fail a *single* pool lifecycle without
     touching batch construction.
 
-    Returns ``(results, profiles)``: the priced rows keyed by
-    coordinates, plus one observability profile (or ``None``) per batch
-    in submission order — the deterministic order the parent uses to
-    assign worker ``tid``\\ s when merging them into its recorder.
+    Returns ``(results, profiles)``: each batch's priced
+    :class:`~repro.kernel.evaluate.RowCosts` and its observability
+    profile (or ``None``), both in submission order — the order the
+    parent scatters rows by and assigns worker ``tid``\\ s in when
+    merging profiles into its recorder.
     """
     from concurrent.futures import ProcessPoolExecutor
 
-    results: dict = {}
+    results: list = []
     profiles: list = []
     with ProcessPoolExecutor(**pool_options) as pool:
         futures = [
             pool.submit(function, payload) for function, payload in payloads
         ]
         for future in futures:
-            batch, profile = future.result()
-            for start, end, row in batch:
-                results[(start, end)] = row
+            priced, profile = future.result()
+            results.append(priced)
             profiles.append(profile)
     return results, profiles
 
@@ -149,7 +157,7 @@ class RecomputeReport:
     says why — e.g. a cost-model config change). ``recomputed_rows`` are
     the rows re-priced through the cost model; ``patched_rows`` are the
     rows whose only change was the ``CMD`` term of a following deletion,
-    updated as O(1) per-entry patches from the cached breakdown rates.
+    re-derived as array operations from the matrix's stored CMD rates.
     Sessions and benchmarks assert incrementality from this report instead
     of inferring it from timings.
 
@@ -209,30 +217,51 @@ class RecomputeReport:
         )
 
 
-def _scan_row_minimum(values: list[float], base: int, width: int) -> tuple[float, int]:
-    """``Min_Cost`` of one dense row: (cost, column) with tie handling.
+@lru_cache(maxsize=16)
+def _subpaths(length: int) -> tuple[tuple[int, int], ...]:
+    """Row coordinates of a length-``length`` matrix in Figure 6 order.
 
-    A later column only displaces the running minimum when it is strictly
-    smaller beyond the tie tolerance; the symmetric absolute form keeps
-    the comparison direction correct for costs of any sign, so exact and
-    near ties resolve to the earliest organization in column order.
+    Shared by every matrix of that length, so the row sets that each kept
+    :class:`RecomputeReport` holds cost one pointer per row, not a tuple.
     """
-    minimum_cost = values[base]
-    minimum_org = 0
-    for column in range(1, width):
-        value = values[base + column]
-        if minimum_cost == float("inf"):
-            # The relative form is indeterminate against an infinite
-            # running minimum; any finite value wins outright.
-            take = value < minimum_cost
-        else:
-            take = minimum_cost - value > TIE_RELATIVE_TOLERANCE * max(
-                abs(value), abs(minimum_cost)
+    return tuple(
+        (start, end)
+        for start in range(1, length + 1)
+        for end in range(start, length + 1)
+    )
+
+
+def _column_minima(total: np.ndarray, eligible: np.ndarray):
+    """``Min_Cost`` of every row at once: (cost, column) arrays.
+
+    One pass over the columns, each step covering all rows; ``eligible``
+    (a boolean mask shaped like ``total``) restricts each row to some of
+    its columns. A later column only displaces the running minimum when
+    it is strictly smaller beyond the tie tolerance; the symmetric
+    absolute form keeps the comparison direction correct for costs of any
+    sign, so exact and near ties resolve to the earliest organization in
+    column order. Against an infinite running minimum the relative form
+    is indeterminate, so any smaller value wins outright.
+    """
+    cost = total[:, 0].copy()
+    column = np.zeros(total.shape[0], dtype=np.int64)
+    found = eligible[:, 0].copy()
+    # An infinite row subtracts inf from inf; that branch is discarded.
+    with np.errstate(invalid="ignore"):
+        for index in range(1, total.shape[1]):
+            value = total[:, index]
+            smaller = np.where(
+                cost == np.inf,
+                value < cost,
+                cost - value
+                > TIE_RELATIVE_TOLERANCE
+                * np.maximum(np.abs(value), np.abs(cost)),
             )
-        if take:
-            minimum_cost = value
-            minimum_org = column
-    return minimum_cost, minimum_org
+            take = eligible[:, index] & (smaller | ~found)
+            found |= eligible[:, index]
+            cost = np.where(take, value, cost)
+            column[take] = index
+    return cost, column
 
 
 def _evaluate_rows(
@@ -243,12 +272,12 @@ def _evaluate_rows(
     range_selectivity: float | None,
     arrays=None,
     recorder=NULL_RECORDER,
-) -> dict[tuple[int, int], dict[IndexOrganization, SubpathCost]]:
+) -> RowCosts:
     """Price rows with the columnar kernel.
 
     The kernel batches every (row, organization) pair into array
-    operations (:mod:`repro.kernel`) and produces :class:`SubpathCost`
-    rows bit-identical to
+    operations (:mod:`repro.kernel`) and returns the rows' component
+    arrays, bit-identical to
     :func:`~repro.costmodel.subpath.subpath_processing_cost`, the scalar
     parity oracle. ``arrays`` optionally hands it a pre-lowered (or
     workload-patched) :class:`~repro.kernel.arrays.StatArrays` for these
@@ -281,16 +310,15 @@ def _evaluate_rows(
 
 
 def _compute_row_batch(
-    payload: tuple,
-) -> tuple[
-    list[tuple[int, int, dict[IndexOrganization, SubpathCost]]],
-    dict | None,
-]:
+    payload: tuple, arrays=None
+) -> tuple[RowCosts, dict | None]:
     """Worker entry point: price a batch of rows.
 
     Top-level so it pickles by reference into worker processes; each row
     is computed independently, so the result is bit-identical to a serial
-    evaluation of the same rows regardless of batching.
+    evaluation of the same rows regardless of batching. ``arrays`` is the
+    fork path's inherited lowering (``None`` on the pickling path, where
+    the worker lowers its own).
 
     ``payload[-1]`` (``record``) asks the worker to run its batch under
     a private :class:`~repro.obs.Recorder` and ship the serialized
@@ -303,13 +331,9 @@ def _compute_row_batch(
     with recorder.span("matrix.worker_batch", rows=len(rows)):
         priced = _evaluate_rows(
             stats, load, organizations, rows, range_selectivity,
-            recorder=recorder,
+            arrays=arrays, recorder=recorder,
         )
-    profile = recorder.profile() if record else None
-    return (
-        [(start, end, priced[(start, end)]) for start, end in rows],
-        profile,
-    )
+    return priced, recorder.profile() if record else None
 
 
 #: Worker-process copy of the shared inputs ``(stats, load,
@@ -338,32 +362,20 @@ def _init_fork_worker(inputs: tuple) -> None:
 
 def _compute_row_batch_fork(
     rows: list[tuple[int, int]],
-) -> tuple[
-    list[tuple[int, int, dict[IndexOrganization, SubpathCost]]],
-    dict | None,
-]:
+) -> tuple[RowCosts, dict | None]:
     """Fork-worker entry point: price a batch against the inherited inputs.
 
     Only the row coordinates travel to the worker; statistics, workload,
     the parent's columnar lowering and the ``record`` flag come from
     :data:`_FORK_SHARED_INPUTS`, installed by
-    :func:`_init_fork_worker`. Row results are identical to
-    :func:`_compute_row_batch` because both delegate to the same
-    evaluation seam.
+    :func:`_init_fork_worker`; the batch then runs through
+    :func:`_compute_row_batch` itself.
     """
     stats, load, organizations, range_selectivity, arrays, record = (
         _FORK_SHARED_INPUTS
     )
-    recorder = Recorder() if record else NULL_RECORDER
-    with recorder.span("matrix.worker_batch", rows=len(rows)):
-        priced = _evaluate_rows(
-            stats, load, organizations, rows, range_selectivity,
-            arrays=arrays, recorder=recorder,
-        )
-    profile = recorder.profile() if record else None
-    return (
-        [(start, end, priced[(start, end)]) for start, end in rows],
-        profile,
+    return _compute_row_batch(
+        (stats, load, organizations, rows, range_selectivity, record), arrays
     )
 
 
@@ -382,13 +394,69 @@ class CostMatrix:
         breakdowns: dict[tuple[int, int], dict[IndexOrganization, SubpathCost]]
         | None = None,
     ) -> None:
+        """A literal matrix; ``breakdowns`` optionally adds every entry's
+        components. Both are lowered into the arrays a computed matrix
+        keeps, the totals taken from ``entries``."""
         if length < 1:
             raise OptimizerError("path length must be at least 1")
+        organizations = tuple(organizations)
+        rows = _subpaths(length)
+        total = np.zeros((len(rows), len(organizations)))
+        costs = RowCosts.zeros(*total.shape) if breakdowns else None
+        for position, (start, end) in enumerate(rows):
+            values = entries.get((start, end))
+            if values is None:
+                raise OptimizerError(f"missing matrix row ({start},{end})")
+            for column, organization in enumerate(organizations):
+                if organization not in values:
+                    raise OptimizerError(
+                        f"row ({start},{end}) missing {organization}"
+                    )
+                total[position, column] = values[organization]
+                if costs is not None:
+                    cost = breakdowns.get((start, end), {}).get(organization)
+                    if cost is None:
+                        raise OptimizerError(
+                            f"row ({start},{end}) lacks a {organization} breakdown"
+                        )
+                    costs.put(position, column, cost)
+        extra = set(entries) - set(rows)
+        if extra:
+            raise OptimizerError(
+                f"rows outside the 1..{length} subpath triangle: "
+                f"{sorted(extra)}"
+            )
+        if costs is not None:
+            costs = costs._replace(total=total)
+        self._setup(length, organizations, total, costs)
+
+    def _setup(
+        self,
+        length: int,
+        organizations: tuple[IndexOrganization, ...],
+        total: np.ndarray,
+        costs: RowCosts | None,
+    ) -> None:
+        """Install a matrix's arrays and derive its O(1) read views (on a
+        bare ``CostMatrix.__new__`` for computed and storage matrices)."""
         if not organizations:
             raise OptimizerError("at least one organization is required")
         self.length = length
-        self.organizations = tuple(organizations)
-        self._breakdowns = breakdowns or {}
+        self.organizations = organizations
+        self._org_index = {
+            organization: index
+            for index, organization in enumerate(organizations)
+        }
+        # The component arrays (None for a literal matrix without
+        # breakdowns), the totals and their Python-float views.
+        self._costs = costs
+        self._total = total
+        self._values = total.ravel().tolist()
+        minimum_cost, minimum_column = _column_minima(
+            total, np.ones(total.shape, dtype=bool)
+        )
+        self._row_min_cost = minimum_cost.tolist()
+        self._row_min_org = minimum_column.tolist()
         # Inputs of a computed matrix (attached by compute()/recompute());
         # literal matrices keep them None and cannot be recomputed.
         self._stats: PathStatistics | None = None
@@ -402,41 +470,6 @@ class CostMatrix:
         #: are byte-identical, but the *cause* is never swallowed: it is
         #: recorded here and warned about once per process.
         self.parallel_fallback_reason: str | None = None
-        self._org_index = {
-            organization: index
-            for index, organization in enumerate(self.organizations)
-        }
-        width = len(self.organizations)
-        row_count = length * (length + 1) // 2
-        # Flat dense storage: value of (row, org) at row * width + org_index.
-        self._values = [0.0] * (row_count * width)
-        # Precomputed Min_Cost per row: cost and organization column.
-        self._row_min_cost = [0.0] * row_count
-        self._row_min_org = [0] * row_count
-        for start in range(1, length + 1):
-            for end in range(start, length + 1):
-                row = entries.get((start, end))
-                if row is None:
-                    raise OptimizerError(f"missing matrix row ({start},{end})")
-                row_position = self.row_index(start, end)
-                base = row_position * width
-                for column, organization in enumerate(self.organizations):
-                    if organization not in row:
-                        raise OptimizerError(
-                            f"row ({start},{end}) missing {organization}"
-                        )
-                    self._values[base + column] = row[organization]
-                minimum_cost, minimum_org = _scan_row_minimum(
-                    self._values, base, width
-                )
-                self._row_min_cost[row_position] = minimum_cost
-                self._row_min_org[row_position] = minimum_org
-        extra = set(entries) - set(self.rows())
-        if extra:
-            raise OptimizerError(
-                f"rows outside the 1..{length} subpath triangle: "
-                f"{sorted(extra)}"
-            )
 
     # ------------------------------------------------------------------
     # construction
@@ -456,6 +489,8 @@ class CostMatrix:
     ) -> "CostMatrix":
         """The ``Cost_Matrix`` procedure over the analytic cost model.
 
+        ``include_noindex`` appends the ``NONE`` organization to
+        ``organizations`` when it is not already there.
         ``range_selectivity`` switches the workload's queries from
         equality to range predicates with the given selectivity.
 
@@ -484,31 +519,19 @@ class CostMatrix:
         children and absorbs per-worker profiles from parallel fan-outs.
         """
         if include_noindex and IndexOrganization.NONE not in organizations:
-            organizations = tuple(EXTENDED_ORGANIZATIONS)
+            organizations = (*organizations, IndexOrganization.NONE)
+        organizations = tuple(organizations)
         recorder = resolve_recorder(recorder)
         length = stats.length
-        rows = [
-            (start, end)
-            for start in range(1, length + 1)
-            for end in range(start, length + 1)
-        ]
+        rows = _subpaths(length)
         recorder.counter("matrix.builds").add()
         with recorder.span("matrix.build", length=length, rows=len(rows)):
-            row_costs, fallback_reason = cls._compute_rows(
-                stats, load, tuple(organizations), rows, range_selectivity,
+            costs, fallback_reason = cls._compute_rows(
+                stats, load, organizations, rows, range_selectivity,
                 workers, retry_policy, degradation, recorder=recorder,
             )
-            entries: dict[tuple[int, int], dict[IndexOrganization, float]] = {}
-            breakdowns: dict[
-                tuple[int, int], dict[IndexOrganization, SubpathCost]
-            ] = {}
-            for coordinates, row_breakdown in row_costs.items():
-                entries[coordinates] = {
-                    organization: cost.total
-                    for organization, cost in row_breakdown.items()
-                }
-                breakdowns[coordinates] = row_breakdown
-            matrix = cls(length, organizations, entries, breakdowns)
+            matrix = cls.__new__(cls)
+            matrix._setup(length, organizations, costs.total, costs)
         matrix._stats = stats
         matrix._load = load
         matrix._range_selectivity = range_selectivity
@@ -542,19 +565,16 @@ class CostMatrix:
         degradation=None,
         arrays=None,
         recorder=NULL_RECORDER,
-    ) -> tuple[
-        dict[tuple[int, int], dict[IndexOrganization, SubpathCost]],
-        str | None,
-    ]:
+    ) -> tuple[RowCosts, str | None]:
         """Price a set of rows, serially or over a process pool.
 
-        Returns ``(rows, parallel_fallback_reason)``: the reason is
-        ``None`` unless a requested parallel fan-out failed (after the
-        ``retry_policy`` retries) and the rows were priced serially
-        instead. Row results are keyed by coordinates, so assembly order
-        is deterministic regardless of how the rows were distributed.
-        ``degradation`` (a :class:`~repro.resilience.DegradationReport`)
-        receives one event per fallback taken.
+        Returns ``(costs, parallel_fallback_reason)``: ``costs`` holds the
+        rows in the order of ``rows``, however they were distributed, and
+        the reason is ``None`` unless a requested parallel fan-out failed
+        (after the ``retry_policy`` retries) and the rows were priced
+        serially instead. ``degradation`` (a
+        :class:`~repro.resilience.DegradationReport`) receives one event
+        per fallback taken.
 
         ``arrays`` is an optional pre-lowered columnar
         :class:`~repro.kernel.arrays.StatArrays` for exactly these inputs.
@@ -599,11 +619,11 @@ class CostMatrix:
                     workers=resolved,
                     rows=len(rows),
                 )
-        rows_priced = _evaluate_rows(
+        priced = _evaluate_rows(
             stats, load, organizations, rows, range_selectivity,
             arrays=arrays, recorder=recorder,
         )
-        return rows_priced, fallback_reason
+        return priced, fallback_reason
 
     @staticmethod
     def _compute_rows_parallel(
@@ -616,25 +636,20 @@ class CostMatrix:
         retry_policy=None,
         arrays=None,
         record: bool = False,
-    ) -> tuple[
-        dict[tuple[int, int], dict[IndexOrganization, SubpathCost]] | None,
-        list | None,
-        int,
-        str | None,
-    ]:
+    ) -> tuple[RowCosts | None, list | None, int, str | None]:
         """Fan row batches out over a process pool, retrying transients.
 
         Rows are striped across batches so each worker sees a mix of
-        short (cheap) and long (expensive) subpaths. Where ``fork`` is
-        the default start method, the statistics, workload and the
-        parent's columnar lowering (``arrays``) are handed to the workers
-        as a read-only module global inherited at fork time — only row
+        short (cheap) and long (expensive) subpaths; each batch's priced
+        arrays are scattered back by its stripe. Where ``fork`` is the
+        default start method, the statistics, workload and the parent's
+        columnar lowering (``arrays``) are handed to the workers as a
+        read-only module global inherited at fork time — only row
         coordinates are pickled, which removes the per-batch input
         serialization that dominated startup on short paths and the
-        per-worker re-lowering. Platforms
-        defaulting to ``spawn`` (macOS, Windows) keep the pickling path,
-        where each worker lowers its own arrays (numpy buffers are
-        cheaper to rebuild than to ship).
+        per-worker re-lowering. Platforms defaulting to ``spawn`` (macOS,
+        Windows) keep the pickling path, where each worker lowers its own
+        arrays (numpy buffers are cheaper to rebuild than to ship).
 
         Pool failures (a broken/killed worker, an unpicklable payload, an
         OS refusing to fork) are retried under ``retry_policy``
@@ -648,8 +663,8 @@ class CostMatrix:
         """
         from concurrent.futures.process import BrokenProcessPool
 
-        batches = [rows[offset::workers] for offset in range(workers)]
-        batches = [batch for batch in batches if batch]
+        # ``workers`` never exceeds the row count, so no stripe is empty.
+        stripes = [slice(offset, None, workers) for offset in range(workers)]
         context = _fork_context()
         pool_options: dict = {"max_workers": workers}
         if context is not None:
@@ -663,17 +678,19 @@ class CostMatrix:
                     ),
                 ),
             )
-            payloads = [(_compute_row_batch_fork, batch) for batch in batches]
+            payloads = [
+                (_compute_row_batch_fork, rows[stripe]) for stripe in stripes
+            ]
         else:
             payloads = [
                 (
                     _compute_row_batch,
                     (
-                        stats, load, organizations, batch, range_selectivity,
-                        record,
+                        stats, load, organizations, rows[stripe],
+                        range_selectivity, record,
                     ),
                 )
-                for batch in batches
+                for stripe in stripes
             ]
         policy = retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
         outcome, attempts, error = run_with_retry(
@@ -682,8 +699,11 @@ class CostMatrix:
             policy,
         )
         if error is None:
-            results, profiles = outcome
-            return results, profiles, attempts, None
+            batches, profiles = outcome
+            priced = RowCosts.zeros(len(rows), len(organizations))
+            for stripe, batch in zip(stripes, batches):
+                priced.write(stripe, batch)
+            return priced, profiles, attempts, None
         reason = (
             f"{type(error).__name__}: {error}"
             if str(error)
@@ -752,9 +772,8 @@ class CostMatrix:
 
         Rows whose *only* change is the ``CMD`` term of a following
         deletion are not re-priced through the cost model at all: the
-        cached breakdown carries the per-deletion rate
-        (:attr:`~repro.costmodel.subpath.SubpathCost.cmd_per_deletion`,
-        statistics-only), so they are patched as O(1) per-entry updates.
+        matrix keeps every entry's per-deletion rate (statistics-only), so
+        their ``CMD`` terms and totals are re-derived as array operations.
         Clean rows are copied bit-for-bit. Either way the result is always
         entry-for-entry identical to a fresh :meth:`compute` over the new
         inputs, and its :attr:`recompute_report` records exactly which
@@ -859,55 +878,25 @@ class CostMatrix:
             kernel_slice_rows=kernel_slice_rows,
             kernel_fallback_reason=kernel_fallback,
         )
-        # Fast assembly: clean rows are copied as flat-array slices (and
-        # keep their precomputed minima); only the recomputed rows are
-        # written and re-scanned, and CMD-only rows are patched in place
-        # from the cached per-deletion rates. This keeps the cost of a
-        # what-if step proportional to the dirty set, not the matrix size.
-        width = len(self.organizations)
+        # Clean rows keep the parent's slots, re-priced rows are written as
+        # array slices and CMD-only rows are re-derived from their stored
+        # rates, so a what-if step does no per-entry Python work.
+        costs = RowCosts(*(array.copy() for array in self._costs))
+        costs.write([self.row_index(*row) for row in dirty_rows], recomputed)
+        if patch_rows:
+            index = [self.row_index(*row) for row in patch_rows]
+            # The following hierarchy's deletion mass, summed in
+            # SubpathContext.build's member order.
+            following = [
+                [sum(new_load.triplet(m).delete for m in new_stats.members(end + 1))]
+                for _, end in patch_rows
+            ]
+            costs.cmd[index], costs.total[index] = cmd_and_total(
+                costs.query[index], costs.insert[index], costs.delete[index],
+                costs.rate[index], np.array(following),
+            )
         matrix = CostMatrix.__new__(CostMatrix)
-        matrix.length = self.length
-        matrix.organizations = self.organizations
-        matrix._org_index = self._org_index
-        matrix._values = self._values.copy()
-        matrix._row_min_cost = self._row_min_cost.copy()
-        matrix._row_min_org = self._row_min_org.copy()
-        matrix._breakdowns = dict(self._breakdowns)
-        for (start, end), row_breakdown in recomputed.items():
-            row_position = self.row_index(start, end)
-            base = row_position * width
-            for column, organization in enumerate(self.organizations):
-                matrix._values[base + column] = row_breakdown[organization].total
-            minimum_cost, minimum_org = _scan_row_minimum(
-                matrix._values, base, width
-            )
-            matrix._row_min_cost[row_position] = minimum_cost
-            matrix._row_min_org[row_position] = minimum_org
-            matrix._breakdowns[(start, end)] = row_breakdown
-        for start, end in patch_rows:
-            # The CMD multiplier is the summed deletion frequency of the
-            # following hierarchy — the same sum, in the same member
-            # order, as SubpathContext.build, so the patched entries are
-            # bit-identical to a fresh evaluation.
-            following = sum(
-                new_load.triplet(member).delete
-                for member in new_stats.members(end + 1)
-            )
-            old_row = self._breakdowns[(start, end)]
-            row_breakdown = {
-                organization: cost.with_following_deletes(following)
-                for organization, cost in old_row.items()
-            }
-            row_position = self.row_index(start, end)
-            base = row_position * width
-            for column, organization in enumerate(self.organizations):
-                matrix._values[base + column] = row_breakdown[organization].total
-            minimum_cost, minimum_org = _scan_row_minimum(
-                matrix._values, base, width
-            )
-            matrix._row_min_cost[row_position] = minimum_cost
-            matrix._row_min_org[row_position] = minimum_org
-            matrix._breakdowns[(start, end)] = row_breakdown
+        matrix._setup(self.length, self.organizations, costs.total, costs)
         matrix._stats = new_stats
         matrix._load = new_load
         matrix._range_selectivity = self._range_selectivity
@@ -1026,6 +1015,7 @@ class CostMatrix:
                         if position >= 2:
                             cmd_ends.add(position - 1)
 
+        rows = _subpaths(length)
         recompute: set[tuple[int, int]] = set()
         patch: set[tuple[int, int]] = set()
         # Walk the starts backwards so the first covered position at or
@@ -1039,18 +1029,12 @@ class CostMatrix:
                 first_dirty = start
             else:
                 first_dirty = max(start, min(first_query, next_covered))
-            for end in range(first_dirty, length + 1):
-                recompute.add((start, end))
-            # A CMD patch reads the cached breakdown; rows without one
-            # (never the case for computed matrices, but cheap to guard)
-            # re-price.
+            # Rows starting at ``start`` sit at rows[first + end - start].
+            first = self.row_index(start, start) - start
+            recompute.update(rows[first + first_dirty : first + length + 1])
             for end in range(start, first_dirty):
                 if end in cmd_ends:
-                    row = (start, end)
-                    if row in self._breakdowns:
-                        patch.add(row)
-                    else:
-                        recompute.add(row)
+                    patch.add(rows[first + end])
         return recompute, patch
 
     # ------------------------------------------------------------------
@@ -1067,12 +1051,7 @@ class CostMatrix:
 
     def cost(self, start: int, end: int, organization: IndexOrganization) -> float:
         """The processing cost of one subpath with one organization."""
-        self._check_bounds(start, end)
-        column = self._org_index.get(organization)
-        if column is None:
-            raise OptimizerError(
-                f"no entry for ({start},{end}) with {organization}"
-            )
+        column = self._column(start, end, organization)
         return self._values[
             self.row_index(start, end) * len(self.organizations) + column
         ]
@@ -1080,8 +1059,24 @@ class CostMatrix:
     def breakdown(
         self, start: int, end: int, organization: IndexOrganization
     ) -> SubpathCost | None:
-        """The component breakdown, when the matrix was computed (not literal)."""
-        return self._breakdowns.get((start, end), {}).get(organization)
+        """The components of one entry, assembled from the arrays.
+
+        Bounds and organization are checked as in :meth:`cost`; ``None``
+        means a literal matrix without breakdowns. SIX and IIX entries
+        carry MX and MIX, the cost models that priced them.
+        """
+        column = self._column(start, end, organization)
+        if self._costs is None:
+            return None
+        row = self.row_index(start, end)
+        query, insert, delete, cmd, rate, storage, _total = (
+            float(array[row, column]) for array in self._costs
+        )
+        return SubpathCost(
+            canonical_organization(organization), start, end,
+            query, insert, delete, cmd,
+            storage_pages=storage, cmd_per_deletion=rate,
+        )
 
     def min_cost(self, start: int, end: int) -> RowMinimum:
         """``Min_Cost``: the underlined (minimal) entry of one row.
@@ -1110,25 +1105,39 @@ class CostMatrix:
         to the best ``limit`` organizations.
         """
         self._check_bounds(start, end)
-        width = len(self.organizations)
-        base = self.row_index(start, end) * width
-        remaining = list(range(width))
-        ordered: list[int] = []
-        while remaining:
-            values = [self._values[base + column] for column in remaining]
-            _, position = _scan_row_minimum(values, 0, len(values))
-            ordered.append(remaining.pop(position))
-        if limit is not None:
-            ordered = ordered[:limit]
-        return tuple(self.organizations[column] for column in ordered)
+        return self._rankings[self.row_index(start, end)][:limit]
+
+    @cached_property
+    def _rankings(self) -> list[tuple[IndexOrganization, ...]]:
+        """Every row's :meth:`ranked_organizations`, ranked on first use."""
+        eligible = np.ones(self._total.shape, dtype=bool)
+        every_row = np.arange(self._total.shape[0])
+        ranks = []
+        for _ in self.organizations:
+            _, column = _column_minima(self._total, eligible)
+            eligible[every_row, column] = False
+            ranks.append(column)
+        return [
+            tuple(self.organizations[column] for column in ranked)
+            for ranked in np.stack(ranks, axis=1).tolist()
+        ]
+
+    def _storage_matrix(self) -> "CostMatrix":
+        """A literal matrix of storage pages instead of costs, read by the
+        storage-budgeted selectors (budgeted multi-path generation sweeps
+        it for a path's *smallest* configurations, which a cost-ranked
+        beam never proposes)."""
+        if self._costs is None:
+            raise OptimizerError(
+                "storage-budgeted selection requires a computed cost matrix"
+            )
+        storage = CostMatrix.__new__(CostMatrix)
+        storage._setup(self.length, self.organizations, self._costs.storage, None)
+        return storage
 
     def rows(self) -> list[tuple[int, int]]:
         """Row coordinates in Figure 6 order."""
-        return [
-            (start, end)
-            for start in range(1, self.length + 1)
-            for end in range(start, self.length + 1)
-        ]
+        return list(_subpaths(self.length))
 
     def row_count(self) -> int:
         """``n(n+1)/2``."""
@@ -1143,6 +1152,18 @@ class CostMatrix:
             raise OptimizerError(
                 f"subpath ({start},{end}) out of range for length {self.length}"
             )
+
+    def _column(
+        self, start: int, end: int, organization: IndexOrganization
+    ) -> int:
+        """The column of ``organization``, once the row is in range."""
+        self._check_bounds(start, end)
+        column = self._org_index.get(organization)
+        if column is None:
+            raise OptimizerError(
+                f"no entry for ({start},{end}) with {organization}"
+            )
+        return column
 
     # ------------------------------------------------------------------
     # rendering

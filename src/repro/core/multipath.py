@@ -344,29 +344,6 @@ def _candidates_beam(
     )
 
 
-def _storage_matrix(matrix: CostMatrix) -> CostMatrix:
-    """A literal matrix whose entries are storage pages, not costs.
-
-    Budgeted candidate generation runs the same k-best sweep over this
-    matrix to surface the *smallest* configurations of a path (the
-    zero-storage all-``NONE`` fallback among them) — the candidates a
-    cost-ranked beam never proposes but a tight budget needs.
-    """
-    values: dict[tuple[int, int], dict[IndexOrganization, float]] = {}
-    for start, end in matrix.rows():
-        row: dict[IndexOrganization, float] = {}
-        for organization in matrix.organizations:
-            breakdown = matrix.breakdown(start, end, organization)
-            if breakdown is None:
-                raise OptimizerError(
-                    "budget-constrained multi-path selection requires a "
-                    "computed cost matrix"
-                )
-            row[organization] = breakdown.storage_pages
-        values[(start, end)] = row
-    return CostMatrix.from_values(matrix.length, values)
-
-
 def _candidates_budget(
     workload: PathWorkload,
     matrix: CostMatrix,
@@ -390,7 +367,9 @@ def _candidates_budget(
     # storage sweep's overlap with the cost sweep is never priced twice.
     seen = set(assignments)
     for _pages, parts in top_configurations(
-        _storage_matrix(matrix), count=width, per_row_organizations=organizations
+        matrix._storage_matrix(),
+        count=width,
+        per_row_organizations=organizations,
     ):
         assignment = tuple(parts)
         if assignment not in seen:

@@ -16,7 +16,6 @@ the cost-matrix decomposition of Section 5 sound.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from repro.costmodel.base import SubpathCostModel
@@ -28,7 +27,7 @@ from repro.costmodel.noindex import NoIndexCostModel
 from repro.costmodel.params import PathStatistics
 from repro.costmodel.path_index import PXCostModel
 from repro.errors import CostModelError
-from repro.organizations import IndexOrganization
+from repro.organizations import IndexOrganization, canonical_organization
 from repro.workload.load import LoadDistribution, LoadTriplet
 
 
@@ -53,12 +52,8 @@ def build_model(
     SIX and IIX are accepted and mapped to their general forms (MX and
     MIX); the paper treats them as the single-class special cases.
     """
-    if organization is IndexOrganization.SIX:
-        organization = IndexOrganization.MX
-    elif organization is IndexOrganization.IIX:
-        organization = IndexOrganization.MIX
     try:
-        model_class = _MODEL_CLASSES[organization]
+        model_class = _MODEL_CLASSES[canonical_organization(organization)]
     except KeyError:
         raise CostModelError(f"no cost model for organization {organization}") from None
     return model_class(stats, start, end)
@@ -143,9 +138,9 @@ class SubpathCost:
     ``cmd_per_deletion`` is the per-deletion rate behind ``cmd``
     (``cmd = following_deletes · cmd_per_deletion``). The rate depends on
     the statistics only, never on the workload, so a delete-frequency
-    what-if can re-derive a row's ``cmd`` — and therefore its total — as
-    an O(1) patch from the cached breakdown instead of re-running the
-    cost model (:meth:`repro.core.cost_matrix.CostMatrix.recompute`).
+    what-if can re-derive a row's ``cmd`` — and therefore its total — from
+    the stored rate instead of re-running the cost model
+    (:meth:`repro.core.cost_matrix.CostMatrix.recompute`).
     """
 
     organization: IndexOrganization
@@ -162,21 +157,6 @@ class SubpathCost:
     def total(self) -> float:
         """``PC(S, X)``: the value entering the cost matrix."""
         return self.query + self.insert + self.delete + self.cmd
-
-    def with_following_deletes(self, following_deletes: float) -> "SubpathCost":
-        """The same breakdown re-priced under a new following-deletion mass.
-
-        Performs exactly the multiplication :func:`subpath_processing_cost`
-        performs (including the zero-rate guard), so the patched breakdown
-        is bit-identical to a fresh evaluation under the new workload —
-        provided only delete frequencies after this subpath changed.
-        """
-        cmd = 0.0
-        if self.cmd_per_deletion:
-            cmd = following_deletes * self.cmd_per_deletion
-        if cmd == self.cmd:
-            return self
-        return dataclasses.replace(self, cmd=cmd)
 
 
 def subpath_processing_cost(

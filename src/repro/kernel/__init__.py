@@ -42,10 +42,13 @@ def compute_rows(
 ):
     """Price matrix rows with the columnar kernel.
 
-    Returns ``{(start, end): {organization: SubpathCost}}`` for exactly
-    the requested rows, each entry bit-identical to
-    :func:`~repro.costmodel.subpath.subpath_processing_cost`. ``arrays``
-    optionally supplies a pre-lowered (or workload-patched)
+    Returns a :class:`~repro.kernel.evaluate.RowCosts`: one
+    ``(len(rows) × len(organizations))`` float64 array per cost component
+    (``query``, ``insert``, ``delete``, ``cmd``, the CMD ``rate``,
+    ``storage`` and ``total``), rows in request order and columns in
+    organization order. Every slot is bit-identical to the matching field
+    of :func:`~repro.costmodel.subpath.subpath_processing_cost`.
+    ``arrays`` optionally supplies a pre-lowered (or workload-patched)
     :class:`~repro.kernel.arrays.StatArrays` for these inputs.
     ``recorder`` receives one ``kernel.fold.<organization>`` span per
     canonical organization priced and the ``kernel.entries`` count.

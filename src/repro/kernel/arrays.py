@@ -34,6 +34,7 @@ shared by reference across the patch chain.
 from __future__ import annotations
 
 import math
+import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -332,7 +333,10 @@ class StatArrays:
         load: LoadDistribution,
         range_selectivity: float | None = None,
     ) -> None:
-        self.stats = stats
+        # A lowering lives in its statistics' cache, so a strong reference
+        # back would put every cached PathStatistics in a reference cycle
+        # that only the cyclic collector frees, arrays and all.
+        self._stats = weakref.ref(stats)
         self.load = load
         self.config = stats.config
         self.sizes = stats.config.sizes
@@ -507,11 +511,16 @@ class StatArrays:
         # storage sums — which are statistics-only (the workload enters
         # the formulas exclusively through the frequency folds), so
         # patched clones share it by reference too. Bounded FIFO.
-        # _results memoizes full evaluate() outputs per (organization,
-        # rows) — load-dependent, so every clone starts its own dict.
+        # _results memoizes one organization's priced components per
+        # rows — load-dependent, so every clone starts its own dict.
         self._tables: dict = {}
         self._units: dict = {}
         self._results: dict = {}
+
+    @property
+    def stats(self) -> PathStatistics:
+        """The statistics this lowering was built from."""
+        return self._stats()
 
     # ------------------------------------------------------------------
     # cross-call caches and workload patching
@@ -548,11 +557,11 @@ class StatArrays:
         return units
 
     def cached_result(self, organization, rows_key):
-        """A memoized ``evaluate`` output for identical (org, rows)."""
+        """Memoized priced components for identical (org, rows)."""
         return self._results.get((organization, rows_key))
 
     def store_result(self, organization, rows_key, value) -> None:
-        """Memoize one ``evaluate`` output (bounded, FIFO eviction)."""
+        """Memoize one organization's priced components (bounded, FIFO)."""
         if len(self._results) >= _RESULT_CACHE_LIMIT:
             self._results.pop(next(iter(self._results)))
         self._results[(organization, rows_key)] = value

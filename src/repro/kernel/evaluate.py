@@ -1,11 +1,12 @@
 """Batched evaluation of matrix rows: the columnar kernel core.
 
 :func:`evaluate_rows` prices a set of ``Cost_Matrix`` rows for a set of
-organizations in one pass. Rows and their (position, member) entries are
-flattened into index arrays once (:class:`_RowBatch`); each organization
-is then evaluated as a handful of batched CRT/CMT/CRR calls plus
-:func:`~repro.kernel.arrays.fold_segments` accumulations that replay the
-scalar cost model's left-to-right sums **in the same order**, so every
+organizations in one pass and returns them as :class:`RowCosts`, one
+float64 array per cost component. Rows and their (position, member)
+entries are flattened into index arrays once (:class:`_RowBatch`); each
+organization is then evaluated as a handful of batched CRT/CMT/CRR calls
+plus :func:`~repro.kernel.arrays.fold_segments` accumulations that replay
+the scalar cost model's left-to-right sums **in the same order**, so every
 matrix value is bit-identical to
 :func:`repro.costmodel.subpath.subpath_processing_cost`.
 
@@ -19,14 +20,12 @@ price a leaf-walk that is already row-constant and outside the hot loop.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.costmodel.primitives import cml, cmt, crt
-from repro.costmodel.subpath import (
-    SubpathContext,
-    SubpathCost,
-    subpath_processing_cost,
-)
+from repro.costmodel.subpath import SubpathContext, subpath_processing_cost
 from repro.kernel.arrays import (
     ShapeTable,
     StatArrays,
@@ -39,16 +38,60 @@ from repro.kernel.arrays import (
 )
 from repro.kernel.yao_vec import npa_array
 from repro.obs.recorder import NULL_RECORDER
-from repro.organizations import IndexOrganization
-
-_CANONICAL = {
-    IndexOrganization.SIX: IndexOrganization.MX,
-    IndexOrganization.IIX: IndexOrganization.MIX,
-}
+from repro.organizations import IndexOrganization, canonical_organization
 
 
-def _canonical(organization: IndexOrganization) -> IndexOrganization:
-    return _CANONICAL.get(organization, organization)
+class RowCosts(NamedTuple):
+    """Priced matrix rows: one ``(rows × organizations)`` float64 array
+    per cost component, rows in request order and columns in
+    organization order.
+
+    ``rate`` is the per-deletion ``CMD`` rate (statistics-only; ``0.0``
+    on rows ending at the path's last position) and ``total`` is the
+    matrix entry (see :func:`cmd_and_total`).
+    """
+
+    query: np.ndarray
+    insert: np.ndarray
+    delete: np.ndarray
+    cmd: np.ndarray
+    rate: np.ndarray
+    storage: np.ndarray
+    total: np.ndarray
+
+    @classmethod
+    def zeros(cls, rows: int, columns: int) -> "RowCosts":
+        return cls(*(np.zeros((rows, columns)) for _ in cls._fields))
+
+    def write(self, rows, source: "RowCosts") -> None:
+        """Copy ``source``'s rows into the rows selected by ``rows``."""
+        for target, values in zip(self, source):
+            target[rows] = values
+
+    def put(self, row: int, column: int, cost) -> None:
+        """Write one scalar :class:`~repro.costmodel.subpath.SubpathCost`."""
+        values = (
+            cost.query, cost.insert, cost.delete, cost.cmd,
+            cost.cmd_per_deletion, cost.storage_pages, cost.total,
+        )
+        for target, value in zip(self, values):
+            target[row, column] = value
+
+
+def cmd_and_total(query, insert, delete, rate, following):
+    """``(cmd, total)`` of priced entries under a following-deletion mass.
+
+    ``cmd`` is ``following · rate`` behind the scalar model's zero-rate
+    guard (a zero rate charges nothing, whatever the mass), and ``total``
+    adds ``((query + insert) + delete) + cmd`` — the order of
+    :attr:`~repro.costmodel.subpath.SubpathCost.total` — so both are
+    bit-identical to :func:`subpath_processing_cost`. ``following``
+    broadcasts against ``rate`` (one mass per row).
+    """
+    cmd = np.zeros(rate.shape)
+    charged = rate != 0.0
+    cmd[charged] = np.broadcast_to(following, rate.shape)[charged] * rate[charged]
+    return cmd, ((query + insert) + delete) + cmd
 
 
 def evaluate_rows(
@@ -59,7 +102,7 @@ def evaluate_rows(
     range_selectivity=None,
     arrays=None,
     recorder=NULL_RECORDER,
-):
+) -> RowCosts:
     """Price ``rows`` for every organization; see :func:`repro.kernel.compute_rows`.
 
     ``arrays`` short-circuits the lowering: callers holding a (possibly
@@ -72,95 +115,60 @@ def evaluate_rows(
     organizations = list(organizations)
     recorder.counter("kernel.entries").add(len(rows) * len(organizations))
     length = stats.length
-    results: dict = {}
+    priced = RowCosts.zeros(len(rows), len(organizations))
+    kernel_index = []
     kernel_rows = []
-    for start, end in rows:
+    for index, (start, end) in enumerate(rows):
         if range_selectivity is not None and end == length:
             # Range-ending rows price a contiguous leaf walk (a different
             # query primitive); the scalar cost model prices them.
             context = SubpathContext.build(
                 stats, load, start, end, range_selectivity=range_selectivity
             )
-            results[(start, end)] = {
-                organization: subpath_processing_cost(
-                    stats,
-                    load,
-                    start,
-                    end,
-                    organization,
-                    range_selectivity=range_selectivity,
-                    context=context,
-                )
-                for organization in organizations
-            }
+            for column, organization in enumerate(organizations):
+                priced.put(index, column, subpath_processing_cost(
+                    stats, load, start, end, organization,
+                    range_selectivity=range_selectivity, context=context,
+                ))
         else:
+            kernel_index.append(index)
             kernel_rows.append((int(start), int(end)))
     if not kernel_rows:
-        return results
+        return priced
 
     if arrays is None:
         arrays = get_stat_arrays(stats, load, range_selectivity)
     rows_key = tuple(kernel_rows)
     # SIX/IIX share MX/MIX's pricing, so each canonical organization is
-    # evaluated once and its per-row SubpathCost objects are reused for
-    # every alias that requested it. Identical (organization, rows)
-    # requests against a persistent lowering replay the memoized arrays.
-    canonicals = list(dict.fromkeys(map(_canonical, organizations)))
+    # evaluated once and its columns are written for every alias that
+    # requested it. Identical (organization, rows) requests against a
+    # persistent lowering replay the memoized arrays.
+    canonicals = list(dict.fromkeys(map(canonical_organization, organizations)))
     memo = {c: arrays.cached_result(c, rows_key) for c in canonicals}
     batch = None
-    if any(priced is None for priced in memo.values()):
+    if any(components is None for components in memo.values()):
         batch = _RowBatch(arrays, kernel_rows)
-    costs: dict = {}
+    ends = np.array([end for _, end in kernel_rows])
+    following = np.array(arrays.following)[ends]
+    targets = np.array(kernel_index)
     for canonical in canonicals:
         with recorder.span(
             f"kernel.fold.{canonical.value.lower()}", rows=len(kernel_rows)
         ):
-            priced = memo[canonical]
-            if priced is None:
-                priced = batch.evaluate(canonical)
-                arrays.store_result(canonical, rows_key, priced)
-            costs[canonical] = _row_costs(arrays, canonical, kernel_rows, priced)
-
-    columns = [
-        (organization, costs[_canonical(organization)])
-        for organization in organizations
-    ]
-    for index, (start, end) in enumerate(kernel_rows):
-        results[(start, end)] = {
-            organization: built[index] for organization, built in columns
-        }
-    return results
-
-
-def _row_costs(arrays, organization, rows, priced) -> list[SubpathCost]:
-    """One organization's per-row :class:`SubpathCost` objects."""
-    query, insert, delete, cmd_rate, storage = priced
-    length = arrays.length
-    queries = query.tolist()
-    inserts = insert.tolist()
-    deletes = delete.tolist()
-    rates = cmd_rate.tolist()
-    storages = storage.tolist()
-    built = []
-    for index, (start, end) in enumerate(rows):
-        per_deletion = rates[index] if end < length else 0.0
-        cmd = 0.0
-        if per_deletion:
-            cmd = arrays.following[end] * per_deletion
-        built.append(
-            SubpathCost(
-                organization=organization,
-                start=start,
-                end=end,
-                query=queries[index],
-                insert=inserts[index],
-                delete=deletes[index],
-                cmd=cmd,
-                storage_pages=storages[index],
-                cmd_per_deletion=per_deletion,
-            )
-        )
-    return built
+            components = memo[canonical]
+            if components is None:
+                query, insert, delete, cmd_rate, storage = batch.evaluate(
+                    canonical
+                )
+                rate = np.where(ends < length, cmd_rate, 0.0)
+                cmd, total = cmd_and_total(query, insert, delete, rate, following)
+                components = (query, insert, delete, cmd, rate, storage, total)
+                arrays.store_result(canonical, rows_key, components)
+            for column, organization in enumerate(organizations):
+                if canonical_organization(organization) is canonical:
+                    for target, values in zip(priced, components):
+                        target[targets, column] = values
+    return priced
 
 
 class _RowBatch:

@@ -44,6 +44,18 @@ CONFIGURABLE_ORGANIZATIONS: tuple[IndexOrganization, ...] = (
     IndexOrganization.NIX,
 )
 
+_GENERAL_FORMS = {
+    IndexOrganization.SIX: IndexOrganization.MX,
+    IndexOrganization.IIX: IndexOrganization.MIX,
+}
+
+
+def canonical_organization(organization: IndexOrganization) -> IndexOrganization:
+    """The organization whose cost model prices ``organization``: SIX and
+    IIX are priced as their general forms MX and MIX, the rest as is."""
+    return _GENERAL_FORMS.get(organization, organization)
+
+
 #: Organizations including the Section 6 "no index" extension.
 EXTENDED_ORGANIZATIONS: tuple[IndexOrganization, ...] = (
     *CONFIGURABLE_ORGANIZATIONS,

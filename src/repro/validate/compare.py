@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass
 
 from repro.backend.materialize import MaterializedConfiguration
+from repro.backend.replay import ending_values
 from repro.core.configuration import IndexConfiguration
 from repro.core.evaluation import per_class_analytic_costs
 from repro.costmodel.params import CostModelConfig, PathStatistics
@@ -49,15 +50,6 @@ class ValidationRow:
         if self.analytic == 0:
             return float("inf") if self.measured else 1.0
         return self.measured / self.analytic
-
-
-def _ending_values(database: OODatabase, path: Path) -> list[object]:
-    values: set[object] = set()
-    ending = path.attribute_at(path.length)
-    for member in path.hierarchy_at(path.length):
-        for instance in database.extent(member):
-            values.update(instance.value_list(ending))
-    return sorted(values, key=repr)
 
 
 def validate_configuration(
@@ -96,7 +88,7 @@ def validate_configuration(
         database, path, configuration, sizes=config.sizes
     )
     rng = random.Random(seed)
-    values = _ending_values(database, path)
+    values = ending_values(database, path)
     if not values:
         raise ReproError("database has no ending-attribute values to probe")
 

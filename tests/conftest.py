@@ -13,11 +13,7 @@ from repro.model.examples import (
     pexa_path,
     populate_vehicle_database,
 )
-from repro.organizations import (
-    CONFIGURABLE_ORGANIZATIONS,
-    EXTENDED_ORGANIZATIONS,
-    IndexOrganization,
-)
+from repro.organizations import CONFIGURABLE_ORGANIZATIONS, IndexOrganization
 from repro.paper import figure6_matrix, figure7_load, figure7_statistics
 from repro.storage.pager import Pager
 from repro.storage.sizes import SizeModel
@@ -117,6 +113,17 @@ def small_synth_stats(small_synth):
     return derive_path_statistics(database, path)
 
 
+def assert_same_bits(left: CostMatrix, right: CostMatrix) -> None:
+    """Two computed matrices hold bit-identical component arrays and
+    row minima."""
+    for name, mine, theirs in zip(
+        left._costs._fields, left._costs, right._costs
+    ):
+        assert mine.tobytes() == theirs.tobytes(), name
+    assert left._row_min_cost == right._row_min_cost
+    assert left._row_min_org == right._row_min_org
+
+
 def oracle_matrix(
     stats,
     load,
@@ -132,7 +139,7 @@ def oracle_matrix(
     bit. Arguments mirror :meth:`CostMatrix.compute`.
     """
     if include_noindex and IndexOrganization.NONE not in organizations:
-        organizations = EXTENDED_ORGANIZATIONS
+        organizations = (*organizations, IndexOrganization.NONE)
     entries = {}
     breakdowns = {}
     for start in range(1, stats.length + 1):

@@ -107,6 +107,24 @@ class TestAdvisorOptions:
         for assignment in report.optimal.configuration.assignments:
             assert assignment.organization is MX
 
+    def test_noindex_keeps_restricted_organizations(
+        self, fig7_stats, fig7_load
+    ):
+        """``include_noindex`` adds NONE to the caller's list instead of
+        replacing it: PX stays priced, MIX and NIX stay out."""
+        PX = IndexOrganization.PX
+        NONE = IndexOrganization.NONE
+        report = advise(
+            fig7_stats, fig7_load, organizations=(MX, PX), include_noindex=True
+        )
+        assert report.matrix.organizations == (MX, PX, NONE)
+        assert report.matrix.cost(1, 4, PX) > 0
+        used = {
+            assignment.organization
+            for assignment in report.optimal.configuration.assignments
+        }
+        assert used <= {MX, PX, NONE}
+
     def test_update_heavy_workload_prefers_noindex_somewhere(
         self, fig7_stats, fig7_load
     ):

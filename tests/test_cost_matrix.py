@@ -1,14 +1,22 @@
 """Tests for the Cost_Matrix and Min_Cost procedures."""
 
-import pytest
+import math
+import struct
 
-from repro.core.cost_matrix import CostMatrix
+import pytest
+from conftest import oracle_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.cost_matrix import TIE_RELATIVE_TOLERANCE, CostMatrix
 from repro.errors import OptimizerError
 from repro.organizations import CONFIGURABLE_ORGANIZATIONS, IndexOrganization
 
 MX = IndexOrganization.MX
 MIX = IndexOrganization.MIX
 NIX = IndexOrganization.NIX
+PX = IndexOrganization.PX
+NONE = IndexOrganization.NONE
 
 
 class TestFigure6Matrix:
@@ -83,10 +91,61 @@ class TestComputedMatrix:
     def test_breakdown_missing_for_literal(self, fig6):
         assert fig6.breakdown(1, 1, MX) is None
 
+    def test_breakdown_checks_bounds_and_organization(
+        self, fig6, fig7_stats, fig7_load
+    ):
+        """Out-of-range rows and absent organizations raise as in cost();
+        None only ever means a literal matrix without breakdowns."""
+        matrix = CostMatrix.compute(fig7_stats, fig7_load)
+        for literal_or_computed in (matrix, fig6):
+            with pytest.raises(OptimizerError, match="out of range"):
+                literal_or_computed.breakdown(0, 9, MX)
+            with pytest.raises(OptimizerError, match="no entry"):
+                literal_or_computed.breakdown(1, 1, PX)
+
+    def test_alias_breakdowns_carry_their_cost_model(self, fig7_stats, fig7_load):
+        """SIX and IIX columns report the MX and MIX that priced them,
+        exactly like the scalar oracle."""
+        organizations = (IndexOrganization.SIX, IndexOrganization.IIX, NIX)
+        matrix = CostMatrix.compute(fig7_stats, fig7_load, organizations)
+        oracle = oracle_matrix(fig7_stats, fig7_load, organizations)
+        for start, end in matrix.rows():
+            for organization in organizations:
+                assert matrix.breakdown(start, end, organization) == (
+                    oracle.breakdown(start, end, organization)
+                )
+        assert matrix.breakdown(1, 2, IndexOrganization.SIX).organization is MX
+        assert matrix.breakdown(1, 2, IndexOrganization.IIX).organization is MIX
+
+    def test_reads_return_python_floats(self, fig6, fig7_stats, fig7_load):
+        matrix = CostMatrix.compute(fig7_stats, fig7_load)
+        for any_matrix in (matrix, fig6):
+            assert type(any_matrix.cost(1, 2, NIX)) is float
+            assert type(any_matrix.min_cost(1, 2).cost) is float
+        breakdown = matrix.breakdown(1, 2, NIX)
+        for field in (
+            "query", "insert", "delete", "cmd", "storage_pages",
+            "cmd_per_deletion", "total",
+        ):
+            assert type(getattr(breakdown, field)) is float, field
+
     def test_include_noindex_adds_column(self, fig7_stats, fig7_load):
         matrix = CostMatrix.compute(fig7_stats, fig7_load, include_noindex=True)
-        assert IndexOrganization.NONE in matrix.organizations
+        assert matrix.organizations == (MX, MIX, NIX, NONE)
         assert matrix.cost(1, 1, IndexOrganization.NONE) > 0
+
+    def test_include_noindex_keeps_restricted_organizations(
+        self, fig7_stats, fig7_load
+    ):
+        matrix = CostMatrix.compute(
+            fig7_stats, fig7_load, organizations=(PX, IndexOrganization.NX),
+            include_noindex=True,
+        )
+        assert matrix.organizations == (PX, IndexOrganization.NX, NONE)
+        with_none = CostMatrix.compute(
+            fig7_stats, fig7_load, organizations=(NONE, MX), include_noindex=True
+        )
+        assert with_none.organizations == (NONE, MX)
 
     def test_render_with_path(self, fig7_stats, fig7_load):
         matrix = CostMatrix.compute(fig7_stats, fig7_load)
@@ -166,3 +225,116 @@ class TestComputedMatrix:
         values = {(1, 1): {MX: -9.999999995, MIX: -10.0}}
         matrix = CostMatrix.from_values(1, values)
         assert matrix.min_cost(1, 1).organization is MX
+
+
+def _scan_row_minimum(values: list[float], base: int, width: int) -> tuple[float, int]:
+    """The scalar ``Min_Cost`` scan the vectorized row minima replaced.
+
+    A later column only displaces the running minimum when it is strictly
+    smaller beyond the tie tolerance; the symmetric absolute form keeps
+    the comparison direction correct for costs of any sign, so exact and
+    near ties resolve to the earliest organization in column order.
+    """
+    minimum_cost = values[base]
+    minimum_org = 0
+    for column in range(1, width):
+        value = values[base + column]
+        if minimum_cost == float("inf"):
+            # The relative form is indeterminate against an infinite
+            # running minimum; any finite value wins outright.
+            take = value < minimum_cost
+        else:
+            take = minimum_cost - value > TIE_RELATIVE_TOLERANCE * max(
+                abs(value), abs(minimum_cost)
+            )
+        if take:
+            minimum_cost = value
+            minimum_org = column
+    return minimum_cost, minimum_org
+
+
+def _scan_ranking(values: list[float]) -> list[int]:
+    """Columns in iterated scalar ``Min_Cost`` order."""
+    remaining = list(range(len(values)))
+    ordered = []
+    while remaining:
+        candidates = [values[column] for column in remaining]
+        _, position = _scan_row_minimum(candidates, 0, len(candidates))
+        ordered.append(remaining.pop(position))
+    return ordered
+
+
+_SPECIAL = (
+    0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 5e-324, -5e-324,
+    2.2250738585072014e-308, 1e300, -1e300,
+)
+# Relative offsets straddling the 1e-9 tie tolerance on both sides.
+_NEAR = (
+    1 - 2e-9, 1 - 1.000001e-9, 1 - 0.999999e-9, 1 - 5e-10,
+    1 + 5e-10, 1 + 0.999999e-9, 1 + 1.000001e-9, 1 + 2e-9,
+)
+_COLUMNS = (MX, MIX, NIX, PX, IndexOrganization.NX, NONE)
+
+
+@st.composite
+def literal_matrices(draw):
+    """Literal matrices of 1–6 rows × 1–6 columns whose cells mix fresh
+    values (negatives, ±0.0, ±inf, subnormals) with exact and near ties
+    of earlier cells in the same row."""
+    length = draw(st.integers(min_value=1, max_value=3))
+    organizations = _COLUMNS[: draw(st.integers(min_value=1, max_value=6))]
+    fresh = st.one_of(
+        st.sampled_from(_SPECIAL),
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    )
+    values = {}
+    for start in range(1, length + 1):
+        for end in range(start, length + 1):
+            cells: list[float] = []
+            for _ in organizations:
+                kind = draw(st.sampled_from(("fresh", "tie", "near")))
+                if kind == "fresh" or not cells:
+                    cells.append(draw(fresh))
+                elif kind == "tie":
+                    cells.append(draw(st.sampled_from(cells)))
+                else:
+                    cells.append(
+                        draw(st.sampled_from(cells)) * draw(st.sampled_from(_NEAR))
+                    )
+            values[(start, end)] = dict(zip(organizations, cells))
+    return length, values
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+class TestVectorizedRowMinima:
+    @given(world=literal_matrices())
+    @settings(max_examples=400, deadline=None)
+    def test_minima_and_rankings_match_the_scalar_scan(self, world):
+        length, values = world
+        matrix = CostMatrix.from_values(length, values)
+        organizations = matrix.organizations
+        for (start, end), row in values.items():
+            cells = [row[organization] for organization in organizations]
+            cost, column = _scan_row_minimum(cells, 0, len(cells))
+            minimum = matrix.min_cost(start, end)
+            assert minimum.organization is organizations[column]
+            assert _bits(minimum.cost) == _bits(cost)
+            assert matrix.ranked_organizations(start, end) == tuple(
+                organizations[column] for column in _scan_ranking(cells)
+            )
+
+    def test_infinite_rows(self):
+        inf = math.inf
+        values = {
+            (1, 1): {MX: inf, MIX: inf, NIX: 3.0},
+            (1, 2): {MX: inf, MIX: -inf, NIX: -inf},
+            (2, 2): {MX: -inf, MIX: inf, NIX: 7.0},
+        }
+        matrix = CostMatrix.from_values(2, values)
+        assert matrix.min_cost(1, 1).organization is NIX
+        assert matrix.min_cost(1, 2).organization is MIX
+        assert matrix.min_cost(2, 2).organization is MX
+        assert matrix.ranked_organizations(1, 1) == (NIX, MX, MIX)

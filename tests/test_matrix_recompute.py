@@ -346,8 +346,7 @@ def reference_classify_dirty(matrix, new_stats, new_load):
     """The per-change closure loops ``_classify_dirty`` replaced: the oracle.
 
     Every changed statistic or frequency adds its whole row reach, one
-    tuple at a time; the CMD candidates not dirtied otherwise are patched
-    when the row has a cached breakdown and re-priced when it has not.
+    tuple at a time; the CMD candidates not dirtied otherwise are patched.
     """
     old_stats = matrix._stats
     old_load = matrix._load
@@ -395,21 +394,12 @@ def reference_classify_dirty(matrix, new_stats, new_load):
                     if position >= 2:
                         for start in range(1, position):
                             cmd_candidates.add((start, position - 1))
-    patch = {
-        row
-        for row in cmd_candidates - dirty
-        if row in matrix._breakdowns
-    }
-    return dirty | (cmd_candidates - dirty - patch), patch
+    return dirty, cmd_candidates - dirty
 
 
 @st.composite
 def multi_class_deltas(draw):
-    """A computed matrix and new inputs changing several classes at once.
-
-    Some rows may lose their cached breakdown, which sends their CMD
-    patches back through the cost model.
-    """
+    """A computed matrix and new inputs changing several classes at once."""
     length = draw(st.integers(min_value=1, max_value=7))
     subclasses = tuple(
         draw(st.integers(min_value=0, max_value=2)) for _ in range(length)
@@ -434,10 +424,7 @@ def multi_class_deltas(draw):
     # New objects with unchanged values must classify nothing as dirty.
     if draw(st.booleans()):
         new_load = LoadDistribution(new_load.path, dict(new_load.items()))
-    matrix = CostMatrix.compute(stats, load)
-    for row in draw(st.sets(st.sampled_from(matrix.rows()), max_size=4)):
-        del matrix._breakdowns[row]
-    return matrix, new_stats, new_load
+    return CostMatrix.compute(stats, load), new_stats, new_load
 
 
 class TestClassifyDirtyProperty:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import pickle
 
 import pytest
+from conftest import assert_same_bits
 
 import repro.core.cost_matrix as cost_matrix_module
 import repro.resilience.retry as retry_module
@@ -66,8 +67,7 @@ class TestSerialFallback:
                 fallen = CostMatrix.compute(
                     stats, load, workers=2, degradation=report
                 )
-        assert fallen._values == serial._values
-        assert fallen._row_min_cost == serial._row_min_cost
+        assert_same_bits(fallen, serial)
         reason = fallen.parallel_fallback_reason
         assert reason is not None
         assert "BrokenProcessPool" in reason
@@ -96,7 +96,7 @@ class TestSerialFallback:
         serial = CostMatrix.compute(stats, load, workers=0)
         with pytest.warns(RuntimeWarning):
             fallen = CostMatrix.compute(stats, load, workers=2)
-        assert fallen._values == serial._values
+        assert_same_bits(fallen, serial)
         assert "OSError: cannot allocate memory" in (
             fallen.parallel_fallback_reason or ""
         )
@@ -112,7 +112,7 @@ class TestSerialFallback:
         serial = CostMatrix.compute(stats, load, workers=0)
         with pytest.warns(RuntimeWarning):
             fallen = CostMatrix.compute(stats, load, workers=2)
-        assert fallen._values == serial._values
+        assert_same_bits(fallen, serial)
         assert "PicklingError" in (fallen.parallel_fallback_reason or "")
 
     def test_spawn_only_platform_still_parallelizes(self, monkeypatch):
@@ -121,7 +121,7 @@ class TestSerialFallback:
         stats, load = make_world()
         parallel = CostMatrix.compute(stats, load, workers=2)
         serial = CostMatrix.compute(stats, load, workers=0)
-        assert parallel._values == serial._values
+        assert_same_bits(parallel, serial)
         assert parallel.parallel_fallback_reason is None
 
 
@@ -160,7 +160,7 @@ class TestRecomputeFallback:
                 fallen = matrix.recompute(
                     load=scaled, workers=2, degradation=report
                 )
-        assert fallen._values == clean._values
+        assert_same_bits(fallen, clean)
         assert "BrokenProcessPool" in (fallen.parallel_fallback_reason or "")
         assert report.count(layer="matrix", action="serial_fallback") == 1
 

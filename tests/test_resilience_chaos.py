@@ -15,6 +15,7 @@ All randomness is seeded; a failing chaos test replays exactly.
 from __future__ import annotations
 
 import pytest
+from conftest import assert_same_bits
 
 from repro.core.cost_matrix import CostMatrix
 from repro.resilience import restore_advisor, save_advisor
@@ -78,7 +79,7 @@ class TestPoolCrashChaos:
         assert matrix.parallel_fallback_reason is None
         assert naps == [0.05]
         serial = CostMatrix.compute(stats, load, workers=0)
-        assert matrix._values == serial._values
+        assert_same_bits(matrix, serial)
 
 
 @pytest.mark.timeout(120)
