@@ -60,8 +60,8 @@ def clone_kwargs(
     """Attribute values cloning ``instance``, with dead references pruned.
 
     Returns ``None`` when the template is unusable (every reference in
-    some attribute points at deleted objects), matching the validation
-    harness's insert sampling.
+    some attribute points at deleted objects); the replay, calibration
+    and validation insert samplers all skip such templates.
     """
     kwargs: dict[str, object] = {}
     for name in database.schema.all_attributes(instance.oid.class_name):

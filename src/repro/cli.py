@@ -3,7 +3,7 @@
 ::
 
     python -m repro advise  SPEC.json [--trace] [--json] [--noindex]
-                            [--strategy NAME] [--beam-width N]
+                            [--strategy NAME]
     python -m repro matrix  SPEC.json
     python -m repro multipath SPEC.json [SPEC2.json ...] [--beam-width N]
                             [--budget-pages P] [--restarts N] [--noindex]
@@ -108,15 +108,6 @@ def _finish_profile(
 
 def _cmd_advise(arguments: argparse.Namespace) -> int:
     spec = load_spec(arguments.spec)
-    strategy_options = {}
-    if arguments.beam_width is not None:
-        if arguments.strategy != "greedy_beam":
-            print(
-                "error: --beam-width requires --strategy greedy_beam",
-                file=sys.stderr,
-            )
-            return 1
-        strategy_options["width"] = arguments.beam_width
     recorder = _recorder_for(arguments)
     report = advise(
         spec.stats,
@@ -128,7 +119,6 @@ def _cmd_advise(arguments: argparse.Namespace) -> int:
         strategy=arguments.strategy,
         workers=arguments.workers,
         recorder=recorder,
-        **strategy_options,
     )
     if arguments.json:
         path = spec.stats.path
@@ -675,13 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_STRATEGY,
         help="search strategy (default: the paper's branch and bound)",
     )
-    advise_parser.add_argument(
-        "--beam-width",
-        type=int,
-        default=None,
-        metavar="N",
-        help="beam width (only valid with --strategy greedy_beam)",
-    )
     _add_workers_argument(advise_parser)
     _add_profile_argument(advise_parser)
     advise_parser.set_defaults(handler=_cmd_advise)
@@ -978,9 +961,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="T",
         help=(
             "wall-clock budget per re-advise in milliseconds; on expiry "
-            "the advisor degrades (shrinking greedy beams, then the "
-            "last-known-good configuration) instead of blocking — each "
-            "step reports the rung that answered"
+            "the advisor answers from the last-known-good configuration "
+            "(or, with none yet, from the dynamic program run past the "
+            "deadline) — each step reports the rung that answered"
         ),
     )
     replay_parser.add_argument(

@@ -4,13 +4,14 @@
 * :mod:`~repro.core.cost_matrix` — the ``Cost_Matrix`` and ``Min_Cost``
   procedures of Section 5;
 * :mod:`repro.search` — the pluggable search strategies over the matrix
-  (branch and bound, exhaustive, dynamic program, greedy beam);
+  (branch and bound, exhaustive, dynamic program, incremental dynamic
+  program — all exact);
 * :mod:`~repro.core.evaluation` — configuration cost evaluation, including
   the exact "coupled" evaluator extension;
 * :mod:`~repro.core.advisor` — the one-call high-level API;
 * :mod:`~repro.core.multipath` — the Section 6 multi-path extension,
-  beam-backed: per-path candidates come from the k-best sweep in
-  :mod:`repro.search.greedy_beam` (exact enumeration is kept as the
+  beam-backed: per-path candidates come from the k-best sweep
+  :func:`repro.search.top_configurations` (exact enumeration is kept as the
   small-instance oracle), the joint search shares physical indexes
   across paths, and ``optimize_multipath(budget_pages=...)`` constrains
   the union of selected indexes to a storage budget;

@@ -26,8 +26,7 @@ DEFAULT_STRATEGY = "branch_and_bound"
 
 #: Longest path for which the exhaustive baseline is run alongside the
 #: chosen strategy: 2^(n-1) partitions stay under ~64k. Beyond it only
-#: the O(n²) dynamic program serves as the exact baseline, so anytime
-#: strategies remain usable on the long paths they were built for.
+#: the O(n²) dynamic program serves as the exact baseline.
 EXHAUSTIVE_BASELINE_MAX_LENGTH = 17
 
 
@@ -142,7 +141,6 @@ def advise(
     deadline=None,
     degradation=None,
     recorder=None,
-    **strategy_options,
 ) -> AdvisorReport:
     """Select the optimal index configuration for a path.
 
@@ -169,8 +167,9 @@ def advise(
     strategy:
         Registered search strategy name (see
         :func:`repro.search.available_strategies`); defaults to the
-        paper's branch and bound. ``"greedy_beam"`` gives anytime
-        near-optimal answers on long paths.
+        paper's branch and bound. Every strategy returns the optimum;
+        ``"dynamic_program"`` finds it in O(n²) row lookups on any path
+        length.
     workers:
         Worker processes for the ``Cost_Matrix`` construction (see
         :meth:`~repro.core.cost_matrix.CostMatrix.compute`): ``None``
@@ -178,8 +177,9 @@ def advise(
         exactly ``N`` processes. The search itself is always in-process.
     deadline:
         An optional :class:`~repro.resilience.Deadline` bounding the
-        search. On expiry the exact strategy is abandoned and the
-        degradation ladder answers instead (shrinking greedy beams; see
+        search. On expiry the chosen strategy is abandoned and the
+        degradation ladder answers instead (the dynamic program, run to
+        completion past the deadline; see
         :func:`repro.resilience.degraded_search`) — the report's
         ``optimal`` then carries ``extras["degraded"]`` and the rung
         that produced it. Baselines are skipped once the deadline has
@@ -196,13 +196,10 @@ def advise(
         spans and metrics for the whole pipeline (matrix build, kernel
         lowering/fold, search, baselines). ``None`` (the default) means
         no recording and effectively zero overhead.
-    strategy_options:
-        Extra keyword options for the strategy constructor (e.g.
-        ``width=4`` for ``greedy_beam``).
     """
-    # Resolve the strategy first: a bad name or option must fail before
-    # the expensive cost-model run, not after.
-    searcher = get_strategy(strategy, **strategy_options)
+    # Resolve the strategy first: a bad name must fail before the
+    # expensive cost-model run, not after.
+    searcher = get_strategy(strategy)
     recorder = resolve_recorder(recorder)
     with recorder.span("advise", strategy=strategy, length=stats.length):
         recorder.counter("advise.calls").add()
@@ -216,15 +213,11 @@ def advise(
             degradation=degradation,
             recorder=recorder,
         )
-        search_options: dict = {"keep_trace": keep_trace}
-        if deadline is not None:
-            search_options["deadline"] = deadline
-        if recorder.enabled:
-            # Only forwarded when recording: third-party strategies
-            # registered before this keyword existed keep working.
-            search_options["recorder"] = recorder
         try:
-            optimal = searcher.search(matrix, **search_options)
+            optimal = searcher.search(
+                matrix, keep_trace=keep_trace, deadline=deadline,
+                recorder=recorder,
+            )
         except DeadlineExceeded as error:
             if degradation is not None:
                 degradation.record(
@@ -236,7 +229,6 @@ def advise(
                 )
             optimal = degraded_search(
                 matrix,
-                deadline=deadline,
                 degradation=degradation,
                 keep_trace=keep_trace,
                 layer="advise",
@@ -255,16 +247,13 @@ def advise(
             run_baselines = False
         if run_baselines:
             with recorder.span("advise.baselines", length=stats.length):
-                baseline_options: dict = {}
-                if recorder.enabled:
-                    baseline_options["recorder"] = recorder
                 # A baseline that *is* the chosen strategy was already
                 # computed.
                 if strategy == "exhaustive":
                     report.exhaustive = optimal
                 elif stats.length <= EXHAUSTIVE_BASELINE_MAX_LENGTH:
                     report.exhaustive = get_strategy("exhaustive").search(
-                        matrix, **baseline_options
+                        matrix, recorder=recorder
                     )
                 # Both DP registrations compute the identical exact optimum.
                 report.dynprog = (
@@ -272,7 +261,7 @@ def advise(
                     if strategy
                     in ("dynamic_program", "incremental_dynamic_program")
                     else get_strategy("dynamic_program").search(
-                        matrix, **baseline_options
+                        matrix, recorder=recorder
                     )
                 )
                 report.single_index_costs = {

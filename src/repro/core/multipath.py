@@ -20,7 +20,7 @@ Selection is staged:
    organizations per subpath so sharing can win even when it is not
    locally optimal. Short paths are enumerated exactly; beyond
    :data:`EXACT_CANDIDATE_LIMIT` candidates the generator is the k-best
-   beam sweep :func:`repro.search.greedy_beam.top_configurations`
+   beam sweep :func:`repro.search.partitions.top_configurations`
    (``beam_width`` candidates per path, exact over the space it covers),
    which keeps many-long-paths joint selection out of the ``2^(n-1)``
    regime entirely. Passing ``beam_width`` explicitly forces the beam;
@@ -68,8 +68,11 @@ from repro.errors import OptimizerError
 from repro.kernel.arrays import fold_segments
 from repro.obs.recorder import NULL_RECORDER, resolve_recorder
 from repro.organizations import CONFIGURABLE_ORGANIZATIONS, IndexOrganization
-from repro.search.greedy_beam import top_configurations
-from repro.search.partitions import configuration_count, enumerate_partitions
+from repro.search.partitions import (
+    configuration_count,
+    enumerate_partitions,
+    top_configurations,
+)
 from repro.workload.load import LoadDistribution
 
 #: Above this many cross-path combinations the joint search switches to

@@ -41,7 +41,7 @@ class InheritedIndex(OperationalIndex):
                 self._load(instance)
 
     def _load(self, instance: ObjectInstance) -> None:
-        for value in set(instance.value_list(self.attribute)):
+        for value in dict.fromkeys(instance.value_list(self.attribute)):
             self._values.add(self.context.key_of_value(value), instance.oid)
 
     # ------------------------------------------------------------------
@@ -94,7 +94,7 @@ class InheritedIndex(OperationalIndex):
     def on_delete(self, instance: ObjectInstance) -> None:
         if instance.oid.class_name not in self.classes:
             return
-        for value in set(instance.value_list(self.attribute)):
+        for value in dict.fromkeys(instance.value_list(self.attribute)):
             # Records keyed by dangling oids were dropped when the
             # referenced object died (CMD maintenance).
             if isinstance(value, OID) and not self.context.database.contains(value):
@@ -116,7 +116,7 @@ class InheritedIndex(OperationalIndex):
         expected: dict[object, dict[str, set[OID]]] = {}
         for class_name in self.classes:
             for instance in database.extent(class_name):
-                for value in set(instance.value_list(self.attribute)):
+                for value in dict.fromkeys(instance.value_list(self.attribute)):
                     if isinstance(value, OID) and not database.contains(value):
                         continue
                     expected.setdefault(value, {}).setdefault(

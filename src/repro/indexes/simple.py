@@ -53,7 +53,7 @@ class SimpleIndex(OperationalIndex):
             self._load(instance)
 
     def _load(self, instance: ObjectInstance) -> None:
-        for value in set(instance.value_list(self.attribute)):
+        for value in dict.fromkeys(instance.value_list(self.attribute)):
             self._values.add(self.context.key_of_value(value), instance.oid)
 
     # ------------------------------------------------------------------
@@ -89,7 +89,7 @@ class SimpleIndex(OperationalIndex):
     def on_delete(self, instance: ObjectInstance) -> None:
         if instance.oid.class_name != self.class_name:
             return
-        for value in set(instance.value_list(self.attribute)):
+        for value in dict.fromkeys(instance.value_list(self.attribute)):
             # A value referencing an already-deleted object has no record:
             # it was dropped when the referenced object died (the CMD
             # maintenance of Section 3.1).
@@ -115,7 +115,7 @@ class SimpleIndex(OperationalIndex):
         database = self.context.database
         expected: dict[object, set[OID]] = {}
         for instance in database.extent(self.class_name):
-            for value in set(instance.value_list(self.attribute)):
+            for value in dict.fromkeys(instance.value_list(self.attribute)):
                 # Records keyed by dangling oids are dropped when the
                 # referenced object is deleted (the CMD maintenance).
                 if isinstance(value, OID) and not database.contains(value):

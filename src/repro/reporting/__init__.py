@@ -5,7 +5,6 @@ from repro.reporting.tables import (
     comparison_table,
     multipath_table,
     replay_table,
-    strategy_comparison_table,
     whatif_table,
 )
 
@@ -14,6 +13,5 @@ __all__ = [
     "comparison_table",
     "multipath_table",
     "replay_table",
-    "strategy_comparison_table",
     "whatif_table",
 ]

@@ -10,7 +10,6 @@ from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     from repro.core.multipath import MultiPathResult
-    from repro.search import SearchResult
     from repro.trace import ReplayStep
     from repro.whatif import WhatIfStep
 
@@ -48,38 +47,6 @@ def ascii_table(
     lines.append("-" * (sum(widths) + 2 * (len(widths) - 1)))
     lines.extend(fmt(row) for row in rendered_rows)
     return "\n".join(lines)
-
-
-def strategy_comparison_table(
-    results: Sequence["SearchResult"],
-    title: str | None = None,
-    reference_cost: float | None = None,
-) -> str:
-    """One row per :class:`~repro.search.SearchResult`.
-
-    ``reference_cost`` (usually the exact optimum) adds a ``vs optimum``
-    ratio column so approximate strategies report their gap. The ``work``
-    column is each strategy's own measure (configurations evaluated and
-    branches pruned, or row lookups for the DP) — the units differ by
-    strategy, so it describes rather than compares.
-    """
-    headers = ["strategy", "cost", "work"]
-    if reference_cost is not None:
-        headers.append("vs optimum")
-    rows: list[list[object]] = []
-    for result in results:
-        row: list[object] = [
-            result.strategy or type(result).__name__,
-            result.cost,
-            result.work,
-        ]
-        if reference_cost is not None:
-            ratio = (
-                result.cost / reference_cost if reference_cost > 0 else float("inf")
-            )
-            row.append(f"{ratio:.4f}x")
-        rows.append(row)
-    return ascii_table(headers, rows, title=title)
 
 
 def multipath_table(

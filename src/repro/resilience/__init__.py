@@ -12,8 +12,8 @@ collects the machinery that keeps the advisor answering anyway —
   degrades silently;
 * :mod:`~repro.resilience.retry` — :class:`RetryPolicy` exponential
   backoff for transient worker-pool faults;
-* :mod:`~repro.resilience.degrade` — the exact → shrinking-beam →
-  last-known-good ladder behind deadline-bounded ``advise``;
+* :mod:`~repro.resilience.degrade` — the exact → last-known-good →
+  overrun-DP ladder behind deadline-bounded ``advise``;
 * :mod:`~repro.resilience.checkpoint` — versioned JSONL snapshots of
   :class:`~repro.trace.ContinuousAdvisor` /
   :class:`~repro.whatif.AdvisorSession` state with bit-identical resume;

@@ -2,11 +2,10 @@
 
 A :class:`Deadline` is a small monotonic-clock budget handed down the
 advising stack (``advise`` → search strategy → per-position relaxation).
-Search strategies check it *cooperatively* — once per DP position, beam
-frontier level, branch-and-bound node, or enumerated partition — and
-raise :class:`~repro.errors.DeadlineExceeded` when the budget is spent,
-so an exact search never overruns its slot by more than one step's
-work. The degradation ladder above (``repro.resilience.degrade``)
+Search strategies check it *cooperatively* — once per DP position,
+branch-and-bound node, or enumerated partition — and raise
+:class:`~repro.errors.DeadlineExceeded` when the budget is spent, so an
+exact search never overruns its slot by more than one step's work. The degradation ladder above (``repro.resilience.degrade``)
 catches the exception and answers from a cheaper rung.
 
 The clock is injectable (``clock=time.monotonic`` by default) so the

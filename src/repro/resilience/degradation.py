@@ -1,9 +1,9 @@
 """Structured accounting of every degraded decision.
 
 A resilient advisor is allowed to answer from a cheaper rung — serial
-instead of parallel, a beam instead of the exact DP, the last-known-good configuration
-instead of any fresh search — but it is *never* allowed to do so
-silently. Every fallback records a :class:`DegradationEvent` into the
+instead of parallel, the last-known-good configuration instead of any
+fresh search — but it is *never* allowed to do so silently. Every
+fallback records a :class:`DegradationEvent` into the
 :class:`DegradationReport` threaded through the stack, so tests (and
 operators) can assert exactly which rungs answered and why.
 """
@@ -22,7 +22,8 @@ class DegradationEvent:
     #: ``"multipath"``, ``"trace"`` or ``"checkpoint"``.
     layer: str
     #: What the layer did instead (e.g. ``"serial_fallback"``,
-    #: ``"greedy_beam"``, ``"last_known_good"``, ``"skip_line"``).
+    #: ``"last_known_good"``, ``"dynamic_program:overrun"``,
+    #: ``"skip_line"``).
     action: str
     #: Why it had to (e.g. ``"BrokenProcessPool"``, ``"deadline_expired"``).
     reason: str

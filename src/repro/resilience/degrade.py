@@ -1,18 +1,16 @@
-"""The deadline degradation ladder: exact → shrinking beam → last good.
+"""The deadline degradation ladder: exact → last good → overrun DP.
 
 When an exact search raises :class:`~repro.errors.DeadlineExceeded`,
-the advisor still owes *an* answer — a worse-but-valid configuration
-now beats an optimal one later. :func:`degraded_search` walks the
-explicit ladder the strategy registry makes possible:
+the advisor still owes *an* answer. :func:`degraded_search` walks the
+explicit ladder:
 
-1. (the caller already tried) the exact strategy under the deadline;
-2. ``greedy_beam`` with shrinking widths (:data:`BEAM_LADDER`), each
-   attempt still under the same deadline;
-3. the last-known-good configuration re-priced against the *current*
+1. (the caller already tried) the chosen strategy under the deadline;
+2. the last-known-good configuration re-priced against the *current*
    matrix (O(blocks), no search at all);
-4. with no last-known-good available, a width-1 beam run *without*
+3. with no last-known-good available, the dynamic program run *without*
    deadline enforcement — the advisor must answer, so this final rung
-   is allowed to overrun and says so in its rung label.
+   is allowed to overrun and says so in its rung label. It is exact, so
+   a missed deadline with nothing cached costs latency, not quality.
 
 Every rung taken is recorded in the caller's
 :class:`~repro.resilience.DegradationReport`; the winning rung is
@@ -23,90 +21,54 @@ absence means ``"exact"``).
 from __future__ import annotations
 
 from repro.core.evaluation import configuration_cost
-from repro.errors import DeadlineExceeded
+from repro.obs.recorder import resolve_recorder
 from repro.search.base import SearchResult
-from repro.search.greedy_beam import GreedyBeamStrategy
-
-#: Beam widths tried, in order, when the exact rung misses its deadline.
-BEAM_LADDER = (8, 4, 2)
+from repro.search.dynamic_program import DynamicProgramStrategy
 
 #: ``SearchResult.strategy`` of an answer taken from the last-known-good
-#: configuration (rung 3): no search ran, the configuration was re-priced.
+#: configuration: no search ran, the configuration was re-priced.
 LAST_KNOWN_GOOD = "last_known_good"
+
+#: Rung label of the dynamic program run past the deadline.
+OVERRUN = "dynamic_program:overrun"
 
 
 def degraded_search(
     matrix,
     *,
-    deadline,
     last_known_good: SearchResult | None = None,
     degradation=None,
     keep_trace: bool = False,
     layer: str = "session",
-    reason: str = "deadline_expired",
     recorder=None,
 ) -> SearchResult:
-    """Answer from the cheapest rung that fits the remaining budget.
+    """Answer from the last-known-good rung, else the overrun DP.
 
     Called after the exact rung already raised
-    :class:`~repro.errors.DeadlineExceeded`. Always returns a result.
-    The winning rung also lands on the ``resilience.degradations``
-    counter of ``recorder`` (a :class:`~repro.obs.Recorder`), labeled by
-    layer and rung.
+    :class:`~repro.errors.DeadlineExceeded`. Always returns a result
+    marked ``extras["degraded"]``. The winning rung also lands on the
+    ``resilience.degradations`` counter of ``recorder`` (a
+    :class:`~repro.obs.Recorder`), labeled by layer and rung.
     """
-    from repro.obs.recorder import resolve_recorder
-
     recorder = resolve_recorder(recorder)
-
-    def count_rung(rung: str) -> None:
-        recorder.counter(
-            "resilience.degradations", layer=layer, action=rung
-        ).add()
-
-    for width in BEAM_LADDER:
-        if deadline.expired:
-            break
-        try:
-            result = GreedyBeamStrategy(width=width).search(
-                matrix, keep_trace=keep_trace, deadline=deadline,
-                recorder=recorder,
-            )
-        except DeadlineExceeded:
-            continue
-        rung = f"greedy_beam:{width}"
-        result.extras["rung"] = rung
-        result.extras["degraded"] = True
-        count_rung(rung)
-        if degradation is not None:
-            degradation.record(layer, "greedy_beam", reason, width=width)
-        return result
-
     if last_known_good is not None:
-        cost = configuration_cost(matrix, last_known_good.configuration)
-        count_rung(LAST_KNOWN_GOOD)
-        if degradation is not None:
-            degradation.record(layer, LAST_KNOWN_GOOD, reason)
-        return SearchResult(
+        rung = LAST_KNOWN_GOOD
+        result = SearchResult(
             configuration=last_known_good.configuration,
-            cost=cost,
+            cost=configuration_cost(matrix, last_known_good.configuration),
             evaluated=0,
             pruned=0,
             trace=[],
             strategy=LAST_KNOWN_GOOD,
-            extras={"rung": LAST_KNOWN_GOOD, "degraded": True},
         )
-
-    # No previous answer to fall back on: the bottom rung must run to
-    # completion even though the budget is spent. Width 1 is the
-    # cheapest complete sweep the registry offers.
-    result = GreedyBeamStrategy(width=1).search(
-        matrix, keep_trace=keep_trace, recorder=recorder
-    )
-    result.extras["rung"] = "greedy_beam:1:overrun"
+    else:
+        rung = OVERRUN
+        result = DynamicProgramStrategy().search(
+            matrix, keep_trace=keep_trace, recorder=recorder
+        )
+    result.extras["rung"] = rung
     result.extras["degraded"] = True
-    count_rung("greedy_beam:1:overrun")
+    recorder.counter("resilience.degradations", layer=layer, action=rung).add()
     if degradation is not None:
-        degradation.record(
-            layer, "greedy_beam_overrun", reason, width=1
-        )
+        degradation.record(layer, rung, "deadline_expired")
     return result

@@ -8,9 +8,12 @@ The Section 5 pipeline separates cost evaluation (``Cost_Matrix`` +
   unified :class:`SearchResult`, and the string-keyed strategy registry
   (``get_strategy(name, **options)``; register new searchers with
   ``@register_strategy("name")`` without touching the pipeline);
-* :mod:`~repro.search.partitions` — shared partition/split enumeration
-  and the search-space counting helpers (``partition_count``,
-  ``configuration_count``);
+* :mod:`~repro.search.partitions` — shared partition/split enumeration,
+  the search-space counting helpers (``partition_count``,
+  ``configuration_count``), and :func:`~repro.search.partitions.top_configurations`,
+  the exact k-best sweep that feeds per-path candidates to the
+  multi-path selector (:mod:`repro.core.multipath`) and keeps joint
+  selection over many long paths out of the ``2^(n-1)`` regime;
 * :mod:`~repro.search.branch_and_bound` — the paper's ``Opt_Ind_Con``;
 * :mod:`~repro.search.exhaustive` — the full-enumeration oracle;
 * :mod:`~repro.search.dynamic_program` — the O(n²) exact optimum, plus
@@ -18,19 +21,17 @@ The Section 5 pipeline separates cost evaluation (``Cost_Matrix`` +
   ``best``/``choice`` tables are refined against the exact dirty-row set
   of a :meth:`~repro.core.cost_matrix.CostMatrix.recompute`
   (:class:`~repro.search.dynamic_program.IncrementalDynamicProgramStrategy`,
-  driven by :class:`repro.whatif.AdvisorSession`);
-* :mod:`~repro.search.greedy_beam` — anytime near-optimal beam search
-  for long paths, plus :func:`~repro.search.greedy_beam.top_configurations`,
-  the exact k-best sweep that feeds per-path candidates to the
-  multi-path selector (:mod:`repro.core.multipath`) and keeps joint
-  selection over many long paths out of the ``2^(n-1)`` regime.
+  driven by :class:`repro.whatif.AdvisorSession`).
+
+Every registered strategy is exact: the objective is additive over
+subpaths (Proposition 4.2), so they all return the same optimal cost and
+differ only in the work they do to find it.
 
 Quickstart::
 
     from repro.search import get_strategy, top_configurations
 
     result = get_strategy("dynamic_program").search(matrix)
-    fast = get_strategy("greedy_beam", width=4).search(matrix)
     candidates = top_configurations(matrix, count=16,
                                     per_row_organizations=2)
 """
@@ -48,27 +49,21 @@ from repro.search.dynamic_program import (
     IncrementalDynamicProgramStrategy,
 )
 from repro.search.exhaustive import ExhaustiveStrategy
-from repro.search.greedy_beam import (
-    DEFAULT_WIDTH,
-    GreedyBeamStrategy,
-    top_configurations,
-)
 from repro.search.partitions import (
     blocks_from_mask,
     configuration_count,
     enumerate_first_pieces,
     enumerate_partitions,
     partition_count,
+    top_configurations,
     validate_partition,
 )
 
 __all__ = [
-    "DEFAULT_WIDTH",
     "BranchAndBoundStrategy",
     "DynamicProgramStrategy",
     "ExhaustiveStrategy",
     "IncrementalDynamicProgramStrategy",
-    "GreedyBeamStrategy",
     "SearchResult",
     "SearchStrategy",
     "available_strategies",

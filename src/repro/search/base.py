@@ -27,11 +27,11 @@ class SearchResult:
     ``evaluated`` counts the complete candidate configurations whose total
     cost was computed (the quantity the paper reports: "the procedure
     found the optimal configuration by exploring 4 index configurations
-    instead of all 8"); ``pruned`` counts branch cuts and beam discards.
-    The dynamic program never costs complete candidates individually, so
-    it reports ``evaluated == pruned == 0`` and its work measure in
+    instead of all 8"); ``pruned`` counts branch cuts. The dynamic
+    program never costs complete candidates individually, so it reports
+    ``evaluated == pruned == 0`` and its work measure in
     ``extras["rows_inspected"]``. ``extras`` also carries the exhaustive
-    strategy's ``all_costs`` and the beam strategy's ``width``.
+    strategy's ``all_costs``.
     """
 
     configuration: IndexConfiguration
@@ -65,11 +65,10 @@ class SearchResult:
 class SearchStrategy(Protocol):
     """A configuration searcher over one cost matrix.
 
-    ``name`` is the registry key; ``exact`` declares whether the strategy
-    guarantees the optimum (the parity tests assert it for every exact
-    strategy). ``deadline`` is an optional
+    ``name`` is the registry key. Every strategy returns the optimum (the
+    parity tests assert it). ``deadline`` is an optional
     :class:`~repro.resilience.Deadline` the strategy checks cooperatively
-    (once per position / frontier level / node), raising
+    (once per position / node / partition), raising
     :class:`~repro.errors.DeadlineExceeded` when the budget is spent so
     the degradation ladder above can answer from a cheaper rung.
     ``recorder`` (a :class:`~repro.obs.Recorder`; ``None`` means the
@@ -79,7 +78,6 @@ class SearchStrategy(Protocol):
     """
 
     name: str
-    exact: bool
 
     def search(
         self,
@@ -117,37 +115,6 @@ def record_search(recorder, result: SearchResult) -> SearchResult:
     return result
 
 
-def position_cost_bounds(matrix: CostMatrix) -> tuple[list[float], list[float]]:
-    """Per-position lower-bound ingredients shared by pruning strategies.
-
-    Returns ``(cheapest_from, negative_tail)``, both indexed ``1..length``
-    (with two trailing zero sentinels): ``cheapest_from[p]`` is the cost
-    of the cheapest single row starting at ``p``; ``negative_tail[p]`` is
-    ``sum(min(0, cheapest_from[q]) for q in p..length)``. Any set of
-    blocks covering ``p..length`` starts one block at ``p`` (costing at
-    least ``cheapest_from[p]``) and further blocks at distinct positions
-    ``q > p`` (each costing at least ``min(0, cheapest_from[q])``), so
-    ``cheapest_from[p] + negative_tail[p + 1]`` is an admissible remainder
-    bound and ``negative_tail[p]`` alone is an admissible bound that is
-    identically zero on non-negative matrices. Both branch and bound and
-    the greedy beam prune with these; keeping the computation in one
-    place keeps their pruning soundness in sync.
-    """
-    length = matrix.length
-    cheapest_from = [0.0] * (length + 2)
-    for start in range(1, length + 1):
-        cheapest_from[start] = min(
-            matrix.min_cost(start, end).cost
-            for end in range(start, length + 1)
-        )
-    negative_tail = [0.0] * (length + 2)
-    for start in range(length, 0, -1):
-        negative_tail[start] = negative_tail[start + 1] + min(
-            0.0, cheapest_from[start]
-        )
-    return cheapest_from, negative_tail
-
-
 _REGISTRY: dict[str, Callable[..., SearchStrategy]] = {}
 
 
@@ -176,7 +143,7 @@ def get_strategy(name: str, **options: Any) -> SearchStrategy:
     """Instantiate the strategy registered under ``name``.
 
     Keyword options are forwarded to the strategy constructor (e.g.
-    ``get_strategy("greedy_beam", width=8)``).
+    ``get_strategy("exhaustive", keep_all=True)``).
     """
     try:
         factory = _REGISTRY[name]

@@ -16,7 +16,6 @@ from repro.core.configuration import IndexConfiguration, IndexedSubpath
 from repro.core.cost_matrix import CostMatrix
 from repro.search.base import (
     SearchResult,
-    position_cost_bounds,
     record_search,
     register_strategy,
     resolve_recorder,
@@ -24,12 +23,36 @@ from repro.search.base import (
 from repro.search.partitions import enumerate_first_pieces
 
 
+def _negative_tail_bound(matrix: CostMatrix) -> list[float]:
+    """``tail[p]``: an admissible lower bound on the blocks covering
+    ``p..length``.
+
+    ``tail[p] = sum(min(0, cheapest row starting at q) for q in
+    p..length)``, summed right to left, with a zero sentinel at
+    ``length + 1``. Blocks covering ``p..length`` start at distinct
+    positions ``q >= p`` and each costs at least the cheapest row
+    starting at its ``q``, so the sum of the negative parts bounds them
+    from below. It is identically zero for the cost model's non-negative
+    matrices (so the paper's ``PC >= PC_min`` rule and the Figure 6
+    walkthrough are untouched) and keeps the prune sound for literal
+    matrices with negative entries.
+    """
+    length = matrix.length
+    tail = [0.0] * (length + 2)
+    for start in range(length, 0, -1):
+        cheapest = min(
+            matrix.min_cost(start, end).cost
+            for end in range(start, length + 1)
+        )
+        tail[start] = tail[start + 1] + min(0.0, cheapest)
+    return tail
+
+
 @register_strategy("branch_and_bound")
 class BranchAndBoundStrategy:
     """Exact search with the paper's ``PC >= PC_min`` pruning rule."""
 
     name = "branch_and_bound"
-    exact = True
 
     def search(
         self,
@@ -51,12 +74,7 @@ class BranchAndBoundStrategy:
         length = matrix.length
         trace: list[str] = []
 
-        # tail_bound[p]: admissible lower bound on the blocks covering
-        # p..length. Identically zero for the cost model's non-negative
-        # matrices (so the paper's PC >= PC_min rule and the Figure 6
-        # walkthrough are untouched); it keeps the prune sound for
-        # literal matrices with negative entries.
-        _, tail_bound = position_cost_bounds(matrix)
+        tail_bound = _negative_tail_bound(matrix)
 
         state = {
             "best_cost": float("inf"),

@@ -109,7 +109,6 @@ class DynamicProgramStrategy:
     """Interval-partition DP over the precomputed row minima."""
 
     name = "dynamic_program"
-    exact = True
 
     def search(
         self,
@@ -167,7 +166,6 @@ class IncrementalDynamicProgramStrategy:
     """
 
     name = "incremental_dynamic_program"
-    exact = True
 
     def __init__(self) -> None:
         self._length: int | None = None

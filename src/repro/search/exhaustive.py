@@ -24,7 +24,6 @@ class ExhaustiveStrategy:
     """Full enumeration with per-subpath best organizations."""
 
     name = "exhaustive"
-    exact = True
 
     def __init__(self, keep_all: bool = False) -> None:
         self.keep_all = keep_all

@@ -6,13 +6,23 @@ subpath boundary or is not, hence ``2^(n-1)`` contiguous partitions
 (recombinations). Every strategy in :mod:`repro.search` — and the
 multi-path and storage-budget extensions — enumerates or indexes that
 space through this module instead of hand-rolling its own loop.
+
+:func:`top_configurations` ranks the same space instead of enumerating
+it: the ``count`` cheapest configurations of one path, which the
+multi-path selector (:mod:`repro.core.multipath`) uses as its candidate
+generator so joint selection over many long paths never enumerates the
+``2^(n-1)`` partitions.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
+from repro.core.configuration import IndexedSubpath
 from repro.errors import OptimizerError
+
+if TYPE_CHECKING:
+    from repro.core.cost_matrix import CostMatrix
 
 Blocks = tuple[tuple[int, int], ...]
 
@@ -31,8 +41,8 @@ def configuration_count(length: int, organizations_per_block: int) -> int:
     blocks gives the size of the candidate space the multi-path selector
     draws from when every block may take any of its ``r`` best
     organizations. With ``r = 1`` this is :func:`partition_count`; the
-    beam parity property uses it as the width beyond which k-best
-    candidate generation provably covers the whole space.
+    multi-path parity property uses it as the ``count`` beyond which
+    :func:`top_configurations` provably covers the whole space.
     """
     if length < 1:
         raise OptimizerError("path length must be at least 1")
@@ -43,6 +53,61 @@ def configuration_count(length: int, organizations_per_block: int) -> int:
         )
     r = organizations_per_block
     return r * (1 + r) ** (length - 1)
+
+
+def top_configurations(
+    matrix: CostMatrix,
+    count: int,
+    per_row_organizations: int = 1,
+) -> list[tuple[float, tuple[IndexedSubpath, ...]]]:
+    """The ``count`` cheapest configurations of one path, by local cost.
+
+    A width-``count`` k-best sweep over the partition DAG (nodes are the
+    boundary positions ``0..length``, an edge ``p → e`` is the block
+    ``p+1..e`` priced with one of its ``per_row_organizations`` best
+    organizations from the tie-tolerant :meth:`CostMatrix.ranked_organizations`
+    ranking). Because the objective is additive, the ``count`` cheapest
+    completions through a boundary extend the ``count`` cheapest partials
+    reaching it, so keeping ``count`` partials per boundary is *exact*:
+    the result is the true top-``count`` of the ``r·(1+r)^(n-1)``-sized
+    candidate space (:func:`configuration_count`), and with ``count`` at
+    least that size it is the whole space — the guarantee behind the
+    multi-path candidate/oracle parity property.
+
+    Returns ``(cost, blocks)`` pairs in ascending cost order; ties keep
+    generation order (shorter first blocks and earlier organization
+    columns first), so the output is deterministic across platforms.
+    O(n² · r · count · log) time, independent of ``2^(n-1)``.
+    """
+    if count < 1:
+        raise OptimizerError(f"candidate count must be positive, got {count}")
+    if per_row_organizations < 1:
+        raise OptimizerError(
+            f"organizations per block must be positive, got "
+            f"{per_row_organizations}"
+        )
+    length = matrix.length
+    # best[p]: up to `count` cheapest (cost, blocks) covering 1..p.
+    best: list[list[tuple[float, tuple[IndexedSubpath, ...]]]] = [
+        [] for _ in range(length + 1)
+    ]
+    best[0] = [(0.0, ())]
+    for end in range(1, length + 1):
+        pool: list[tuple[float, tuple[IndexedSubpath, ...]]] = []
+        for start in range(1, end + 1):
+            ranked = matrix.ranked_organizations(
+                start, end, limit=per_row_organizations
+            )
+            for organization in ranked:
+                block_cost = matrix.cost(start, end, organization)
+                block = IndexedSubpath(start, end, organization)
+                for prefix_cost, prefix in best[start - 1]:
+                    pool.append((prefix_cost + block_cost, prefix + (block,)))
+        # Stable sort on cost only: IndexOrganization members are not
+        # orderable, and generation order is already deterministic.
+        pool.sort(key=lambda entry: entry[0])
+        best[end] = pool[:count]
+    return best[length]
 
 
 def blocks_from_mask(length: int, mask: int) -> Blocks:

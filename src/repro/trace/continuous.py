@@ -70,8 +70,8 @@ class ReplayStep:
     :meth:`~repro.whatif.AdvisorSession.apply_many`; ``report`` is that
     batch's single :class:`~repro.core.cost_matrix.RecomputeReport`.
     ``rung`` names the degradation-ladder rung that produced the result:
-    ``"exact"`` in normal operation, ``"greedy_beam:<width>"`` or
-    ``"last_known_good"`` when a deadline forced a fallback.
+    ``"exact"`` in normal operation, ``"last_known_good"`` or
+    ``"dynamic_program:overrun"`` when a deadline forced a fallback.
     """
 
     index: int

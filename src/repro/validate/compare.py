@@ -22,14 +22,14 @@ import random
 from dataclasses import dataclass
 
 from repro.backend.materialize import MaterializedConfiguration
-from repro.backend.replay import ending_values
+from repro.backend.replay import clone_kwargs, ending_values
 from repro.core.configuration import IndexConfiguration
 from repro.core.evaluation import per_class_analytic_costs
 from repro.costmodel.params import CostModelConfig, PathStatistics
 from repro.costmodel.subpath import build_model
 from repro.errors import ReproError
 from repro.indexes.manager import part_label
-from repro.model.objects import OID, OODatabase
+from repro.model.objects import OODatabase
 from repro.model.path import Path
 from repro.synth.stats import derive_path_statistics
 
@@ -128,7 +128,6 @@ def _validate_updates(
     samples: int,
 ) -> list[ValidationRow]:
     rows: list[ValidationRow] = []
-    schema = database.schema
     for position in range(1, path.length + 1):
         for member in path.hierarchy_at(position):
             extent = list(database.extent(member))
@@ -158,26 +157,8 @@ def _validate_updates(
             for _ in range(samples):
                 survivors = list(database.extent(member))
                 template = survivors[rng.randrange(len(survivors))]
-                kwargs: dict[str, object] = {}
-                usable = True
-                for name, definition in schema.all_attributes(member).items():
-                    value = template.values[name]
-                    if isinstance(value, list):
-                        live = [
-                            v
-                            for v in value
-                            if not isinstance(v, OID) or database.contains(v)
-                        ]
-                        if not live:
-                            usable = False
-                            break
-                        kwargs[name] = live
-                    elif isinstance(value, OID) and not database.contains(value):
-                        usable = False
-                        break
-                    else:
-                        kwargs[name] = value
-                if not usable:
+                kwargs = clone_kwargs(database, template)
+                if kwargs is None:
                     continue
                 insert_total += backend.insert(member, **kwargs).io.total
                 insert_count += 1

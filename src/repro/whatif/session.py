@@ -22,7 +22,7 @@ Every answer is bit-identical to rerunning the whole pipeline from
 scratch on the current inputs — the Hypothesis property in
 ``tests/test_whatif_session.py`` pins ``(cost, configuration)`` equality
 for arbitrary supported perturbation sequences under every registered
-exact strategy.
+strategy.
 """
 
 from __future__ import annotations
@@ -104,11 +104,10 @@ class AdvisorSession:
         degradation: DegradationReport | None = None,
         retry_policy=None,
         recorder=None,
-        **strategy_options,
     ) -> None:
-        # Resolve the strategy first: a bad name or option must fail
-        # before the expensive matrix construction (advise's convention).
-        self._searcher = get_strategy(strategy, **strategy_options)
+        # Resolve the strategy first: a bad name must fail before the
+        # expensive matrix construction (advise's convention).
+        self._searcher = get_strategy(strategy)
         self.strategy = strategy
         self.stats = stats
         self.load = load
@@ -253,9 +252,10 @@ class AdvisorSession:
         ``deadline`` (a :class:`~repro.resilience.Deadline`) bounds the
         answer's latency: the exact rung runs under cooperative deadline
         checks, and on expiry the session degrades along the explicit
-        ladder — ``greedy_beam`` with shrinking widths, then the
-        last-known-good configuration re-priced against the current
-        matrix (see :mod:`repro.resilience.degrade`). A degraded answer
+        ladder — the last-known-good configuration re-priced against the
+        current matrix, or, with nothing known good yet, the dynamic
+        program run past the deadline (see
+        :mod:`repro.resilience.degrade`). A degraded answer
         carries ``extras["rung"]``/``extras["degraded"]``, is recorded in
         :attr:`degradation`, and does **not** replace the session's exact
         state: the dirty set stays pending, so the next unbounded
@@ -263,13 +263,11 @@ class AdvisorSession:
         behaviour (and the bit-identical-to-fresh guarantee) is
         unchanged.
         """
-        search_options: dict = {"keep_trace": keep_trace}
-        if deadline is not None:
-            search_options["deadline"] = deadline
-        if self.recorder.enabled:
-            # Only forwarded when recording: third-party strategies
-            # registered before this keyword existed keep working.
-            search_options["recorder"] = self.recorder
+        search_options = {
+            "keep_trace": keep_trace,
+            "deadline": deadline,
+            "recorder": self.recorder,
+        }
         with self.recorder.span(
             "session.advise", dirty=len(self._pending)
         ):
@@ -320,7 +318,6 @@ class AdvisorSession:
                 )
                 return degraded_search(
                     self.matrix,
-                    deadline=deadline,
                     last_known_good=self._result,
                     degradation=self.degradation,
                     keep_trace=keep_trace,

@@ -160,47 +160,6 @@ class TestCLI:
         assert payload["strategy"] == "dynamic_program"
         assert payload["optimal"]["configuration"][0]["organization"] == "NIX"
 
-    def test_advise_beam_strategy_with_width(self, capsys, fig7_spec_dict, tmp_path):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(fig7_spec_dict))
-        assert main(
-            [
-                "advise",
-                str(path),
-                "--strategy",
-                "greedy_beam",
-                "--beam-width",
-                "4",
-                "--json",
-            ]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["strategy"] == "greedy_beam"
-
-    def test_beam_width_requires_greedy_beam(self, capsys, fig7_spec_dict, tmp_path):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(fig7_spec_dict))
-        assert main(["advise", str(path), "--beam-width", "4"]) == 1
-        assert "--strategy greedy_beam" in capsys.readouterr().err
-
-    def test_zero_beam_width_rejected(self, capsys, fig7_spec_dict, tmp_path):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(fig7_spec_dict))
-        assert (
-            main(
-                [
-                    "advise",
-                    str(path),
-                    "--strategy",
-                    "greedy_beam",
-                    "--beam-width",
-                    "0",
-                ]
-            )
-            == 1
-        )
-        assert "beam width must be positive" in capsys.readouterr().err
-
     def test_advise_unknown_strategy_rejected(self, fig7_spec_dict, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(fig7_spec_dict))

@@ -34,28 +34,3 @@ class TestComparisonTable:
     def test_with_note(self):
         line = comparison_table("cost", 16.03, 23.87, note="shape only")
         assert line.endswith("(shape only)")
-
-
-class TestStrategyComparisonTable:
-    def test_rows_and_ratio_column(self, fig6):
-        from repro.reporting.tables import strategy_comparison_table
-        from repro.search import get_strategy
-
-        exact = get_strategy("dynamic_program").search(fig6)
-        beam = get_strategy("greedy_beam", width=2).search(fig6)
-        text = strategy_comparison_table(
-            [exact, beam], title="fig6", reference_cost=exact.cost
-        )
-        assert "dynamic_program" in text
-        assert "greedy_beam" in text
-        assert "vs optimum" in text
-        assert "1.0000x" in text
-
-    def test_without_reference_cost(self, fig6):
-        from repro.reporting.tables import strategy_comparison_table
-        from repro.search import get_strategy
-
-        result = get_strategy("branch_and_bound").search(fig6)
-        text = strategy_comparison_table([result])
-        assert "vs optimum" not in text
-        assert "branch_and_bound" in text

@@ -17,6 +17,7 @@ from __future__ import annotations
 import pytest
 from conftest import assert_same_bits
 
+from repro.core.advisor import advise
 from repro.core.cost_matrix import CostMatrix
 from repro.resilience import restore_advisor, save_advisor
 from repro.resilience.faults import FaultInjector
@@ -134,6 +135,19 @@ class TestDeadlineChaos:
         assert all(step.rung != "exact" for step in advisor.steps)
         assert advisor.degradation, "deadline expiry left no record"
         assert advisor.degradation.count(layer="session") >= len(advisor.steps)
+        # Nothing degraded is ever committed, so every step — the last
+        # one included — is the overrun DP on the session's current
+        # inputs: the optimum a fresh advise computes.
+        fresh = advise(
+            advisor.session.stats,
+            advisor.session.load,
+            strategy="dynamic_program",
+            run_baselines=False,
+        ).optimal
+        last = advisor.steps[-1]
+        assert last.rung == "dynamic_program:overrun"
+        assert last.result.cost == fresh.cost
+        assert last.result.configuration == fresh.configuration
 
     def test_unbounded_advisor_stays_exact(self):
         stats, load = make_world()

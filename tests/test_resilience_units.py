@@ -1,7 +1,7 @@
 """Unit tests for the resilience primitives.
 
 Deadlines, degradation accounting, retry policies and the
-exact → shrinking-beam → last-known-good ladder — each exercised in
+exact → last-known-good → overrun-DP ladder — each exercised in
 isolation with deterministic fake clocks, no sleeping and no real
 worker pools.
 """
@@ -20,9 +20,18 @@ from repro.resilience import (
     degraded_search,
     run_with_retry,
 )
-from repro.resilience.degrade import BEAM_LADDER, LAST_KNOWN_GOOD
+from repro.resilience.degrade import LAST_KNOWN_GOOD
 from repro.resilience.faults import FakeClock
-from repro.search import get_strategy
+from repro.search import available_strategies, get_strategy
+from test_search_strategies import synth_inputs
+
+
+def expired_deadline() -> Deadline:
+    """A deadline that has already run out on a fake clock."""
+    clock = FakeClock()
+    deadline = Deadline(0.001, clock=clock)
+    clock.advance(1.0)
+    return deadline
 
 
 # ----------------------------------------------------------------------
@@ -81,12 +90,12 @@ class TestDegradationReport:
     def test_record_and_filtered_count(self):
         report = DegradationReport()
         report.record("matrix", "serial_fallback", "BrokenProcessPool", rows=3)
-        report.record("session", "greedy_beam", "deadline_expired", width=4)
+        report.record("session", "dynamic_program:overrun", "deadline_expired")
         report.record("session", "last_known_good", "deadline_expired")
         assert bool(report)
         assert report.count() == 3
         assert report.count(layer="session") == 2
-        assert report.count(layer="session", action="greedy_beam") == 1
+        assert report.count(layer="session", action="last_known_good") == 1
         assert report.count(layer="kernel") == 0
 
     def test_describe_carries_layer_action_reason_and_detail(self):
@@ -200,31 +209,14 @@ class TestRetry:
 # the degradation ladder
 # ----------------------------------------------------------------------
 class TestDegradedSearch:
-    def test_beam_rung_answers_when_time_remains(self, fig7_stats, fig7_load):
-        matrix = CostMatrix.compute(fig7_stats, fig7_load)
-        clock = FakeClock()
-        deadline = Deadline(10.0, clock=clock)  # plenty of time left
-        report = DegradationReport()
-        result = degraded_search(matrix, deadline=deadline, degradation=report)
-        assert result.extras["degraded"] is True
-        assert result.extras["rung"] == f"greedy_beam:{BEAM_LADDER[0]}"
-        assert report.count(action="greedy_beam") == 1
-        # The widest beam matches the exact optimum on the Figure 7 path.
-        exact = get_strategy("dynamic_program").search(matrix)
-        assert result.cost == exact.cost
-
     def test_last_known_good_rung_reprices_against_current_matrix(
         self, fig7_stats, fig7_load
     ):
         matrix = CostMatrix.compute(fig7_stats, fig7_load)
         exact = get_strategy("dynamic_program").search(matrix)
-        clock = FakeClock()
-        deadline = Deadline(0.001, clock=clock)
-        clock.advance(1.0)  # expired: every beam rung is skipped
         report = DegradationReport()
         result = degraded_search(
             matrix,
-            deadline=deadline,
             last_known_good=exact,
             degradation=report,
         )
@@ -234,34 +226,23 @@ class TestDegradedSearch:
         assert result.cost == exact.cost  # re-priced, same matrix
         assert report.count(action=LAST_KNOWN_GOOD) == 1
 
-    def test_width_one_overrun_when_nothing_known_good(
-        self, fig7_stats, fig7_load
-    ):
-        matrix = CostMatrix.compute(fig7_stats, fig7_load)
-        clock = FakeClock()
-        deadline = Deadline(0.001, clock=clock)
-        clock.advance(1.0)
+    def test_overrun_rung_returns_the_dp_optimum(self):
+        matrix = CostMatrix.compute(*synth_inputs(8, 4))
         report = DegradationReport()
-        result = degraded_search(matrix, deadline=deadline, degradation=report)
-        assert result.extras["rung"] == "greedy_beam:1:overrun"
-        assert result.configuration.assignments  # still a real answer
-        assert report.count(action="greedy_beam_overrun") == 1
+        result = degraded_search(matrix, degradation=report)
+        exact = get_strategy("dynamic_program").search(matrix)
+        assert result.extras["rung"] == "dynamic_program:overrun"
+        assert result.extras["degraded"] is True
+        assert result.cost == exact.cost
+        assert result.configuration == exact.configuration
+        assert report.count(action="dynamic_program:overrun") == 1
 
 
 # ----------------------------------------------------------------------
 # deadline threading through the strategies
 # ----------------------------------------------------------------------
 class TestStrategyDeadlines:
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "branch_and_bound",
-            "dynamic_program",
-            "incremental_dynamic_program",
-            "greedy_beam",
-            "exhaustive",
-        ],
-    )
+    @pytest.mark.parametrize("name", available_strategies())
     def test_expired_deadline_interrupts_every_strategy(
         self, name, fig7_stats, fig7_load
     ):
@@ -272,16 +253,7 @@ class TestStrategyDeadlines:
         with pytest.raises(DeadlineExceeded):
             get_strategy(name).search(matrix, deadline=deadline)
 
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "branch_and_bound",
-            "dynamic_program",
-            "incremental_dynamic_program",
-            "greedy_beam",
-            "exhaustive",
-        ],
-    )
+    @pytest.mark.parametrize("name", available_strategies())
     def test_generous_deadline_changes_nothing(
         self, name, fig7_stats, fig7_load
     ):
@@ -347,6 +319,50 @@ class TestBoundedPipelines:
         assert bounded.single_index_costs == {}
         assert report.count(layer="advise", action="exact_abandoned") == 1
         assert report.count(layer="advise", action="baselines_skipped") == 1
+
+    def test_expired_advise_answers_with_the_dp_optimum(self):
+        """With nothing known good, a missed deadline costs latency, not
+        quality: the overrun rung is the exact dynamic program."""
+        from repro.core.advisor import advise
+
+        stats, load = synth_inputs(8, 4)
+        bounded = advise(stats, load, deadline=expired_deadline())
+        exact = advise(
+            stats, load, strategy="dynamic_program", run_baselines=False
+        )
+        assert bounded.optimal.extras["rung"] == "dynamic_program:overrun"
+        assert bounded.optimal.extras["degraded"] is True
+        assert bounded.optimal.cost == exact.optimal.cost
+        assert bounded.optimal.configuration == exact.optimal.configuration
+
+    def test_first_session_advise_under_expired_deadline(self):
+        """A new session's first bounded advise answers from the overrun
+        rung and commits nothing."""
+        from repro.whatif import AdvisorSession
+
+        stats, load = synth_inputs(8, 4)
+        session = AdvisorSession(stats, load)
+        exact = get_strategy("dynamic_program").search(session.matrix)
+        for _ in range(2):
+            # Had the first answer been committed, the second bounded
+            # call would return it from the cache without a rung.
+            degraded = session.advise(deadline=expired_deadline())
+            assert degraded.extras["rung"] == "dynamic_program:overrun"
+            assert degraded.extras["degraded"] is True
+            assert degraded.cost == exact.cost
+            assert degraded.configuration == exact.configuration
+        assert (
+            session.degradation.count(
+                layer="session", action="dynamic_program:overrun"
+            )
+            == 2
+        )
+        recovered = session.advise()
+        assert "rung" not in recovered.extras
+        assert recovered.strategy == "incremental_dynamic_program"
+        assert recovered.extras["relaxed_positions"] == stats.length
+        assert recovered.cost == exact.cost
+        assert recovered.configuration == exact.configuration
 
     def test_multipath_expired_deadline_degrades_every_stage(
         self, fig7_stats, fig7_load

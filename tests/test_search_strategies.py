@@ -1,10 +1,9 @@
 """Tests for the ``repro.search`` subsystem.
 
 Covers the registry, the unified result type, the shared partition
-enumeration, and — the load-bearing property — parity: every exact
+enumeration, and — the load-bearing property — parity: every registered
 strategy returns the same optimal cost on randomized synthetic
-statistics/workloads, and the greedy beam stays within a bounded factor
-of the DP optimum.
+statistics/workloads.
 """
 
 import random
@@ -85,36 +84,35 @@ def synth_matrix(length: int, seed: int) -> CostMatrix:
 
 class TestRegistry:
     def test_all_strategies_registered(self):
-        names = available_strategies()
-        for expected in (*EXACT_STRATEGIES, "greedy_beam"):
-            assert expected in names
+        assert available_strategies() == tuple(sorted(EXACT_STRATEGIES))
 
     def test_get_strategy_unknown_name(self):
         with pytest.raises(OptimizerError, match="unknown search strategy"):
             get_strategy("simulated_annealing")
+
+    def test_retired_greedy_beam_is_unknown(self, fig7_stats, fig7_load):
+        from repro.core.advisor import advise
+
+        with pytest.raises(OptimizerError, match="unknown search strategy"):
+            get_strategy("greedy_beam")
+        with pytest.raises(OptimizerError, match="unknown search strategy"):
+            advise(fig7_stats, fig7_load, strategy="greedy_beam")
 
     def test_strategies_satisfy_protocol(self):
         for name in available_strategies():
             strategy = get_strategy(name)
             assert isinstance(strategy, SearchStrategy)
             assert strategy.name == name
-            assert isinstance(strategy.exact, bool)
-
-    def test_exactness_flags(self):
-        for name in EXACT_STRATEGIES:
-            assert get_strategy(name).exact
-        assert not get_strategy("greedy_beam").exact
 
     def test_strategy_options_forwarded(self):
-        assert get_strategy("greedy_beam", width=3).width == 3
-        with pytest.raises(OptimizerError):
-            get_strategy("greedy_beam", width=0)
+        assert get_strategy("exhaustive", keep_all=True).keep_all
+        assert not get_strategy("exhaustive").keep_all
 
     def test_unknown_strategy_option_named_clearly(self):
-        with pytest.raises(OptimizerError, match="greedy_beam"):
-            get_strategy("greedy_beam", widht=3)  # typo'd option
+        with pytest.raises(OptimizerError, match="exhaustive"):
+            get_strategy("exhaustive", keep_al=True)  # typo'd option
         with pytest.raises(OptimizerError, match="branch_and_bound"):
-            get_strategy("branch_and_bound", width=3)  # takes no options
+            get_strategy("branch_and_bound", keep_all=True)  # takes no options
 
     def test_results_carry_strategy_name(self, fig6):
         for name in available_strategies():
@@ -137,10 +135,6 @@ class TestFigure6AllStrategies:
         assert "10 row lookups" in result.render()
         assert "configurations evaluated" not in result.render()
 
-    def test_beam_with_generous_width_matches_on_short_path(self, fig6):
-        result = get_strategy("greedy_beam", width=16).search(fig6)
-        assert result.cost == 8.0
-
 
 class TestStrategyParity:
     @given(
@@ -159,27 +153,13 @@ class TestStrategyParity:
             assert cost == pytest.approx(reference), name
 
     @given(
-        length=st.integers(min_value=2, max_value=6),
-        seed=st.integers(min_value=0, max_value=10_000),
-        width=st.integers(min_value=1, max_value=8),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_beam_within_bounded_factor_of_dp(self, length, seed, width):
-        matrix = synth_matrix(length, seed)
-        exact = get_strategy("dynamic_program").search(matrix)
-        approx = get_strategy("greedy_beam", width=width).search(matrix)
-        assert approx.cost >= exact.cost - 1e-9
-        assert approx.cost <= 1.5 * exact.cost
-        validate_partition(length, approx.configuration.partition())
-
-    @given(
         length=st.integers(min_value=1, max_value=6),
         seed=st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=40, deadline=None)
-    def test_full_width_beam_exact_even_with_negative_costs(self, length, seed):
-        """The remainder bound must stay admissible for literal matrices
-        with negative entries: at width >= length the beam is exact."""
+    def test_branch_and_bound_exact_with_negative_costs(self, length, seed):
+        """The prune's lower bound must stay admissible for literal
+        matrices with negative entries."""
         rng = random.Random(seed)
         values = {
             (start, end): {
@@ -192,10 +172,8 @@ class TestStrategyParity:
         }
         matrix = CostMatrix.from_values(length, values)
         exact = get_strategy("dynamic_program").search(matrix)
-        beam = get_strategy("greedy_beam", width=length).search(matrix)
-        assert beam.cost == pytest.approx(exact.cost)
-        # Branch and bound must stay exact too: its prune carries the
-        # same negative-tail lower bound.
+        # The prune carries a negative-tail lower bound, so branch and
+        # bound stays exact.
         bnb = get_strategy("branch_and_bound").search(matrix)
         assert bnb.cost == pytest.approx(exact.cost)
 
@@ -218,31 +196,6 @@ class TestStrategyParity:
         for name in available_strategies():
             result = get_strategy(name).search(matrix)
             validate_partition(length, result.configuration.partition())
-
-
-class TestLongPaths:
-    def test_beam_handles_length_30_quickly(self):
-        import time
-
-        matrix = synth_matrix(30, seed=5)
-        started = time.perf_counter()
-        result = get_strategy("greedy_beam").search(matrix)
-        elapsed = time.perf_counter() - started
-        assert elapsed < 1.0
-        exact = get_strategy("dynamic_program").search(matrix)
-        assert result.cost <= 1.5 * exact.cost
-
-    def test_beam_widths_all_track_the_optimum(self):
-        # Beam search is not guaranteed monotone in width (the frontier
-        # is ranked by a lower bound, not true completion cost), so only
-        # shape properties that always hold are asserted: never below
-        # the optimum, never far above it at any width.
-        matrix = synth_matrix(20, seed=9)
-        exact = get_strategy("dynamic_program").search(matrix)
-        for width in (1, 8, 32):
-            approx = get_strategy("greedy_beam", width=width).search(matrix)
-            assert approx.cost >= exact.cost - 1e-9
-            assert approx.cost <= 1.5 * exact.cost
 
 
 class TestPartitions:
@@ -290,10 +243,10 @@ class TestAdvisorIntegration:
     def test_advise_accepts_strategy_name(self, fig7_stats, fig7_load):
         default = advise_with(fig7_stats, fig7_load, "branch_and_bound")
         dp = advise_with(fig7_stats, fig7_load, "dynamic_program")
-        beam = advise_with(fig7_stats, fig7_load, "greedy_beam")
+        exhaustive = advise_with(fig7_stats, fig7_load, "exhaustive")
         assert dp.optimal.cost == pytest.approx(default.optimal.cost)
-        assert beam.optimal.cost >= default.optimal.cost - 1e-9
-        assert beam.optimal.strategy == "greedy_beam"
+        assert exhaustive.optimal.cost == pytest.approx(default.optimal.cost)
+        assert exhaustive.optimal.strategy == "exhaustive"
 
     def test_long_path_baselines_skip_exhaustive(self):
         """Baselines on a length-20 path must not attempt the 2^19 sweep."""
@@ -302,7 +255,7 @@ class TestAdvisorIntegration:
         from repro.core.advisor import advise
 
         started = time.perf_counter()
-        report = advise(*synth_inputs(20, seed=3), strategy="greedy_beam")
+        report = advise(*synth_inputs(20, seed=3), strategy="dynamic_program")
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0
         assert report.exhaustive is None

@@ -1,5 +1,12 @@
 """Tests for the measured-vs-analytic validation harness."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.core.configuration import IndexConfiguration
@@ -14,6 +21,8 @@ from tests.conftest import make_small_synth
 MX = IndexOrganization.MX
 MIX = IndexOrganization.MIX
 NIX = IndexOrganization.NIX
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 class TestValidationRows:
@@ -138,3 +147,54 @@ class TestStorageValidation:
         assert shared_first and shared_second
         assert shared_first[0].measured == shared_second[0].measured
         assert shared_first[0].analytic == shared_second[0].analytic
+
+
+class TestHashSeedIndependence:
+    """Seeded measurements must not depend on ``PYTHONHASHSEED``.
+
+    OIDs hash through their class-name string, which Python salts per
+    process, so an index that walked a ``set`` of attribute values would
+    insert them in a different order — and grow a differently shaped
+    B+-tree — from run to run.
+    """
+
+    SCRIPT = textwrap.dedent(
+        """
+        import dataclasses, json, sys
+        sys.path.insert(0, sys.argv[1])
+        from validation_demo import SPECS, build
+        from repro import IndexConfiguration, IndexOrganization
+        from repro.synth import populate_path_database
+        from repro.validate.compare import validate_configuration
+
+        schema, path = build()
+        database = populate_path_database(schema, path, SPECS, seed=3)
+        configuration = IndexConfiguration.of(
+            (1, 1, IndexOrganization.MX), (2, 3, IndexOrganization.NIX)
+        )
+        rows = validate_configuration(
+            database, path, configuration, samples=10, seed=5,
+            include_updates=False,
+        )
+        print(json.dumps([dataclasses.astuple(row) for row in rows]))
+        """
+    )
+
+    def rows_under(self, hash_seed: str) -> list:
+        python_path = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+        )
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": python_path}
+        completed = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(ROOT / "examples")],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return json.loads(completed.stdout)
+
+    def test_demo_rows_equal_under_two_hash_seeds(self):
+        first = self.rows_under("0")
+        assert first
+        assert self.rows_under("3") == first

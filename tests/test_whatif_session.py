@@ -21,7 +21,7 @@ from repro.core.cost_matrix import CostMatrix
 from repro.core.multipath import PathWorkload, optimize_multipath
 from repro.costmodel.params import ClassStats, PathStatistics
 from repro.errors import OptimizerError, WorkloadError
-from repro.search import get_strategy
+from repro.search import available_strategies, get_strategy
 from repro.synth import LevelSpec, linear_path_schema
 from repro.whatif import (
     AdvisorSession,
@@ -49,16 +49,6 @@ def make_world(length=5, subclasses=(0, 1, 0, 2, 0), prefix="L", objects=40_000)
     stats = PathStatistics(path, per_class)
     load = LoadDistribution.uniform(path, query=0.3, insert=0.1, delete=0.05)
     return stats, load
-
-
-def exact_strategy_names():
-    from repro.search import available_strategies
-
-    return tuple(
-        name
-        for name in available_strategies()
-        if get_strategy(name).exact
-    )
 
 
 class TestPerturbation:
@@ -406,9 +396,9 @@ class TestSessionEqualsFreshAdvise:
     @settings(max_examples=25, deadline=None)
     def test_any_perturbation_sequence_matches_fresh_search(self, world):
         """The tentpole invariant: session == from-scratch, bit for bit,
-        for every registered exact strategy."""
+        for every registered strategy."""
         stats, load, perturbations = world
-        names = exact_strategy_names()
+        names = available_strategies()
         sessions = {
             name: AdvisorSession(stats, load, strategy=name) for name in names
         }
