@@ -32,6 +32,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import time
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -42,9 +43,9 @@ from repro import kernel
 from repro.costmodel.params import PathStatistics
 from repro.costmodel.subpath import SubpathCost
 from repro.errors import OptimizerError
+from repro.kernel.arrays import newest_cached_arrays
 from repro.kernel.evaluate import RowCosts, cmd_and_total
 from repro.obs.recorder import NULL_RECORDER, Recorder, resolve_recorder
-from repro.resilience.retry import DEFAULT_RETRY_POLICY, run_with_retry
 from repro.organizations import (
     CONFIGURABLE_ORGANIZATIONS,
     IndexOrganization,
@@ -71,53 +72,22 @@ class RowMinimum:
 TIE_RELATIVE_TOLERANCE = 1e-9
 
 #: Shortest path for which ``workers=None`` (auto) parallelizes
-#: construction. The columnar kernel prices a length-60 matrix serially in
-#: a few hundred milliseconds, so below it process startup and input
-#: transfer dominate any win (measured crossover on an 8-core host).
+#: construction. Below it process startup and input transfer eat the win:
+#: on a 2-CPU x86_64 host, DP ``advise`` took 202 ms serially against
+#: 200 ms with ``workers=2`` at length 40, and 501 ms against 434 ms at
+#: length 64 (medians of six benchmark-shaped worlds).
 PARALLEL_AUTO_MIN_LENGTH = 60
 
+#: Worker-pool fan-out attempts before the serial fallback, and the pause
+#: before the second. Serial evaluation is always correct, so one quick
+#: retry is all a transient crash (a worker OOM-killed, a fork raced
+#: against shutdown) gets.
+POOL_ATTEMPTS = 2
+POOL_RETRY_PAUSE_SECONDS = 0.05
 
-def _fork_context() -> multiprocessing.context.BaseContext | None:
-    """The ``fork`` context where it is the platform default, else ``None``.
-
-    Merely *having* ``fork`` is not enough: macOS supports it but defaults
-    to ``spawn`` because forking a threaded CPython is unsafe there. The
-    fast inherit-inputs path therefore engages only where the platform
-    (or the user, via ``multiprocessing.set_start_method``) already
-    defaults to ``fork``; everywhere else the pickling path applies.
-    """
-    if multiprocessing.get_start_method() != "fork":
-        return None
-    return multiprocessing.get_context("fork")
-
-
-def _run_pool_once(pool_options: dict, payloads: list) -> tuple[list, list]:
-    """One worker-pool fan-out attempt (the fault-injection seam).
-
-    Kept as a module-level function so the retry loop in
-    :meth:`CostMatrix._compute_rows_parallel` (and the chaos tests, via
-    monkeypatching) can re-run or fail a *single* pool lifecycle without
-    touching batch construction.
-
-    Returns ``(results, profiles)``: each batch's priced
-    :class:`~repro.kernel.evaluate.RowCosts` and its observability
-    profile (or ``None``), both in submission order — the order the
-    parent scatters rows by and assigns worker ``tid``\\ s in when
-    merging profiles into its recorder.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    results: list = []
-    profiles: list = []
-    with ProcessPoolExecutor(**pool_options) as pool:
-        futures = [
-            pool.submit(function, payload) for function, payload in payloads
-        ]
-        for future in futures:
-            priced, profile = future.result()
-            results.append(priced)
-            profiles.append(profile)
-    return results, profiles
+# Patchable seam: tests replace this to observe the retry pause without
+# waiting.
+_sleep = time.sleep
 
 
 def _usable_cpus() -> int:
@@ -309,24 +279,38 @@ def _evaluate_rows(
         )
 
 
-def _compute_row_batch(
-    payload: tuple, arrays=None
-) -> tuple[RowCosts, dict | None]:
-    """Worker entry point: price a batch of rows.
+#: Worker-process copy of the fan-out's shared inputs ``(stats, load,
+#: organizations, range_selectivity, arrays, record)``, installed by
+#: :func:`_init_worker`; never set in the parent process, so concurrent
+#: constructions cannot race on it.
+_WORKER_INPUTS: tuple | None = None
 
-    Top-level so it pickles by reference into worker processes; each row
-    is computed independently, so the result is bit-identical to a serial
-    evaluation of the same rows regardless of batching. ``arrays`` is the
-    fork path's inherited lowering (``None`` on the pickling path, where
-    the worker lowers its own).
 
-    ``payload[-1]`` (``record``) asks the worker to run its batch under
-    a private :class:`~repro.obs.Recorder` and ship the serialized
-    profile back beside the rows; the parent merges it under a
-    deterministic worker ``tid``. With ``record`` false the profile slot
-    is ``None`` and instrumentation costs nothing.
+def _init_worker(inputs: tuple) -> None:
+    """Pool initializer: install the shared inputs in one worker.
+
+    Under ``fork`` the inputs reach the worker by memory image, the
+    parent's columnar lowering (``arrays``) included; under any other
+    start method they are pickled once per worker, without a lowering
+    (it holds its statistics by weakref), and the worker lowers its own.
     """
-    stats, load, organizations, rows, range_selectivity, record = payload
+    global _WORKER_INPUTS
+    _WORKER_INPUTS = inputs
+
+
+def _price_stripe(rows: list[tuple[int, int]]) -> tuple[RowCosts, dict | None]:
+    """Worker entry point: price one stripe of rows.
+
+    Top-level so it pickles by reference; each row is priced
+    independently, so the result is bit-identical to a serial evaluation
+    of the same rows however they are striped. With ``record`` set the
+    stripe runs under a private :class:`~repro.obs.Recorder` whose
+    serialized profile ships back beside the rows; otherwise the profile
+    slot is ``None`` and instrumentation costs nothing.
+    """
+    stats, load, organizations, range_selectivity, arrays, record = (
+        _WORKER_INPUTS
+    )
     recorder = Recorder() if record else NULL_RECORDER
     with recorder.span("matrix.worker_batch", rows=len(rows)):
         priced = _evaluate_rows(
@@ -336,47 +320,32 @@ def _compute_row_batch(
     return priced, recorder.profile() if record else None
 
 
-#: Worker-process copy of the shared inputs ``(stats, load,
-#: organizations, range_selectivity, arrays, record)`` —
-#: ``arrays`` is the parent's columnar lowering (or ``None``), lowered
-#: once and inherited by every worker instead of re-lowered per batch;
-#: ``record`` asks workers to ship observability profiles back with
-#: their rows. Populated inside each fork-started worker by
-#: :func:`_init_fork_worker`; never set in the parent process, so
-#: concurrent constructions cannot race on it.
-_FORK_SHARED_INPUTS: tuple | None = None
+def _run_pool_once(
+    workers: int, inputs: tuple, stripes: list[list[tuple[int, int]]]
+) -> tuple[list, list]:
+    """One worker-pool fan-out attempt (the fault-injection seam).
 
+    Kept as a module-level function so :meth:`CostMatrix._compute_rows`
+    can re-run a *single* pool lifecycle and the chaos tests can fail
+    one by monkeypatching.
 
-def _init_fork_worker(inputs: tuple) -> None:
-    """Pool initializer run inside each fork-started worker.
-
-    ``inputs`` lives in the parent's memory and reaches the worker
-    through fork inheritance (the ``fork`` start method passes process
-    arguments by memory image, not pickling), so the statistics and
-    workload never cross a pickle boundary. Each pool carries its own
-    inputs via ``initargs``, keeping concurrent constructions isolated.
+    Returns ``(results, profiles)``: each stripe's priced
+    :class:`~repro.kernel.evaluate.RowCosts` and its observability
+    profile (or ``None``), both in stripe order — the order the parent
+    scatters rows by and assigns worker ``tid``\\ s in when merging
+    profiles into its recorder.
     """
-    global _FORK_SHARED_INPUTS
-    _FORK_SHARED_INPUTS = inputs
+    from concurrent.futures import ProcessPoolExecutor
 
-
-def _compute_row_batch_fork(
-    rows: list[tuple[int, int]],
-) -> tuple[RowCosts, dict | None]:
-    """Fork-worker entry point: price a batch against the inherited inputs.
-
-    Only the row coordinates travel to the worker; statistics, workload,
-    the parent's columnar lowering and the ``record`` flag come from
-    :data:`_FORK_SHARED_INPUTS`, installed by
-    :func:`_init_fork_worker`; the batch then runs through
-    :func:`_compute_row_batch` itself.
-    """
-    stats, load, organizations, range_selectivity, arrays, record = (
-        _FORK_SHARED_INPUTS
-    )
-    return _compute_row_batch(
-        (stats, load, organizations, rows, range_selectivity, record), arrays
-    )
+    results: list = []
+    profiles: list = []
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(inputs,)
+    ) as pool:
+        for priced, profile in pool.map(_price_stripe, stripes):
+            results.append(priced)
+            profiles.append(profile)
+    return results, profiles
 
 
 class CostMatrix:
@@ -483,7 +452,6 @@ class CostMatrix:
         include_noindex: bool = False,
         range_selectivity: float | None = None,
         workers: int | None = None,
-        retry_policy=None,
         degradation=None,
         recorder=None,
     ) -> "CostMatrix":
@@ -505,9 +473,8 @@ class CostMatrix:
         ``N`` workers. Every worker count produces a bit-identical
         matrix; only construction speed differs.
 
-        ``retry_policy`` (a :class:`~repro.resilience.RetryPolicy`)
-        governs how worker-pool failures are retried before the serial
-        fallback; ``degradation`` (a
+        A failed fan-out is tried :data:`POOL_ATTEMPTS` times, then the
+        rows are priced serially; ``degradation`` (a
         :class:`~repro.resilience.DegradationReport`) receives one
         structured event per fallback taken. A serial fallback is also
         recorded on the result as :attr:`parallel_fallback_reason` and
@@ -528,7 +495,7 @@ class CostMatrix:
         with recorder.span("matrix.build", length=length, rows=len(rows)):
             costs, fallback_reason = cls._compute_rows(
                 stats, load, organizations, rows, range_selectivity,
-                workers, retry_policy, degradation, recorder=recorder,
+                workers, degradation, recorder=recorder,
             )
             matrix = cls.__new__(cls)
             matrix._setup(length, organizations, costs.total, costs)
@@ -561,7 +528,6 @@ class CostMatrix:
         rows: list[tuple[int, int]],
         range_selectivity: float | None,
         workers: int | None,
-        retry_policy=None,
         degradation=None,
         arrays=None,
         recorder=NULL_RECORDER,
@@ -571,145 +537,88 @@ class CostMatrix:
         Returns ``(costs, parallel_fallback_reason)``: ``costs`` holds the
         rows in the order of ``rows``, however they were distributed, and
         the reason is ``None`` unless a requested parallel fan-out failed
-        (after the ``retry_policy`` retries) and the rows were priced
-        serially instead. ``degradation`` (a
+        :data:`POOL_ATTEMPTS` times and the rows were priced serially
+        instead. ``degradation`` (a
         :class:`~repro.resilience.DegradationReport`) receives one event
         per fallback taken.
+
+        Rows are striped across the workers so each sees a mix of short
+        (cheap) and long (expensive) subpaths, and each stripe's arrays
+        are scattered back by its stride. Every attempt runs one pool
+        lifecycle through :func:`_run_pool_once`; a broken or killed
+        worker, an unpicklable input or an OS refusing to start a process
+        fails the attempt, any other exception propagates.
 
         ``arrays`` is an optional pre-lowered columnar
         :class:`~repro.kernel.arrays.StatArrays` for exactly these inputs.
         ``recorder`` (already resolved; never ``None``) receives the
         evaluation spans and, on parallel builds, the per-worker
-        profiles merged under ``tid`` 1..n in submission order.
+        profiles merged under ``tid`` 1..n in stripe order.
         """
         resolved = cls._resolve_workers(workers, len(rows))
         fallback_reason: str | None = None
         if resolved > 1:
+            # Imported here so serial builds never load the pool modules.
+            from concurrent.futures.process import BrokenProcessPool
+
             if arrays is None:
-                # Shared worker lowering: lower once in the parent so
-                # fork-started workers inherit the arrays by memory image
-                # instead of each re-lowering its own copy.
                 with recorder.span("kernel.lower", rows=len(rows)):
                     arrays = kernel.lower(stats, load, range_selectivity)
+            # Fork-started workers inherit the parent's lowering; a
+            # lowering cannot be pickled, so elsewhere each worker lowers
+            # its own.
+            inherited = multiprocessing.get_start_method() == "fork"
+            inputs = (
+                stats, load, organizations, range_selectivity,
+                arrays if inherited else None, recorder.enabled,
+            )
+            # ``resolved`` never exceeds the row count: no stripe is empty.
+            stripes = [rows[offset::resolved] for offset in range(resolved)]
             with recorder.span(
                 "matrix.pool", workers=resolved, rows=len(rows)
             ):
-                batched, profiles, attempts, fallback_reason = (
-                    cls._compute_rows_parallel(
-                        stats, load, organizations, rows, range_selectivity,
-                        resolved, retry_policy, arrays,
-                        record=recorder.enabled,
-                    )
-                )
-            if attempts > 1:
-                recorder.counter("matrix.pool.retries").add(attempts - 1)
-            if batched is not None:
-                for index, profile in enumerate(profiles or ()):
-                    recorder.absorb(profile, tid=index + 1)
-                return batched, None
+                for attempt in range(1, POOL_ATTEMPTS + 1):
+                    if attempt > 1:
+                        _sleep(POOL_RETRY_PAUSE_SECONDS)
+                    try:
+                        batches, profiles = _run_pool_once(
+                            resolved, inputs, stripes
+                        )
+                    except (
+                        OSError, BrokenProcessPool, pickle.PicklingError
+                    ) as caught:
+                        error = caught
+                    else:
+                        error = None
+                        break
+            if attempt > 1:
+                recorder.counter("matrix.pool.retries").add(attempt - 1)
+            if error is None:
+                priced = RowCosts.zeros(len(rows), len(organizations))
+                for offset, (batch, profile) in enumerate(
+                    zip(batches, profiles)
+                ):
+                    priced.write(slice(offset, None, resolved), batch)
+                    recorder.absorb(profile, tid=offset + 1)
+                return priced, None
+            cause = type(error).__name__
+            if str(error):
+                cause = f"{cause}: {error}"
+            fallback_reason = f"{cause} (after {attempt} attempts)"
             recorder.counter(
                 "resilience.degradations", layer="matrix",
                 action="serial_fallback",
             ).add()
             if degradation is not None:
                 degradation.record(
-                    "matrix",
-                    "serial_fallback",
-                    fallback_reason or "worker pool unavailable",
-                    workers=resolved,
-                    rows=len(rows),
+                    "matrix", "serial_fallback", fallback_reason,
+                    workers=resolved, rows=len(rows),
                 )
         priced = _evaluate_rows(
             stats, load, organizations, rows, range_selectivity,
             arrays=arrays, recorder=recorder,
         )
         return priced, fallback_reason
-
-    @staticmethod
-    def _compute_rows_parallel(
-        stats: PathStatistics,
-        load: LoadDistribution,
-        organizations: tuple[IndexOrganization, ...],
-        rows: list[tuple[int, int]],
-        range_selectivity: float | None,
-        workers: int,
-        retry_policy=None,
-        arrays=None,
-        record: bool = False,
-    ) -> tuple[RowCosts | None, list | None, int, str | None]:
-        """Fan row batches out over a process pool, retrying transients.
-
-        Rows are striped across batches so each worker sees a mix of
-        short (cheap) and long (expensive) subpaths; each batch's priced
-        arrays are scattered back by its stripe. Where ``fork`` is the
-        default start method, the statistics, workload and the parent's
-        columnar lowering (``arrays``) are handed to the workers as a
-        read-only module global inherited at fork time — only row
-        coordinates are pickled, which removes the per-batch input
-        serialization that dominated startup on short paths and the
-        per-worker re-lowering. Platforms defaulting to ``spawn`` (macOS,
-        Windows) keep the pickling path, where each worker lowers its own
-        arrays (numpy buffers are cheaper to rebuild than to ship).
-
-        Pool failures (a broken/killed worker, an unpicklable payload, an
-        OS refusing to fork) are retried under ``retry_policy``
-        (:data:`~repro.resilience.retry.DEFAULT_RETRY_POLICY` when
-        ``None``) with exponential backoff; after the last attempt the
-        caller falls back to serial evaluation. ``record`` asks each
-        worker to ship an observability profile back beside its rows.
-        Returns ``(results, profiles, attempts, reason)``: ``reason`` is
-        ``None`` on success, ``results``/``profiles`` are ``None`` on
-        failure — the cause is *never* swallowed.
-        """
-        from concurrent.futures.process import BrokenProcessPool
-
-        # ``workers`` never exceeds the row count, so no stripe is empty.
-        stripes = [slice(offset, None, workers) for offset in range(workers)]
-        context = _fork_context()
-        pool_options: dict = {"max_workers": workers}
-        if context is not None:
-            pool_options.update(
-                mp_context=context,
-                initializer=_init_fork_worker,
-                initargs=(
-                    (
-                        stats, load, organizations, range_selectivity,
-                        arrays, record,
-                    ),
-                ),
-            )
-            payloads = [
-                (_compute_row_batch_fork, rows[stripe]) for stripe in stripes
-            ]
-        else:
-            payloads = [
-                (
-                    _compute_row_batch,
-                    (
-                        stats, load, organizations, rows[stripe],
-                        range_selectivity, record,
-                    ),
-                )
-                for stripe in stripes
-            ]
-        policy = retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
-        outcome, attempts, error = run_with_retry(
-            lambda: _run_pool_once(pool_options, payloads),
-            (OSError, BrokenProcessPool, pickle.PicklingError),
-            policy,
-        )
-        if error is None:
-            batches, profiles = outcome
-            priced = RowCosts.zeros(len(rows), len(organizations))
-            for stripe, batch in zip(stripes, batches):
-                priced.write(stripe, batch)
-            return priced, profiles, attempts, None
-        reason = (
-            f"{type(error).__name__}: {error}"
-            if str(error)
-            else type(error).__name__
-        )
-        return None, None, attempts, f"{reason} (after {attempts} attempts)"
 
     @classmethod
     def from_values(
@@ -746,7 +655,6 @@ class CostMatrix:
         load: LoadDistribution | None = None,
         *,
         workers: int | None = 0,
-        retry_policy=None,
         degradation=None,
         recorder=None,
     ) -> "CostMatrix":
@@ -840,7 +748,6 @@ class CostMatrix:
                 dirty_rows,
                 self._range_selectivity,
                 workers,
-                retry_policy,
                 degradation,
                 arrays=arrays,
                 recorder=recorder,
@@ -917,21 +824,24 @@ class CostMatrix:
 
         A columnar :class:`~repro.kernel.arrays.StatArrays` for the *new*
         inputs: the cached lowering itself when nothing relevant drifted,
-        or a workload patch of it when only the load changed. ``None``
-        (the statistics changed, or nothing is cached) leaves the kernel
-        to lower fresh arrays for the new inputs, which it caches for the
-        *next* recompute.
+        or a workload patch of it when only the load changed. Once
+        sibling branches off this matrix have evicted its own lowering
+        from the bounded cache, the newest lowering of the same statistics
+        is patched instead, so its statistics-only tables stay warm.
+        ``None`` (the statistics changed, or nothing is cached) leaves the
+        kernel to lower fresh arrays for the new inputs, which it caches
+        for the *next* recompute.
         """
         if new_stats is not self._stats:
             return None
         base = kernel.cached_lowering(
             self._stats, self._load, self._range_selectivity
-        )
+        ) or newest_cached_arrays(self._stats, self._range_selectivity)
         if base is None:
             recorder.counter("kernel.lowering_cache.misses").add()
             return None
         recorder.counter("kernel.lowering_cache.hits").add()
-        if new_load is self._load:
+        if new_load is base.load:
             return base
         with recorder.span("kernel.patch_lowering"):
             return kernel.patch_lowering(base, new_load)

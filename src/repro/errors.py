@@ -49,7 +49,7 @@ class TraceError(ReproError):
 
 
 class ResilienceError(ReproError):
-    """A resilience-layer operation (checkpoint, deadline, retry) failed."""
+    """A resilience-layer operation (checkpoint, deadline, fault injection) failed."""
 
 
 class DeadlineExceeded(ResilienceError):

@@ -739,6 +739,22 @@ def find_cached_arrays(
     return None
 
 
+def newest_cached_arrays(
+    stats: PathStatistics, range_selectivity: float | None = None
+) -> StatArrays | None:
+    """The most recently cached lowering of ``stats`` at this selectivity,
+    under whatever workload, if any.
+
+    A workload patch (:meth:`StatArrays.patched`) rewrites every
+    load-derived column, so any such lowering is a valid base to patch
+    once the exact one has been evicted.
+    """
+    for arrays in reversed(_stats_cache(stats)):
+        if arrays.range_selectivity == range_selectivity:
+            return arrays
+    return None
+
+
 def remember_stat_arrays(arrays: StatArrays) -> None:
     """Retain one lowering in its statistics object's bounded cache."""
     cache = _stats_cache(arrays.stats)

@@ -10,8 +10,6 @@ collects the machinery that keeps the advisor answering anyway —
 * :mod:`~repro.resilience.degradation` — the structured
   :class:`DegradationReport` every fallback must record into, so nothing
   degrades silently;
-* :mod:`~repro.resilience.retry` — :class:`RetryPolicy` exponential
-  backoff for transient worker-pool faults;
 * :mod:`~repro.resilience.degrade` — the exact → last-known-good →
   overrun-DP ladder behind deadline-bounded ``advise``;
 * :mod:`~repro.resilience.checkpoint` — versioned JSONL snapshots of
@@ -20,11 +18,10 @@ collects the machinery that keeps the advisor answering anyway —
 * :mod:`~repro.resilience.faults` — the seeded fault-injection harness
   behind the chaos test suite.
 
-The light modules (deadline, degradation, retry) import eagerly; the
-heavy ones (degrade, checkpoint, faults — which pull in the search,
-whatif and trace layers) load lazily via :pep:`562` so that
-:mod:`repro.core.cost_matrix` can import this package's retry machinery
-without creating an import cycle.
+The light modules (deadline, degradation) import eagerly; the heavy
+ones (degrade, checkpoint, faults) load lazily via :pep:`562`: they
+import the trace, whatif and search layers, which import this package,
+so loading them eagerly would be an import cycle.
 """
 
 from __future__ import annotations
@@ -32,11 +29,6 @@ from __future__ import annotations
 from repro.errors import CheckpointError, DeadlineExceeded, ResilienceError
 from repro.resilience.deadline import Deadline
 from repro.resilience.degradation import DegradationEvent, DegradationReport
-from repro.resilience.retry import (
-    DEFAULT_RETRY_POLICY,
-    RetryPolicy,
-    run_with_retry,
-)
 
 __all__ = [
     "CheckpointError",
@@ -44,21 +36,18 @@ __all__ = [
     "DeadlineExceeded",
     "DegradationEvent",
     "DegradationReport",
-    "DEFAULT_RETRY_POLICY",
     "FakeClock",
     "FaultInjector",
     "ResilienceError",
-    "RetryPolicy",
     "degraded_search",
     "restore_advisor",
     "restore_session",
-    "run_with_retry",
     "save_advisor",
     "save_session",
 ]
 
 # Lazily resolved: these modules import the trace/whatif/search layers,
-# which in turn import core.cost_matrix — the module that imports *us*.
+# which in turn import this package.
 _LAZY = {
     "degraded_search": ("repro.resilience.degrade", "degraded_search"),
     "save_advisor": ("repro.resilience.checkpoint", "save_advisor"),

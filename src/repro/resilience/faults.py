@@ -87,14 +87,14 @@ class FaultInjector:
         original = cost_matrix._run_pool_once
         crashes = [0]
 
-        def unreliable(pool_options, payloads):
+        def unreliable(*arguments):
             if crashes[0] < times:
                 crashes[0] += 1
                 self.log.append(
                     ("broken_pool", {"call": crashes[0], "of": times})
                 )
                 raise BrokenProcessPool("injected worker-pool crash")
-            return original(pool_options, payloads)
+            return original(*arguments)
 
         cost_matrix._run_pool_once = unreliable
         try:

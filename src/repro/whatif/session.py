@@ -75,8 +75,8 @@ class AdvisorSession:
     re-searching from scratch (any registered strategy works — those
     without a ``refine`` method are simply re-run against the
     incrementally updated matrix). ``workers`` applies to the initial
-    matrix construction and, by default, to every recompute (dirty sets
-    are small, so ``0``/serial is the right default).
+    matrix construction and to every recompute (dirty sets are small, so
+    ``0``/serial is the right default).
 
     The session's observable guarantees:
 
@@ -102,7 +102,6 @@ class AdvisorSession:
         strategy: str = DEFAULT_SESSION_STRATEGY,
         workers: int | None = 0,
         degradation: DegradationReport | None = None,
-        retry_policy=None,
         recorder=None,
     ) -> None:
         # Resolve the strategy first: a bad name must fail before the
@@ -118,7 +117,6 @@ class AdvisorSession:
         self.degradation = (
             degradation if degradation is not None else DegradationReport()
         )
-        self._retry_policy = retry_policy
         #: Tracing spans and metrics for every session operation; a
         #: :class:`~repro.obs.Recorder` shared across sessions profiles
         #: them into one timeline (ContinuousAdvisor does).
@@ -130,7 +128,6 @@ class AdvisorSession:
             include_noindex=include_noindex,
             range_selectivity=range_selectivity,
             workers=workers,
-            retry_policy=retry_policy,
             degradation=self.degradation,
             recorder=self.recorder,
         )
@@ -153,8 +150,6 @@ class AdvisorSession:
         self,
         stats: PathStatistics | None = None,
         load: LoadDistribution | None = None,
-        *,
-        workers: int | None = None,
     ) -> RecomputeReport:
         """Replace the session inputs and incrementally update the matrix.
 
@@ -172,8 +167,7 @@ class AdvisorSession:
             self.matrix = self.matrix.recompute(
                 stats=stats,
                 load=load,
-                workers=self._workers if workers is None else workers,
-                retry_policy=self._retry_policy,
+                workers=self._workers,
                 degradation=self.degradation,
                 recorder=self.recorder,
             )
@@ -202,12 +196,7 @@ class AdvisorSession:
             load=None if new_load is self.load else new_load,
         )
 
-    def apply_many(
-        self,
-        perturbations: list[Perturbation],
-        *,
-        workers: int | None = None,
-    ) -> RecomputeReport:
+    def apply_many(self, perturbations: list[Perturbation]) -> RecomputeReport:
         """Apply a whole perturbation batch with **one** matrix recompute.
 
         The perturbations are folded into a single ``(stats, load)``
@@ -232,7 +221,6 @@ class AdvisorSession:
             return self.apply(
                 stats=None if stats is self.stats else stats,
                 load=None if load is self.load else load,
-                workers=workers,
             )
 
     # ------------------------------------------------------------------

@@ -12,7 +12,7 @@ lowerings. These tests pin the contract two ways:
   dirty rows were left to the scalar oracle (range-ending rows).
 """
 
-from conftest import oracle_matrix
+from conftest import assert_same_bits, oracle_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_kernel_parity import (
@@ -23,6 +23,7 @@ from test_kernel_parity import (
 )
 
 from repro.core.cost_matrix import CostMatrix
+from repro.obs import Recorder
 
 
 def small_world():
@@ -126,3 +127,33 @@ class TestKernelSliceCounters:
         report = recomputed.recompute_report
         assert report.kernel_sliced
         assert report.kernel_fallback_reason is None
+
+    def test_sibling_branches_keep_patching_a_warm_lowering(self):
+        """Eight what-if branches off one matrix. From the fifth on, the
+        siblings' patched lowerings have evicted the base's own from the
+        bounded cache; a branch then patches the newest lowering of the
+        same statistics instead of lowering cold, and every branch stays
+        bit-identical to a fresh build of its inputs."""
+
+        def branch_loads(load):
+            return [
+                perturb_load(
+                    load, f"L{level}", ("query", "insert", "delete")[level % 3],
+                    1.5,
+                )
+                for level in range(4, 12)
+            ]
+
+        stats, load = make_world(length=12)
+        matrix = CostMatrix.compute(stats, load)
+        recorder = Recorder()
+        branches = [
+            matrix.recompute(load=branch, recorder=recorder)
+            for branch in branch_loads(load)
+        ]
+        counters = recorder.profile()["metrics"]["counters"]
+        assert counters.get("kernel.lowering_cache.misses", 0) == 0
+        assert counters["kernel.lowering_cache.hits"] == 8
+        fresh_stats, fresh_load = make_world(length=12)
+        for branch, fresh in zip(branches, branch_loads(fresh_load)):
+            assert_same_bits(branch, CostMatrix.compute(fresh_stats, fresh))

@@ -3,24 +3,24 @@
 The parallel fan-out in :class:`~repro.core.cost_matrix.CostMatrix` may
 fail for real reasons (a worker OOM-killed, an OS refusing to fork, a
 spawn-only platform hitting an unpicklable payload). The contract under
-test: the failure is retried with backoff, the eventual serial fallback
-produces a **byte-identical** matrix, and the cause is reported three
-ways — :attr:`~repro.core.cost_matrix.CostMatrix.parallel_fallback_reason`,
+test: the fan-out is tried twice with one short pause, the eventual serial
+fallback produces a **byte-identical** matrix, and the cause is reported
+three ways — :attr:`~repro.core.cost_matrix.CostMatrix.parallel_fallback_reason`,
 a ``RuntimeWarning``, and a structured
 :class:`~repro.resilience.DegradationReport` event. Never silently.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 
 import pytest
 from conftest import assert_same_bits
 
 import repro.core.cost_matrix as cost_matrix_module
-import repro.resilience.retry as retry_module
 from repro.core.cost_matrix import CostMatrix
-from repro.resilience import DegradationReport, RetryPolicy
+from repro.resilience import DegradationReport
 from repro.resilience.faults import FaultInjector
 from repro.whatif import AdvisorSession, Perturbation
 from repro.workload.load import LoadDistribution
@@ -30,14 +30,25 @@ from test_resilience_checkpoint import make_world
 
 @pytest.fixture
 def patched_sleep():
-    """Capture retry backoff naps instead of actually sleeping."""
+    """Capture the pause between pool attempts instead of sleeping."""
     naps: list[float] = []
-    original = retry_module._sleep
-    retry_module._sleep = naps.append
+    original = cost_matrix_module._sleep
+    cost_matrix_module._sleep = naps.append
     try:
         yield naps
     finally:
-        retry_module._sleep = original
+        cost_matrix_module._sleep = original
+
+
+@pytest.fixture
+def spawn_start_method():
+    """Start worker processes with ``spawn``, as macOS and Windows do."""
+    original = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        yield
+    finally:
+        multiprocessing.set_start_method(original, force=True)
 
 
 @pytest.fixture
@@ -46,7 +57,7 @@ def raise_from_pool():
     original = cost_matrix_module._run_pool_once
 
     def patch(error: Exception):
-        def failing(pool_options, payloads):
+        def failing(*_arguments):
             raise error
 
         cost_matrix_module._run_pool_once = failing
@@ -102,11 +113,10 @@ class TestSerialFallback:
         )
 
     def test_spawn_only_platform_pickling_failure(
-        self, raise_from_pool, monkeypatch
+        self, raise_from_pool, spawn_start_method
     ):
-        """Simulate macOS/Windows: no fork context, and the pickling
-        path hits an unpicklable payload."""
-        monkeypatch.setattr(cost_matrix_module, "_fork_context", lambda: None)
+        """Under ``spawn`` the inputs are pickled, and an unpicklable
+        one falls back like any other pool failure."""
         raise_from_pool(pickle.PicklingError("cannot pickle local object"))
         stats, load = make_world()
         serial = CostMatrix.compute(stats, load, workers=0)
@@ -115,27 +125,30 @@ class TestSerialFallback:
         assert_same_bits(fallen, serial)
         assert "PicklingError" in (fallen.parallel_fallback_reason or "")
 
-    def test_spawn_only_platform_still_parallelizes(self, monkeypatch):
-        """Without fork, the pickling path itself is still bit-identical."""
-        monkeypatch.setattr(cost_matrix_module, "_fork_context", lambda: None)
+    def test_spawn_only_platform_still_parallelizes(self, spawn_start_method):
+        """A real ``spawn`` pool, whose workers lower their own inputs,
+        is bit-identical to serial."""
         stats, load = make_world()
         parallel = CostMatrix.compute(stats, load, workers=2)
         serial = CostMatrix.compute(stats, load, workers=0)
         assert_same_bits(parallel, serial)
         assert parallel.parallel_fallback_reason is None
 
+    def test_unexpected_exceptions_propagate(self, raise_from_pool):
+        """Only pool failures fall back; a bug in the caller's inputs or
+        the kernel surfaces instead of hiding behind a serial rebuild."""
+        raise_from_pool(ValueError("not a pool failure"))
+        stats, load = make_world()
+        with pytest.raises(ValueError, match="not a pool failure"):
+            CostMatrix.compute(stats, load, workers=2)
+
 
 class TestRetryPolicyPlumbing:
-    def test_custom_policy_controls_the_backoff(self, patched_sleep):
+    def test_success_on_first_attempt_never_sleeps(self, patched_sleep):
         stats, load = make_world()
-        policy = RetryPolicy(attempts=3, backoff_seconds=0.01, multiplier=2.0)
-        with FaultInjector(seed=0).broken_pool(times=10):
-            with pytest.warns(RuntimeWarning):
-                fallen = CostMatrix.compute(
-                    stats, load, workers=2, retry_policy=policy
-                )
-        assert patched_sleep == [0.01, 0.02]
-        assert "after 3 attempts" in (fallen.parallel_fallback_reason or "")
+        matrix = CostMatrix.compute(stats, load, workers=2)
+        assert matrix.parallel_fallback_reason is None
+        assert patched_sleep == []
 
     def test_second_attempt_success_needs_no_fallback(self, patched_sleep):
         stats, load = make_world()

@@ -64,19 +64,19 @@ class TestPoolCrashChaos:
         ) == crashes[0]
 
     def test_transient_crash_recovers_through_retry(self):
-        """A single crash is absorbed by the retry policy: the pool is
+        """A single crash is absorbed by the second attempt: the pool is
         retried, succeeds, and no serial fallback is recorded."""
-        import repro.resilience.retry as retry_module
+        import repro.core.cost_matrix as cost_matrix_module
 
         stats, load = make_world()
         naps: list[float] = []
-        original_sleep = retry_module._sleep
-        retry_module._sleep = naps.append
+        original_sleep = cost_matrix_module._sleep
+        cost_matrix_module._sleep = naps.append
         try:
             with FaultInjector(seed=1).broken_pool(times=1):
                 matrix = CostMatrix.compute(stats, load, workers=2)
         finally:
-            retry_module._sleep = original_sleep
+            cost_matrix_module._sleep = original_sleep
         assert matrix.parallel_fallback_reason is None
         assert naps == [0.05]
         serial = CostMatrix.compute(stats, load, workers=0)

@@ -1,9 +1,8 @@
 """Unit tests for the resilience primitives.
 
-Deadlines, degradation accounting, retry policies and the
-exact → last-known-good → overrun-DP ladder — each exercised in
-isolation with deterministic fake clocks, no sleeping and no real
-worker pools.
+Deadlines, degradation accounting and the exact → last-known-good →
+overrun-DP ladder — each exercised in isolation with deterministic fake
+clocks, no sleeping and no real worker pools.
 """
 
 from __future__ import annotations
@@ -12,14 +11,7 @@ import pytest
 
 from repro.core.cost_matrix import CostMatrix
 from repro.errors import DeadlineExceeded, ResilienceError
-from repro.resilience import (
-    DEFAULT_RETRY_POLICY,
-    Deadline,
-    DegradationReport,
-    RetryPolicy,
-    degraded_search,
-    run_with_retry,
-)
+from repro.resilience import Deadline, DegradationReport, degraded_search
 from repro.resilience.degrade import LAST_KNOWN_GOOD
 from repro.resilience.faults import FakeClock
 from repro.search import available_strategies, get_strategy
@@ -117,92 +109,6 @@ class TestDegradationReport:
                 "detail": {"rows": 55},
             }
         ]
-
-
-# ----------------------------------------------------------------------
-# RetryPolicy / run_with_retry
-# ----------------------------------------------------------------------
-class TestRetry:
-    def test_delays_ramp_exponentially(self):
-        policy = RetryPolicy(attempts=4, backoff_seconds=0.1, multiplier=2.0)
-        assert list(policy.delays()) == [0.0, 0.1, 0.2, 0.4]
-
-    def test_invalid_policies_are_rejected(self):
-        with pytest.raises(ResilienceError):
-            RetryPolicy(attempts=0)
-        with pytest.raises(ResilienceError):
-            RetryPolicy(backoff_seconds=-1.0)
-        with pytest.raises(ResilienceError):
-            RetryPolicy(multiplier=0.0)
-
-    def test_success_on_first_attempt_never_sleeps(self, monkeypatch):
-        import repro.resilience.retry as retry_module
-
-        sleeps: list[float] = []
-        monkeypatch.setattr(retry_module, "_sleep", sleeps.append)
-        value, attempts, error = run_with_retry(
-            lambda: 42, (OSError,), DEFAULT_RETRY_POLICY
-        )
-        assert (value, attempts, error) == (42, 1, None)
-        assert sleeps == []
-
-    def test_transient_failure_retries_with_backoff(self, monkeypatch):
-        import repro.resilience.retry as retry_module
-
-        sleeps: list[float] = []
-        monkeypatch.setattr(retry_module, "_sleep", sleeps.append)
-        calls = [0]
-
-        def flaky():
-            calls[0] += 1
-            if calls[0] == 1:
-                raise OSError("transient")
-            return "ok"
-
-        value, attempts, error = run_with_retry(
-            flaky, (OSError,), RetryPolicy(attempts=2, backoff_seconds=0.05)
-        )
-        assert (value, attempts, error) == ("ok", 2, None)
-        assert sleeps == [0.05]
-
-    def test_exhaustion_returns_the_last_error(self, monkeypatch):
-        import repro.resilience.retry as retry_module
-
-        monkeypatch.setattr(retry_module, "_sleep", lambda _delay: None)
-
-        def always_broken():
-            raise OSError("still down")
-
-        value, attempts, error = run_with_retry(
-            always_broken, (OSError,), RetryPolicy(attempts=3)
-        )
-        assert value is None
-        assert attempts == 3
-        assert isinstance(error, OSError)
-
-    def test_unexpected_exceptions_propagate(self):
-        def typo():
-            raise ValueError("not transient")
-
-        with pytest.raises(ValueError):
-            run_with_retry(typo, (OSError,), DEFAULT_RETRY_POLICY)
-
-    def test_on_retry_hook_sees_every_failure(self, monkeypatch):
-        import repro.resilience.retry as retry_module
-
-        monkeypatch.setattr(retry_module, "_sleep", lambda _delay: None)
-        seen: list[tuple[int, str]] = []
-
-        def always_broken():
-            raise OSError("down")
-
-        run_with_retry(
-            always_broken,
-            (OSError,),
-            RetryPolicy(attempts=2),
-            on_retry=lambda attempt, error: seen.append((attempt, str(error))),
-        )
-        assert seen == [(1, "down"), (2, "down")]
 
 
 # ----------------------------------------------------------------------
