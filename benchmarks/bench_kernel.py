@@ -16,8 +16,10 @@ Four timing regimes:
   tables, the cold first-build cost a caller actually pays on new
   inputs; it must beat the scalar oracle by :data:`SMOKE_MIN_SPEEDUP`;
 * **warm** — the same statistics and workload objects rebuilt, which
-  hits the persistent ``StatArrays`` lowering cache; it must beat the
-  fresh build by :data:`WARM_MIN_SPEEDUP`;
+  hits the persistent ``StatArrays`` lowering cache and its memoized
+  pre-fold evaluation units, so a rebuild pays the three frequency
+  folds per organization and no Yao work; it must beat the fresh build
+  by :data:`WARM_MIN_SPEEDUP`;
 * **dirty_slice** — a deterministic edge-drift recompute chain where
   each step re-prices only its dirty rows as an array-slice evaluation
   over the cached (workload-patched) lowering, against a full rebuild

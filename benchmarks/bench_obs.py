@@ -81,14 +81,6 @@ class CountingRecorder(NullRecorder):
         self.metric_ops += 1
         return super().counter(name, **labels)
 
-    def gauge(self, name: str, **labels):
-        self.metric_ops += 1
-        return super().gauge(name, **labels)
-
-    def histogram(self, name: str, **labels):
-        self.metric_ops += 1
-        return super().histogram(name, **labels)
-
 
 def count_smoke_path_ops(length: int) -> dict:
     """Deterministic span/metric op counts on one serial fresh build."""

@@ -6,11 +6,11 @@ simulator, for queries, inserts and deletes under three configurations.
 """
 
 from benchmarks.conftest import write_report
+from repro.backend import render_validation, validate_configuration
 from repro.core.configuration import IndexConfiguration
 from repro.costmodel.params import ClassStats
 from repro.organizations import IndexOrganization
 from repro.synth import LevelSpec, linear_path_schema, populate_path_database
-from repro.validate.compare import render_validation, validate_configuration
 
 MX = IndexOrganization.MX
 MIX = IndexOrganization.MIX

@@ -120,8 +120,8 @@ def time_incremental(length: int, repeats: int = 3) -> dict:
 
     Every repeat, on either side, prices a new load object, so it is the
     first pricing of its inputs — what one what-if step costs with and
-    without ``recompute`` — instead of a lookup in the lowering's
-    per-row-set result memo.
+    without ``recompute`` — never a rebuild from the lowering already
+    cached for the same load object.
     """
     stats, load = make_inputs(length)
     matrix = CostMatrix.compute(stats, load)

@@ -8,8 +8,8 @@ queries, insertions and deletions under two configurations.
 """
 
 from repro import ClassStats, IndexConfiguration, IndexOrganization
+from repro.backend import render_validation, validate_configuration
 from repro.synth import LevelSpec, linear_path_schema, populate_path_database
-from repro.validate.compare import render_validation, validate_configuration
 
 MX = IndexOrganization.MX
 NIX = IndexOrganization.NIX

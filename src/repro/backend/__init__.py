@@ -14,6 +14,11 @@ machinery that checks them against *real* page I/O:
   against a materialized configuration and reports measured page I/O
   beside the analytic predictions, per (operation, class) and per
   (subpath, organization);
+* :mod:`~repro.backend.validate` — the seeded operation sampler
+  (:func:`~repro.backend.validate.sample_operations`) that validation
+  and calibration share, per-(operation, class) measured-vs-analytic
+  rows for one configuration (``validate_configuration``) and each
+  part's estimated-vs-held storage pages (``validate_storage``);
 * :mod:`~repro.backend.scenarios` — the seeded scenario suite the
   accuracy guard runs on;
 * :mod:`~repro.backend.calibrate` — least-squares fit of per-organization
@@ -40,6 +45,14 @@ from repro.backend.replay import (
 )
 from repro.backend.scenarios import BackendScenario, default_scenarios
 from repro.backend.tracker import OperationIO, PageAccessTracker
+from repro.backend.validate import (
+    StorageRow,
+    ValidationRow,
+    render_storage,
+    render_validation,
+    validate_configuration,
+    validate_storage,
+)
 
 __all__ = [
     "BackendReplayReport",
@@ -51,11 +64,17 @@ __all__ = [
     "OperationIO",
     "PageAccessTracker",
     "ScenarioMeasurement",
+    "StorageRow",
+    "ValidationRow",
     "calibrate",
     "default_scenarios",
     "measure_scenarios",
     "render_backend_replay",
     "render_calibration",
+    "render_storage",
+    "render_validation",
     "replay_trace",
     "run_calibration",
+    "validate_configuration",
+    "validate_storage",
 ]

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.backend.materialize import MaterializedConfiguration
-from repro.backend.replay import clone_kwargs, ending_values
 from repro.backend.scenarios import BackendScenario, default_scenarios
+from repro.backend.validate import sample_operations
 from repro.core.evaluation import per_class_analytic_costs
 from repro.costmodel.params import CostModelConfig
 from repro.errors import ReproError
@@ -120,13 +120,14 @@ def measure_scenarios(
     """Run every scenario on the backend and collect comparison rows.
 
     Each scenario is built fresh from its seed, materialized on a
-    :class:`~repro.backend.tracker.PageAccessTracker`, and sampled:
-    ``query_samples`` equality queries per scope class (before any
-    mutation, so the analytic statistics still describe the database),
-    then ``update_samples`` deletions and clone-template insertions per
-    class. Everything — probe values, victims, templates — is drawn from
-    a generator seeded by the scenario, so the returned rows are
-    bit-identical across runs.
+    :class:`~repro.backend.tracker.PageAccessTracker`, and sampled by
+    :func:`~repro.backend.validate.sample_operations` (the loop
+    validation uses): ``query_samples`` equality queries per scope class
+    (before any mutation, so the analytic statistics still describe the
+    database), then ``update_samples`` deletions and clone-template
+    insertions per class. Everything — probe values, victims, templates
+    — is drawn from a generator seeded by the scenario, so the returned
+    rows are bit-identical across runs.
     """
     config = config or CostModelConfig()
     rows: list[ScenarioMeasurement] = []
@@ -140,68 +141,26 @@ def measure_scenarios(
         backend = MaterializedConfiguration(
             database, path, configuration, sizes=config.sizes, layout=layout
         )
-        rng = random.Random(scenario.seed)
-        values = ending_values(database, path)
-        if not values:
-            raise ReproError(
-                f"scenario {scenario.name!r} produced no ending values"
+        sampled = sample_operations(
+            backend,
+            path,
+            random.Random(scenario.seed),
+            query_samples=query_samples,
+            update_samples=update_samples,
+        )
+        rows.extend(
+            ScenarioMeasurement(
+                scenario=scenario.name,
+                organization=operation_organization(parts, position, operation),
+                operation=operation,
+                class_name=member,
+                position=position,
+                analytic=analytic[(position, member)][operation],
+                measured=measured,
+                samples=count,
             )
-
-        def emit(
-            operation: str, position: int, member: str, total: float, count: int
-        ) -> None:
-            if not count:
-                return
-            rows.append(
-                ScenarioMeasurement(
-                    scenario=scenario.name,
-                    organization=operation_organization(
-                        parts, position, operation
-                    ),
-                    operation=operation,
-                    class_name=member,
-                    position=position,
-                    analytic=analytic[(position, member)][operation],
-                    measured=total / count,
-                    samples=count,
-                )
-            )
-
-        # --- queries first: the database still matches the statistics.
-        for position in range(1, path.length + 1):
-            for member in path.hierarchy_at(position):
-                if database.extent_size(member) == 0:
-                    continue
-                total = 0
-                for _ in range(query_samples):
-                    value = values[rng.randrange(len(values))]
-                    total += backend.query(value, member).io.total
-                emit("query", position, member, total, query_samples)
-
-        # --- updates: deletions of random victims, then clone inserts.
-        for position in range(1, path.length + 1):
-            for member in path.hierarchy_at(position):
-                if database.extent_size(member) <= update_samples:
-                    continue
-                total = 0
-                count = 0
-                for _ in range(update_samples):
-                    extent = list(database.extent(member))
-                    victim = extent[rng.randrange(len(extent))]
-                    total += backend.delete(victim.oid).io.total
-                    count += 1
-                emit("delete", position, member, total, count)
-                total = 0
-                count = 0
-                for _ in range(update_samples):
-                    survivors = list(database.extent(member))
-                    template = survivors[rng.randrange(len(survivors))]
-                    kwargs = clone_kwargs(database, template)
-                    if kwargs is None:
-                        continue
-                    total += backend.insert(member, **kwargs).io.total
-                    count += 1
-                emit("insert", position, member, total, count)
+            for operation, position, member, measured, count in sampled
+        )
     return rows
 
 

@@ -14,8 +14,8 @@ count twice over:
 * per ``(operation, class)`` — the same axis the validation harness
   uses, now fed by a trace instead of uniform sampling;
 * per ``(subpath, organization)`` — the analytic side split with
-  :func:`per_part_analytic_costs`, the measured side split by the
-  tracker's page-owner attribution.
+  :func:`~repro.core.evaluation.per_part_analytic_costs`, the measured
+  side split by the tracker's page-owner attribution.
 
 The per-part split has one deliberate asymmetry: heap traffic (object
 fetches, ``NX``/``NONE`` extent scans) is owned by ``heap:<Class>``
@@ -33,9 +33,11 @@ from typing import Iterable
 
 from repro.backend.materialize import MaterializedConfiguration
 from repro.core.configuration import IndexConfiguration
-from repro.core.evaluation import per_class_analytic_costs
+from repro.core.evaluation import (
+    per_class_analytic_costs,
+    per_part_analytic_costs,
+)
 from repro.costmodel.params import CostModelConfig, PathStatistics
-from repro.costmodel.subpath import build_model
 from repro.errors import ReproError
 from repro.indexes.manager import part_label
 from repro.model.objects import OID, OODatabase, ObjectInstance
@@ -60,8 +62,9 @@ def clone_kwargs(
     """Attribute values cloning ``instance``, with dead references pruned.
 
     Returns ``None`` when the template is unusable (every reference in
-    some attribute points at deleted objects); the replay, calibration
-    and validation insert samplers all skip such templates.
+    some attribute points at deleted objects); the replay and
+    :func:`~repro.backend.validate.sample_operations` skip such
+    templates.
     """
     kwargs: dict[str, object] = {}
     for name in database.schema.all_attributes(instance.oid.class_name):
@@ -80,55 +83,6 @@ def clone_kwargs(
         else:
             kwargs[name] = value
     return kwargs
-
-
-def per_part_analytic_costs(
-    stats: PathStatistics,
-    configuration: IndexConfiguration,
-) -> dict[tuple[int, str], dict[str, list[float]]]:
-    """Per-part split of the coupled per-class expected costs.
-
-    For each ``(position, class)`` and operation kind, a list with one
-    entry per configuration part: the pages the analytic model charges
-    that part for one such operation. Summing the list reproduces
-    :func:`~repro.core.evaluation.per_class_analytic_costs` exactly — a
-    query charges its own part ``query_cost`` and every later part its
-    full ``hierarchy_query_cost``, a delete adds the ``CMD`` charge to
-    the *preceding* part when the class starts a subpath.
-    """
-    parts = configuration.assignments
-    models = [
-        build_model(stats, part.start, part.end, part.organization)
-        for part in parts
-    ]
-    probes = [1.0] * len(parts)
-    for g in range(len(parts) - 2, -1, -1):
-        probes[g] = models[g + 1].emitted_oids(probes[g + 1])
-    hierarchy = [
-        models[g].hierarchy_query_cost(parts[g].start, probes[g])
-        for g in range(len(parts))
-    ]
-
-    split: dict[tuple[int, str], dict[str, list[float]]] = {}
-    for g, (part, model) in enumerate(zip(parts, models)):
-        for position in range(part.start, part.end + 1):
-            for member in stats.members(position):
-                query = [0.0] * len(parts)
-                query[g] = model.query_cost(position, member, probes[g])
-                for h in range(g + 1, len(parts)):
-                    query[h] = hierarchy[h]
-                insert = [0.0] * len(parts)
-                insert[g] = model.insert_cost(position, member)
-                delete = [0.0] * len(parts)
-                delete[g] = model.delete_cost(position, member)
-                if position == part.start and g > 0:
-                    delete[g - 1] += models[g - 1].cmd_cost()
-                split[(position, member)] = {
-                    "query": query,
-                    "insert": insert,
-                    "delete": delete,
-                }
-    return split
 
 
 @dataclass(frozen=True)

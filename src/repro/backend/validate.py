@@ -1,19 +1,24 @@
-"""Measured-vs-analytic comparison harness.
+"""Measured-vs-analytic comparison: one seeded sampler for every caller.
 
-:func:`validate_configuration` executes sampled operations through the
-operational indexes of a configuration — materialized on the backend's
-:class:`~repro.backend.tracker.PageAccessTracker`, so the measured side
-is the same owner-attributed page accounting the replay and calibration
-machinery uses — and reports, per ``(operation, class)``, the measured
-mean page accesses next to the analytic expectation from the Section 3
-cost models. :func:`validate_storage` does the same for space: each
-part's ``storage_pages`` estimate against the pages its structures
-actually hold.
+:func:`sample_operations` is the ground-truth sample loop. It executes
+seeded queries, deletions and clone-template insertions on a
+:class:`~repro.backend.materialize.MaterializedConfiguration` and
+returns, per ``(operation, class)``, the mean pages the tracker
+measured. Both :func:`validate_configuration` (one configuration on one
+database) and :func:`~repro.backend.calibrate.measure_scenarios` (the
+seeded scenario suite) build their rows from it, so validation and
+calibration sample the same operations with the same draws.
+
+:func:`validate_configuration` pairs each sampled row with the analytic
+expectation of the Section 3 cost models;
+:func:`validate_storage` does the same for space: each part's
+``storage_pages`` estimate against the pages its structures actually
+hold.
 
 Both sides count logical page fetches and rewrites; the analytic side is
 an *expectation* over uniformly distributed values while the measured side
 samples concrete ones, so ratios within a small factor — not equality —
-are the success criterion (see EXPERIMENTS.md).
+are the success criterion.
 """
 
 from __future__ import annotations
@@ -32,6 +37,72 @@ from repro.indexes.manager import part_label
 from repro.model.objects import OODatabase
 from repro.model.path import Path
 from repro.synth.stats import derive_path_statistics
+
+
+def sample_operations(
+    backend: MaterializedConfiguration,
+    path: Path,
+    rng: random.Random,
+    query_samples: int,
+    update_samples: int,
+) -> list[tuple[str, int, str, float, int]]:
+    """Seeded operations on ``backend``, one row per sampled class.
+
+    Each row is ``(operation, position, class, mean pages, samples)``.
+    All queries come first, while the database still matches the
+    statistics: ``query_samples`` per non-empty scope class, each
+    probing one ending value drawn from ``rng``. Then, for each class
+    with more than ``update_samples`` objects, that many deletions of
+    random victims (measured before the inserts, so the sample does not
+    lean towards fresh objects) and that many insertions cloning random
+    survivors; a template whose references all died is skipped.
+    ``update_samples=0`` samples queries only.
+    """
+    database = backend.database
+    values = ending_values(database, path)
+    if not values:
+        raise ReproError("database has no ending-attribute values to probe")
+
+    rows: list[tuple[str, int, str, float, int]] = []
+    for position in range(1, path.length + 1):
+        for member in path.hierarchy_at(position):
+            if database.extent_size(member) == 0 or not query_samples:
+                continue
+            total = 0
+            for _ in range(query_samples):
+                value = values[rng.randrange(len(values))]
+                total += backend.query(value, member).io.total
+            rows.append(
+                ("query", position, member, total / query_samples, query_samples)
+            )
+
+    if not update_samples:
+        return rows
+    for position in range(1, path.length + 1):
+        for member in path.hierarchy_at(position):
+            if database.extent_size(member) <= update_samples:
+                continue
+            total = 0
+            for _ in range(update_samples):
+                extent = list(database.extent(member))
+                victim = extent[rng.randrange(len(extent))]
+                total += backend.delete(victim.oid).io.total
+            rows.append(
+                ("delete", position, member, total / update_samples, update_samples)
+            )
+            total = 0
+            count = 0
+            for _ in range(update_samples):
+                survivors = list(database.extent(member))
+                template = survivors[rng.randrange(len(survivors))]
+                kwargs = clone_kwargs(database, template)
+                if kwargs is None:
+                    continue
+                total += backend.insert(member, **kwargs).io.total
+                count += 1
+            if count:
+                rows.append(("insert", position, member, total / count, count))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -73,6 +144,8 @@ def validate_configuration(
         What to index and how.
     samples:
         Operations sampled per (operation, class) pair.
+    seed:
+        Seeds the :func:`sample_operations` draws.
     config:
         Physical constants (shared by both sides).
     stats:
@@ -87,92 +160,23 @@ def validate_configuration(
     backend = MaterializedConfiguration(
         database, path, configuration, sizes=config.sizes
     )
-    rng = random.Random(seed)
-    values = ending_values(database, path)
-    if not values:
-        raise ReproError("database has no ending-attribute values to probe")
-
-    rows: list[ValidationRow] = []
-    for position in range(1, path.length + 1):
-        for member in path.hierarchy_at(position):
-            if database.extent_size(member) == 0:
-                continue
-            probe_values = [values[rng.randrange(len(values))] for _ in range(samples)]
-            total = 0
-            for value in probe_values:
-                total += backend.query(value, member).io.total
-            rows.append(
-                ValidationRow(
-                    operation="query",
-                    class_name=member,
-                    analytic=analytic[(position, member)]["query"],
-                    measured=total / samples,
-                    samples=samples,
-                )
-            )
-    if include_updates:
-        rows.extend(
-            _validate_updates(
-                database, path, backend, analytic, rng, samples
-            )
+    sampled = sample_operations(
+        backend,
+        path,
+        random.Random(seed),
+        query_samples=samples,
+        update_samples=samples if include_updates else 0,
+    )
+    return [
+        ValidationRow(
+            operation=operation,
+            class_name=member,
+            analytic=analytic[(position, member)][operation],
+            measured=measured,
+            samples=count,
         )
-    return rows
-
-
-def _validate_updates(
-    database: OODatabase,
-    path: Path,
-    backend: MaterializedConfiguration,
-    analytic: dict[tuple[int, str], dict[str, float]],
-    rng: random.Random,
-    samples: int,
-) -> list[ValidationRow]:
-    rows: list[ValidationRow] = []
-    for position in range(1, path.length + 1):
-        for member in path.hierarchy_at(position):
-            extent = list(database.extent(member))
-            if len(extent) <= samples:
-                continue
-            # --- deletes: random existing objects (measured first so the
-            # inserts below do not skew the sample towards fresh objects).
-            delete_total = 0
-            delete_count = 0
-            for _ in range(samples):
-                extent = list(database.extent(member))
-                victim = extent[rng.randrange(len(extent))]
-                delete_total += backend.delete(victim.oid).io.total
-                delete_count += 1
-            rows.append(
-                ValidationRow(
-                    operation="delete",
-                    class_name=member,
-                    analytic=analytic[(position, member)]["delete"],
-                    measured=delete_total / max(delete_count, 1),
-                    samples=delete_count,
-                )
-            )
-            # --- inserts: clones of random surviving objects.
-            insert_total = 0
-            insert_count = 0
-            for _ in range(samples):
-                survivors = list(database.extent(member))
-                template = survivors[rng.randrange(len(survivors))]
-                kwargs = clone_kwargs(database, template)
-                if kwargs is None:
-                    continue
-                insert_total += backend.insert(member, **kwargs).io.total
-                insert_count += 1
-            if insert_count:
-                rows.append(
-                    ValidationRow(
-                        operation="insert",
-                        class_name=member,
-                        analytic=analytic[(position, member)]["insert"],
-                        measured=insert_total / insert_count,
-                        samples=insert_count,
-                    )
-                )
-    return rows
+        for operation, position, member, measured, count in sampled
+    ]
 
 
 def render_validation(rows: list[ValidationRow]) -> str:

@@ -45,6 +45,7 @@ import json
 import sys
 
 from repro.core.advisor import DEFAULT_STRATEGY, advise
+from repro.core.configuration import IndexConfiguration
 from repro.core.cost_matrix import CostMatrix
 from repro.core.multipath import (
     DEFAULT_RESTARTS,
@@ -53,7 +54,8 @@ from repro.core.multipath import (
     validate_selection_options,
 )
 from repro.errors import ReproError
-from repro.io import load_spec, spec_to_dict
+from repro.io import AdvisorSpec, load_spec, spec_to_dict
+from repro.model.path import Path
 from repro.obs import Recorder, stats_table, write_profile
 from repro.organizations import CONFIGURABLE_ORGANIZATIONS
 from repro.reporting.tables import multipath_table, replay_table, whatif_table
@@ -106,16 +108,42 @@ def _finish_profile(
         print(f"profile written to {profile}", file=sys.stderr)
 
 
+def _spec_options(spec: AdvisorSpec, noindex: bool) -> dict:
+    """The organization, NONE-fallback and range options a spec asks for.
+
+    ``noindex`` (the ``--noindex`` flag) adds the zero-storage NONE
+    fallback on top of the spec's own ``include_noindex``.
+    """
+    return dict(
+        organizations=spec.organizations or CONFIGURABLE_ORGANIZATIONS,
+        include_noindex=spec.include_noindex or noindex,
+        range_selectivity=spec.range_selectivity,
+    )
+
+
+def _configuration_json(
+    path: Path, configuration: IndexConfiguration
+) -> list[dict]:
+    """A configuration's parts as JSON objects, in path order."""
+    return [
+        {
+            "subpath": str(path.subpath(a.start, a.end)),
+            "start": a.start,
+            "end": a.end,
+            "organization": str(a.organization),
+        }
+        for a in configuration.assignments
+    ]
+
+
 def _cmd_advise(arguments: argparse.Namespace) -> int:
     spec = load_spec(arguments.spec)
     recorder = _recorder_for(arguments)
     report = advise(
         spec.stats,
         spec.load,
-        organizations=spec.organizations or CONFIGURABLE_ORGANIZATIONS,
-        include_noindex=spec.include_noindex or arguments.noindex,
+        **_spec_options(spec, arguments.noindex),
         keep_trace=arguments.trace,
-        range_selectivity=spec.range_selectivity,
         strategy=arguments.strategy,
         workers=arguments.workers,
         recorder=recorder,
@@ -126,15 +154,9 @@ def _cmd_advise(arguments: argparse.Namespace) -> int:
             "path": str(path),
             "strategy": report.optimal.strategy,
             "optimal": {
-                "configuration": [
-                    {
-                        "subpath": str(path.subpath(a.start, a.end)),
-                        "start": a.start,
-                        "end": a.end,
-                        "organization": str(a.organization),
-                    }
-                    for a in report.optimal.configuration.assignments
-                ],
+                "configuration": _configuration_json(
+                    path, report.optimal.configuration
+                ),
                 "cost": report.optimal.cost,
                 "evaluated": report.optimal.evaluated,
                 "pruned": report.optimal.pruned,
@@ -159,9 +181,7 @@ def _cmd_matrix(arguments: argparse.Namespace) -> int:
     matrix = CostMatrix.compute(
         spec.stats,
         spec.load,
-        organizations=spec.organizations or CONFIGURABLE_ORGANIZATIONS,
-        include_noindex=spec.include_noindex,
-        range_selectivity=spec.range_selectivity,
+        **_spec_options(spec, noindex=False),
         workers=arguments.workers,
     )
     print(matrix.render(spec.stats.path))
@@ -187,9 +207,7 @@ def _cmd_multipath(arguments: argparse.Namespace) -> int:
         CostMatrix.compute(
             spec.stats,
             spec.load,
-            organizations=spec.organizations or CONFIGURABLE_ORGANIZATIONS,
-            include_noindex=arguments.noindex or spec.include_noindex,
-            range_selectivity=spec.range_selectivity,
+            **_spec_options(spec, arguments.noindex),
             workers=arguments.workers,
             recorder=recorder,
         )
@@ -210,15 +228,9 @@ def _cmd_multipath(arguments: argparse.Namespace) -> int:
             "paths": [
                 {
                     "path": str(path),
-                    "configuration": [
-                        {
-                            "subpath": str(path.subpath(a.start, a.end)),
-                            "start": a.start,
-                            "end": a.end,
-                            "organization": str(a.organization),
-                        }
-                        for a in result.configurations[index].assignments
-                    ],
+                    "configuration": _configuration_json(
+                        path, result.configurations[index]
+                    ),
                 }
                 for index, path in enumerate(paths)
             ],
@@ -267,9 +279,7 @@ def _cmd_whatif(arguments: argparse.Namespace) -> int:
     session = AdvisorSession(
         spec.stats,
         spec.load,
-        organizations=spec.organizations or CONFIGURABLE_ORGANIZATIONS,
-        include_noindex=spec.include_noindex or arguments.noindex,
-        range_selectivity=spec.range_selectivity,
+        **_spec_options(spec, arguments.noindex),
         strategy=arguments.strategy,
         workers=arguments.workers,
         recorder=recorder,
@@ -301,15 +311,9 @@ def _cmd_whatif(arguments: argparse.Namespace) -> int:
                     ),
                     "cost": step.cost,
                     "configuration_changed": step.configuration_changed,
-                    "configuration": [
-                        {
-                            "subpath": str(path.subpath(a.start, a.end)),
-                            "start": a.start,
-                            "end": a.end,
-                            "organization": str(a.organization),
-                        }
-                        for a in step.result.configuration.assignments
-                    ],
+                    "configuration": _configuration_json(
+                        path, step.result.configuration
+                    ),
                 }
                 for step in steps
             ],
@@ -372,9 +376,7 @@ def _cmd_replay(arguments: argparse.Namespace) -> int:
         window = 200
     recorder = _recorder_for(arguments)
     session_options = dict(
-        organizations=spec.organizations or CONFIGURABLE_ORGANIZATIONS,
-        include_noindex=spec.include_noindex or arguments.noindex,
-        range_selectivity=spec.range_selectivity,
+        **_spec_options(spec, arguments.noindex),
         strategy=arguments.strategy,
         workers=arguments.workers,
         recorder=recorder,
@@ -454,15 +456,9 @@ def _cmd_replay(arguments: argparse.Namespace) -> int:
                     ),
                     "cost": step.cost,
                     "configuration_changed": step.configuration_changed,
-                    "configuration": [
-                        {
-                            "subpath": str(path.subpath(a.start, a.end)),
-                            "start": a.start,
-                            "end": a.end,
-                            "organization": str(a.organization),
-                        }
-                        for a in step.result.configuration.assignments
-                    ],
+                    "configuration": _configuration_json(
+                        path, step.result.configuration
+                    ),
                 }
                 for step in steps
             ],

@@ -9,6 +9,12 @@ Two evaluators:
   instead of the one-probe-per-subpath approximation that makes the matrix
   decomposition possible. The benchmarks use it to quantify how tight the
   paper's approximation is.
+
+:func:`per_class_analytic_costs` and :func:`per_part_analytic_costs`
+give the coupled evaluation per operation on one scope class (and split
+by part), which the ground-truth backend compares with measured pages.
+All three coupled functions read one chain of part models, probes and
+tail sums (:func:`_chained_parts`).
 """
 
 from __future__ import annotations
@@ -47,6 +53,34 @@ class CoupledCost:
         return self.query + self.insert + self.delete + self.cmd
 
 
+def _chained_parts(stats: PathStatistics, configuration: IndexConfiguration):
+    """The coupled evaluation's chain over the configuration's parts.
+
+    Returns ``(models, probes, hierarchy, tail)``: each part's cost
+    model; ``probes[g]``, the equality values fed to part ``g``'s ending
+    attribute (the oid fan-in of the part after it, Corollary 4.1);
+    ``hierarchy[g]``, part ``g``'s full ``hierarchy_query_cost`` under
+    those probes; and ``tail[g]``, the lookups of parts ``g`` onwards,
+    summed right to left (``tail[len(parts)]`` is zero).
+    """
+    parts = configuration.assignments
+    models = [
+        build_model(stats, part.start, part.end, part.organization)
+        for part in parts
+    ]
+    probes = [1.0] * len(parts)
+    for g in range(len(parts) - 2, -1, -1):
+        probes[g] = models[g + 1].emitted_oids(probes[g + 1])
+    hierarchy = [
+        model.hierarchy_query_cost(part.start, probe)
+        for part, model, probe in zip(parts, models, probes)
+    ]
+    tail = [0.0] * (len(parts) + 1)
+    for g in range(len(parts) - 1, -1, -1):
+        tail[g] = tail[g + 1] + hierarchy[g]
+    return models, probes, hierarchy, tail
+
+
 def per_class_analytic_costs(
     stats: PathStatistics,
     configuration: IndexConfiguration,
@@ -61,24 +95,12 @@ def per_class_analytic_costs(
     measured page counts.
     """
     parts = configuration.assignments
-    models = [
-        build_model(stats, part.start, part.end, part.organization)
-        for part in parts
-    ]
-    probes = [1.0] * len(parts)
-    for g in range(len(parts) - 2, -1, -1):
-        probes[g] = models[g + 1].emitted_oids(probes[g + 1])
-    tail_cost = [0.0] * (len(parts) + 1)
-    for g in range(len(parts) - 1, -1, -1):
-        tail_cost[g] = tail_cost[g + 1] + models[g].hierarchy_query_cost(
-            parts[g].start, probes[g]
-        )
-
+    models, probes, _hierarchy, tail = _chained_parts(stats, configuration)
     results: dict[tuple[int, str], dict[str, float]] = {}
     for g, (part, model) in enumerate(zip(parts, models)):
         for position in range(part.start, part.end + 1):
             for member in stats.members(position):
-                query = model.query_cost(position, member, probes[g]) + tail_cost[g + 1]
+                query = model.query_cost(position, member, probes[g]) + tail[g + 1]
                 insert = model.insert_cost(position, member)
                 delete = model.delete_cost(position, member)
                 if position == part.start and g > 0:
@@ -89,6 +111,49 @@ def per_class_analytic_costs(
                     "delete": delete,
                 }
     return results
+
+
+def per_part_analytic_costs(
+    stats: PathStatistics,
+    configuration: IndexConfiguration,
+) -> dict[tuple[int, str], dict[str, list[float]]]:
+    """Per-part split of the coupled per-class expected costs.
+
+    For each ``(position, class)`` and operation kind, a list with one
+    entry per configuration part: the pages the analytic model charges
+    that part for one such operation. A query charges its own part
+    ``query_cost`` and every later part its full
+    ``hierarchy_query_cost``; a delete adds the ``CMD`` charge to the
+    *preceding* part when the class starts a subpath.
+
+    Summing an insert or delete list gives
+    :func:`per_class_analytic_costs`'s value bit for bit. A query list
+    sums to it only up to rounding (tests hold it to a relative 1e-12):
+    the list adds the later parts left to right after the own part,
+    while the per-class cost adds the own part to their right-to-left
+    sum.
+    """
+    parts = configuration.assignments
+    models, probes, hierarchy, _tail = _chained_parts(stats, configuration)
+    split: dict[tuple[int, str], dict[str, list[float]]] = {}
+    for g, (part, model) in enumerate(zip(parts, models)):
+        for position in range(part.start, part.end + 1):
+            for member in stats.members(position):
+                query = [0.0] * len(parts)
+                query[g] = model.query_cost(position, member, probes[g])
+                query[g + 1 :] = hierarchy[g + 1 :]
+                insert = [0.0] * len(parts)
+                insert[g] = model.insert_cost(position, member)
+                delete = [0.0] * len(parts)
+                delete[g] = model.delete_cost(position, member)
+                if position == part.start and g > 0:
+                    delete[g - 1] += models[g - 1].cmd_cost()
+                split[(position, member)] = {
+                    "query": query,
+                    "insert": insert,
+                    "delete": delete,
+                }
+    return split
 
 
 def coupled_configuration_cost(
@@ -105,22 +170,7 @@ def coupled_configuration_cost(
     evaluation (they are exactly decomposable).
     """
     parts = configuration.assignments
-    models = [
-        build_model(stats, part.start, part.end, part.organization)
-        for part in parts
-    ]
-    # probes[g]: equality values fed to subpath g's ending attribute.
-    probes = [1.0] * len(parts)
-    for g in range(len(parts) - 2, -1, -1):
-        probes[g] = models[g + 1].emitted_oids(probes[g + 1])
-
-    # Cost of the "tail" lookups: subpaths strictly after g, probed fully.
-    tail_cost = [0.0] * (len(parts) + 1)
-    for g in range(len(parts) - 1, -1, -1):
-        tail_cost[g] = tail_cost[g + 1] + models[g].hierarchy_query_cost(
-            parts[g].start, probes[g]
-        )
-
+    models, probes, _hierarchy, tail = _chained_parts(stats, configuration)
     query = 0.0
     insert = 0.0
     delete = 0.0
@@ -131,7 +181,7 @@ def coupled_configuration_cost(
                 triplet = load.triplet(member)
                 if triplet.query:
                     own = model.query_cost(position, member, probes[g])
-                    query += triplet.query * (own + tail_cost[g + 1])
+                    query += triplet.query * (own + tail[g + 1])
                 if triplet.insert:
                     insert += triplet.insert * model.insert_cost(position, member)
                 if triplet.delete:

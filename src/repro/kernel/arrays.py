@@ -511,11 +511,8 @@ class StatArrays:
         # storage sums — which are statistics-only (the workload enters
         # the formulas exclusively through the frequency folds), so
         # patched clones share it by reference too. Bounded FIFO.
-        # _results memoizes one organization's priced components per
-        # rows — load-dependent, so every clone starts its own dict.
         self._tables: dict = {}
         self._units: dict = {}
-        self._results: dict = {}
 
     @property
     def stats(self) -> PathStatistics:
@@ -556,16 +553,6 @@ class StatArrays:
             self._units[key] = units
         return units
 
-    def cached_result(self, organization, rows_key):
-        """Memoized priced components for identical (org, rows)."""
-        return self._results.get((organization, rows_key))
-
-    def store_result(self, organization, rows_key, value) -> None:
-        """Memoize one organization's priced components (bounded, FIFO)."""
-        if len(self._results) >= _RESULT_CACHE_LIMIT:
-            self._results.pop(next(iter(self._results)))
-        self._results[(organization, rows_key)] = value
-
     def patched(self, load: LoadDistribution) -> "StatArrays":
         """The lowering for the same statistics under a drifted workload.
 
@@ -580,7 +567,6 @@ class StatArrays:
         clone = StatArrays.__new__(StatArrays)
         clone.__dict__.update(self.__dict__)
         clone.load = load
-        clone._results = {}
         alpha = self.alpha.copy()
         beta = self.beta.copy()
         gamma = self.gamma.copy()
@@ -711,9 +697,6 @@ class StatArrays:
 # patches one lowering per step (the previous step's entry is the hit),
 # and a what-if explorer toggles between a few candidate workloads.
 _ARRAYS_CACHE_LIMIT = 4
-# evaluate() outputs per (organization, rows) tuple; warm rebuilds of the
-# same matrix hit one entry per canonical organization.
-_RESULT_CACHE_LIMIT = 32
 _UNITS_CACHE_LIMIT = 64
 
 

@@ -138,16 +138,11 @@ def evaluate_rows(
 
     if arrays is None:
         arrays = get_stat_arrays(stats, load, range_selectivity)
-    rows_key = tuple(kernel_rows)
     # SIX/IIX share MX/MIX's pricing, so each canonical organization is
     # evaluated once and its columns are written for every alias that
-    # requested it. Identical (organization, rows) requests against a
-    # persistent lowering replay the memoized arrays.
+    # requested it.
     canonicals = list(dict.fromkeys(map(canonical_organization, organizations)))
-    memo = {c: arrays.cached_result(c, rows_key) for c in canonicals}
-    batch = None
-    if any(components is None for components in memo.values()):
-        batch = _RowBatch(arrays, kernel_rows)
+    batch = _RowBatch(arrays, kernel_rows)
     ends = np.array([end for _, end in kernel_rows])
     following = np.array(arrays.following)[ends]
     targets = np.array(kernel_index)
@@ -155,15 +150,10 @@ def evaluate_rows(
         with recorder.span(
             f"kernel.fold.{canonical.value.lower()}", rows=len(kernel_rows)
         ):
-            components = memo[canonical]
-            if components is None:
-                query, insert, delete, cmd_rate, storage = batch.evaluate(
-                    canonical
-                )
-                rate = np.where(ends < length, cmd_rate, 0.0)
-                cmd, total = cmd_and_total(query, insert, delete, rate, following)
-                components = (query, insert, delete, cmd, rate, storage, total)
-                arrays.store_result(canonical, rows_key, components)
+            query, insert, delete, cmd_rate, storage = batch.evaluate(canonical)
+            rate = np.where(ends < length, cmd_rate, 0.0)
+            cmd, total = cmd_and_total(query, insert, delete, rate, following)
+            components = (query, insert, delete, cmd, rate, storage, total)
             for column, organization in enumerate(organizations):
                 if canonical_organization(organization) is canonical:
                     for target, values in zip(priced, components):

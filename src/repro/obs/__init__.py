@@ -21,13 +21,7 @@ from repro.obs.export import (
     stats_table,
     write_profile,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    metric_key,
-)
+from repro.obs.metrics import Counter, MetricsRegistry, metric_key
 from repro.obs.recorder import (
     NULL_RECORDER,
     NullRecorder,
@@ -38,8 +32,6 @@ from repro.obs.recorder import (
 __all__ = [
     "Clock",
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NULL_RECORDER",
     "NullRecorder",

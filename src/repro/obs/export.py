@@ -109,9 +109,9 @@ def stats_table(recorder, title: str = "observability stats") -> str:
     """Spans aggregated by name plus every metric, as ASCII tables.
 
     The span section shows call counts and total milliseconds per span
-    name (sorted by total time, descending); the metric sections list
-    counters, gauges and histogram summaries under their canonical
-    keys. This is what the CLI ``--stats`` flag prints.
+    name (sorted by total time, descending); the counter section lists
+    every counter under its canonical key. This is what the CLI
+    ``--stats`` flag prints.
     """
     by_name: dict[str, list[float]] = {}
     for span in recorder.spans:
@@ -135,30 +135,5 @@ def stats_table(recorder, title: str = "observability stats") -> str:
     if counter_rows:
         sections.append(
             ascii_table(["counter", "value"], counter_rows, title="counters")
-        )
-    gauge_rows = [
-        [key, _format_value(value)] for key, value in snapshot["gauges"].items()
-    ]
-    if gauge_rows:
-        sections.append(
-            ascii_table(["gauge", "value"], gauge_rows, title="gauges")
-        )
-    histogram_rows = [
-        [
-            key,
-            summary["count"],
-            _format_value(summary["sum"]),
-            _format_value(summary.get("min", 0.0)),
-            _format_value(summary.get("max", 0.0)),
-        ]
-        for key, summary in snapshot["histograms"].items()
-    ]
-    if histogram_rows:
-        sections.append(
-            ascii_table(
-                ["histogram", "count", "sum", "min", "max"],
-                histogram_rows,
-                title="histograms",
-            )
         )
     return "\n\n".join(sections)

@@ -4,8 +4,8 @@ Two recorder types share one duck-typed surface:
 
 * :class:`Recorder` — the real thing: ``span(name)`` context managers
   push/pop a depth stack and append ``(name, ts, dur, tid, depth,
-  args)`` records; ``counter``/``gauge``/``histogram`` delegate to an
-  owned :class:`~repro.obs.metrics.MetricsRegistry`; ``absorb`` merges a
+  args)`` records; ``counter`` delegates to an owned
+  :class:`~repro.obs.metrics.MetricsRegistry`; ``absorb`` merges a
   worker's serialized profile under a distinct ``tid``.
 * :class:`NullRecorder` — the default everywhere: every method returns a
   shared singleton whose operations are no-ops, so instrumented call
@@ -24,7 +24,7 @@ calling into the recorder. Timing goes through the injectable
 from __future__ import annotations
 
 from repro.obs.clock import Clock, default_clock
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 
 
 class _NullSpan:
@@ -43,18 +43,12 @@ class _NullSpan:
 
 
 class _NullInstrument:
-    """Shared no-op counter/gauge/histogram."""
+    """Shared no-op counter."""
 
     __slots__ = ()
 
     def add(self, amount: int = 1) -> None:
         """Discard a counter increment."""
-
-    def set(self, value: float) -> None:
-        """Discard a gauge value."""
-
-    def observe(self, value: float) -> None:
-        """Discard a histogram sample."""
 
 
 _NULL_SPAN = _NullSpan()
@@ -73,14 +67,6 @@ class NullRecorder:
 
     def counter(self, name: str, **labels) -> _NullInstrument:
         """A no-op counter."""
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, **labels) -> _NullInstrument:
-        """A no-op gauge."""
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, **labels) -> _NullInstrument:
-        """A no-op histogram."""
         return _NULL_INSTRUMENT
 
     def absorb(self, profile: dict, tid: int = 0) -> None:
@@ -174,14 +160,6 @@ class Recorder:
     def counter(self, name: str, **labels) -> Counter:
         """The counter for ``(name, labels)`` from the owned registry."""
         return self.metrics.counter(name, **labels)
-
-    def gauge(self, name: str, **labels) -> Gauge:
-        """The gauge for ``(name, labels)`` from the owned registry."""
-        return self.metrics.gauge(name, **labels)
-
-    def histogram(self, name: str, **labels) -> Histogram:
-        """The histogram for ``(name, labels)`` from the owned registry."""
-        return self.metrics.histogram(name, **labels)
 
     def absorb(self, profile: dict, tid: int = 0) -> None:
         """Merge a worker's :meth:`profile` under logical thread ``tid``.

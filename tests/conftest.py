@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.cost_matrix import CostMatrix
@@ -18,6 +20,7 @@ from repro.paper import figure6_matrix, figure7_load, figure7_statistics
 from repro.storage.pager import Pager
 from repro.storage.sizes import SizeModel
 from repro.synth import LevelSpec, linear_path_schema, populate_path_database
+from repro.workload.generator import WorkloadGenerator
 
 
 @pytest.fixture(scope="session")
@@ -102,6 +105,42 @@ def make_small_synth(seed: int = 1):
     }
     database = populate_path_database(schema, path, specs, seed=seed)
     return schema, path, database, specs
+
+
+def make_nix_heavy_world(length, seed):
+    """A deterministic linear path with 0/1/2 subclasses in equal thirds,
+    a quarter of the levels set-valued (fan-out 1.5-3), 2e4-2e5 objects
+    decaying 1.5-4x per level, and a 2:1 query:update mixed load — the
+    shape of the benchmark harness's worlds."""
+    rng = random.Random(seed)
+    subclasses = [position % 3 for position in range(length)]
+    rng.shuffle(subclasses)
+    levels = [
+        LevelSpec(
+            f"L{index}",
+            subclasses=subclasses[index],
+            multi_valued=rng.random() < 0.25,
+        )
+        for index in range(length)
+    ]
+    _schema, path = linear_path_schema(levels)
+    per_class = {}
+    objects = rng.uniform(2e4, 2e5)
+    for position, spec in enumerate(levels, start=1):
+        for name in path.hierarchy_at(position):
+            share = 1.0 if name == spec.name else rng.uniform(0.1, 0.5)
+            count = max(50, round(objects * share))
+            fanout = rng.uniform(1.5, 3.0) if spec.multi_valued else 1.0
+            distinct = max(10, round(count * fanout / rng.uniform(2.0, 10.0)))
+            per_class[name] = ClassStats(
+                objects=count, distinct=distinct, fanout=fanout
+            )
+        objects = max(100.0, objects / rng.uniform(1.5, 4.0))
+    stats = PathStatistics(path, per_class)
+    load = WorkloadGenerator(rng.randrange(2**31)).mixed(
+        path, query_weight=2.0, update_weight=1.0
+    )
+    return stats, load
 
 
 @pytest.fixture(scope="session")

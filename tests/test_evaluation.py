@@ -1,6 +1,9 @@
 """Tests for configuration evaluation (additive and coupled)."""
 
 import pytest
+from conftest import make_nix_heavy_world
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.configuration import IndexConfiguration
 from repro.core.cost_matrix import CostMatrix
@@ -8,8 +11,9 @@ from repro.core.evaluation import (
     configuration_cost,
     coupled_configuration_cost,
     per_class_analytic_costs,
+    per_part_analytic_costs,
 )
-from repro.organizations import IndexOrganization
+from repro.organizations import ALL_ORGANIZATIONS, IndexOrganization
 
 MX = IndexOrganization.MX
 MIX = IndexOrganization.MIX
@@ -109,3 +113,39 @@ class TestPerClassCosts:
         config = IndexConfiguration.of((1, 2, NIX), (3, 4, MX))
         costs = per_class_analytic_costs(fig7_stats, config)
         assert costs[(1, "Person")]["query"] > costs[(4, "Division")]["query"]
+
+
+class TestPerPartCosts:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        length=st.integers(min_value=1, max_value=10),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_parts_sum_to_the_per_class_costs(self, data, length, seed):
+        """Each per-part list sums to the coupled per-class cost: inserts
+        and deletes bit for bit, queries up to rounding (the per-class
+        cost adds the later parts right to left, the list left to
+        right)."""
+        stats, _load = make_nix_heavy_world(length, seed)
+        cuts = data.draw(
+            st.lists(st.booleans(), min_size=length - 1, max_size=length - 1)
+        )
+        boundaries = [0, *(i + 1 for i, cut in enumerate(cuts) if cut), length]
+        configuration = IndexConfiguration.of(
+            *(
+                (start + 1, end, data.draw(st.sampled_from(ALL_ORGANIZATIONS)))
+                for start, end in zip(boundaries, boundaries[1:])
+            )
+        )
+        costs = per_class_analytic_costs(stats, configuration)
+        split = per_part_analytic_costs(stats, configuration)
+        assert split.keys() == costs.keys()
+        for key, entry in costs.items():
+            for operation, expected in entry.items():
+                shares = split[key][operation]
+                assert len(shares) == len(configuration.assignments)
+                if operation == "query":
+                    assert sum(shares) == pytest.approx(expected, rel=1e-12)
+                else:
+                    assert sum(shares) == expected

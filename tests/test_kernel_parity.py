@@ -13,13 +13,12 @@ exports a closed set of names, and the auto-parallel threshold.
 
 import inspect
 import math
-import random
 import warnings
 from unittest import mock
 
 import numpy
 import pytest
-from conftest import oracle_matrix
+from conftest import make_nix_heavy_world, oracle_matrix
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -37,7 +36,6 @@ from repro.organizations import ALL_ORGANIZATIONS, EXTENDED_ORGANIZATIONS
 from repro.paper import figure7_load, figure7_statistics
 from repro.synth import LevelSpec, linear_path_schema
 from repro.whatif import AdvisorSession
-from repro.workload.generator import WorkloadGenerator
 from repro.workload.load import LoadDistribution, LoadTriplet
 
 
@@ -68,41 +66,6 @@ def make_world(
     stats = PathStatistics(path, per_class)
     load = LoadDistribution.uniform(
         path, query=query, insert=insert, delete=delete
-    )
-    return stats, load
-
-
-def make_nix_heavy_world(length, seed):
-    """A deterministic linear path with 0/1/2 subclasses in equal thirds,
-    a quarter of the levels set-valued (fan-out 1.5-3), 2e4-2e5 objects
-    decaying 1.5-4x per level, and a 2:1 query:update mixed load."""
-    rng = random.Random(seed)
-    subclasses = [position % 3 for position in range(length)]
-    rng.shuffle(subclasses)
-    levels = [
-        LevelSpec(
-            f"L{index}",
-            subclasses=subclasses[index],
-            multi_valued=rng.random() < 0.25,
-        )
-        for index in range(length)
-    ]
-    _schema, path = linear_path_schema(levels)
-    per_class = {}
-    objects = rng.uniform(2e4, 2e5)
-    for position, spec in enumerate(levels, start=1):
-        for name in path.hierarchy_at(position):
-            share = 1.0 if name == spec.name else rng.uniform(0.1, 0.5)
-            count = max(50, round(objects * share))
-            fanout = rng.uniform(1.5, 3.0) if spec.multi_valued else 1.0
-            distinct = max(10, round(count * fanout / rng.uniform(2.0, 10.0)))
-            per_class[name] = ClassStats(
-                objects=count, distinct=distinct, fanout=fanout
-            )
-        objects = max(100.0, objects / rng.uniform(1.5, 4.0))
-    stats = PathStatistics(path, per_class)
-    load = WorkloadGenerator(rng.randrange(2**31)).mixed(
-        path, query_weight=2.0, update_weight=1.0
     )
     return stats, load
 

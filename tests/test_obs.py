@@ -45,35 +45,13 @@ class TestMetricsRegistry:
         snapshot = registry.snapshot()
         assert snapshot["counters"] == {"hits{layer=kernel}": 5}
 
-    def test_gauge_last_write_wins(self):
-        registry = MetricsRegistry()
-        registry.gauge("depth").set(3.0)
-        registry.gauge("depth").set(1.5)
-        assert registry.snapshot()["gauges"] == {"depth": 1.5}
-
-    def test_histogram_summary(self):
-        registry = MetricsRegistry()
-        for value in (2.0, 8.0, 5.0):
-            registry.histogram("lat").observe(value)
-        summary = registry.snapshot()["histograms"]["lat"]
-        assert summary == {"count": 3, "sum": 15.0, "min": 2.0, "max": 8.0}
-
     def test_merge_adds_counters_and_histograms(self):
         parent, worker = MetricsRegistry(), MetricsRegistry()
         parent.counter("rows").add(10)
         worker.counter("rows").add(7)
-        worker.histogram("ms").observe(3.0)
-        worker.gauge("depth").set(2.0)
         parent.merge(worker.snapshot())
         snapshot = parent.snapshot()
         assert snapshot["counters"]["rows"] == 17
-        assert snapshot["histograms"]["ms"]["count"] == 1
-        assert snapshot["gauges"]["depth"] == 2.0
-
-    def test_merge_empty_histogram_is_noop(self):
-        parent = MetricsRegistry()
-        parent.merge({"histograms": {"ms": {"count": 0, "sum": 0.0}}})
-        assert parent.snapshot()["histograms"]["ms"]["count"] == 0
 
     def test_snapshot_keys_sorted(self):
         registry = MetricsRegistry()
@@ -94,17 +72,12 @@ class TestNullRecorder:
         with recorder.span("x", a=1) as span:
             span.note(b=2)
         recorder.counter("c").add(5)
-        recorder.gauge("g").set(1.0)
-        recorder.histogram("h").observe(2.0)
         recorder.absorb({"spans": [{"name": "w"}], "metrics": {}}, tid=1)
-        assert recorder.profile() == {
-            "spans": [],
-            "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
-        }
+        assert recorder.profile() == {"spans": [], "metrics": {"counters": {}}}
 
     def test_shared_singletons(self):
         assert NULL_RECORDER.span("a") is NULL_RECORDER.span("b")
-        assert NULL_RECORDER.counter("a") is NULL_RECORDER.histogram("b")
+        assert NULL_RECORDER.counter("a") is NULL_RECORDER.counter("b")
 
 
 class TestRecorderSpans:
@@ -216,15 +189,10 @@ class TestExport:
         assert any(e["ph"] == "X" for e in document["traceEvents"])
 
     def test_stats_table_sections(self):
-        recorder = self.make_recorder()
-        recorder.gauge("pool.workers").set(2.0)
-        recorder.histogram("batch.ms").observe(1.5)
-        table = stats_table(recorder)
+        table = stats_table(self.make_recorder())
         assert "observability stats" in table
         assert "matrix.build" in table
         assert "advise.calls" in table
-        assert "pool.workers" in table
-        assert "batch.ms" in table
 
     def test_stats_table_empty_recorder(self):
         table = stats_table(Recorder(FakeClock()))

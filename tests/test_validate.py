@@ -3,19 +3,24 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import textwrap
 
 import pytest
 
-from repro.core.configuration import IndexConfiguration
-from repro.organizations import IndexOrganization
-from repro.validate.compare import (
+from repro.backend import (
+    MaterializedConfiguration,
     ValidationRow,
+    default_scenarios,
+    measure_scenarios,
     render_validation,
     validate_configuration,
 )
+from repro.backend.validate import sample_operations
+from repro.core.configuration import IndexConfiguration
+from repro.organizations import IndexOrganization
 from tests.conftest import make_small_synth
 
 MX = IndexOrganization.MX
@@ -100,9 +105,54 @@ class TestUpdateValidation:
             )
 
 
+class TestSharedSampler:
+    """Validation and calibration take their rows from one sampler."""
+
+    def test_validation_rows_equal_calibration_rows(self):
+        """On every default scenario, validating the scenario's own
+        configuration with its seed measures what calibration measures."""
+        compared = 0
+        for scenario in default_scenarios():
+            database, path, stats, configuration = scenario.build()
+            validated = validate_configuration(
+                database, path, configuration, samples=4,
+                seed=scenario.seed, stats=stats,
+            )
+            calibrated = measure_scenarios(
+                [scenario], query_samples=4, update_samples=4
+            )
+            assert [
+                (r.operation, r.class_name, r.analytic, r.measured, r.samples)
+                for r in validated
+            ] == [
+                (m.operation, m.class_name, m.analytic, m.measured, m.samples)
+                for m in calibrated
+            ], scenario.name
+            compared += len(validated)
+        assert compared == 216
+
+    def test_queries_come_first_and_ignore_update_samples(self):
+        """Query rows are drawn before any update, so ``update_samples``
+        changes only what follows them; ``0`` samples queries only."""
+        rows = {}
+        for update_samples in (0, 3):
+            _schema, path, database, _specs = make_small_synth(seed=4)
+            backend = MaterializedConfiguration(
+                database, path, IndexConfiguration.of((1, 1, MX), (2, 3, NIX))
+            )
+            rows[update_samples] = sample_operations(
+                backend, path, random.Random(8), 5, update_samples
+            )
+        queries = rows[0]
+        assert queries and {row[0] for row in queries} == {"query"}
+        assert rows[3][: len(queries)] == queries
+        assert {row[0] for row in rows[3][len(queries):]} == {"delete", "insert"}
+        assert all(row[4] == 3 for row in rows[3] if row[0] == "delete")
+
+
 class TestStorageValidation:
     def test_nix_storage_within_factor_two(self):
-        from repro.validate.compare import render_storage, validate_storage
+        from repro.backend import render_storage, validate_storage
 
         _schema, path, database, _specs = make_small_synth(seed=5)
         rows = validate_storage(
@@ -117,7 +167,7 @@ class TestStorageValidation:
         assert row.label in render_storage(rows)
 
     def test_every_organization_measured(self):
-        from repro.validate.compare import validate_storage
+        from repro.backend import validate_storage
 
         _schema, path, database, _specs = make_small_synth(seed=7)
         rows = validate_storage(
@@ -132,7 +182,7 @@ class TestStorageValidation:
         """Configurations sharing a subpath assignment materialize the
         shared part to the same page count — the premise behind comparing
         partitions that differ only elsewhere (shared NIX primaries)."""
-        from repro.validate.compare import validate_storage
+        from repro.backend import validate_storage
 
         _schema, path, database, _specs = make_small_synth(seed=3)
         first = validate_storage(
@@ -165,7 +215,7 @@ class TestHashSeedIndependence:
         from validation_demo import SPECS, build
         from repro import IndexConfiguration, IndexOrganization
         from repro.synth import populate_path_database
-        from repro.validate.compare import validate_configuration
+        from repro.backend import validate_configuration
 
         schema, path = build()
         database = populate_path_database(schema, path, SPECS, seed=3)
