@@ -31,7 +31,11 @@ Selection is staged:
    (:data:`_EXACT_LIMIT` combinations) and by greedy coordinate descent
    otherwise — hedged with :data:`DEFAULT_RESTARTS` seeded randomized
    restarts against its local minima — with shared physical indexes
-   charged once.
+   charged once. The descent ranks its moves by per-path deltas: one
+   numpy pass of :class:`_SwapPricer` over interned index keys scores
+   every single-path swap of a path as a joint cost change, and the
+   state changes once per applied move. Results, and the comparison
+   between restarts, are priced by :func:`_joint_cost`.
 3. **Storage budget (optional).** ``optimize_multipath(budget_pages=...)``
    constrains the union of selected physical indexes — priced per
    :class:`SharedIndexKey` from the cost-model storage estimates, which
@@ -40,7 +44,11 @@ Selection is staged:
    otherwise a greedy marginal-benefit sweep (best cost-reduction per
    added page first) whose recorded trajectory is filtered by the
    budget, so tighter budgets always cost at least as much as looser
-   ones. The budget-free path remains the default (``budget_pages=None``).
+   ones. The sweep ranks its moves from the same per-path cost and
+   storage deltas; each recorded selection is priced once by
+   :func:`_joint_cost` and :func:`_joint_storage`, so the budget filter
+   and every reported number come from them. The budget-free path
+   remains the default (``budget_pages=None``).
 
 For what-if loops, :func:`optimize_multipath` also accepts one
 :class:`~repro.whatif.AdvisorSession` per path (``sessions=``): matrices
@@ -481,45 +489,179 @@ def _joint_storage(selection: tuple[_Candidate, ...]) -> float:
     return sum(merged.values())
 
 
-def _descend(
-    candidate_sets: list[list[_Candidate]], selection: list[_Candidate]
+class _SwapPricer:
+    """Every single-path swap of one path, priced as a cost and storage delta.
+
+    Built once per joint stage from that stage's candidate sets. The ids
+    live here, not on the candidates, because sessions cache candidate
+    sets across calls. Every :class:`SharedIndexKey` is interned to an
+    integer; each path keeps flat arrays over all its candidates' blocks
+    (key id, maintenance and pages, owning candidate) and one query-cost
+    vector. Value arrays stack maintenance and pages as two planes. The
+    selection's per-key values sit in one dense row per path, and per key
+    the largest and second-largest maintenance and pages with the path
+    that holds the largest, so the maximum over every *other* path is
+    one ``np.where``. An absent key reads 0 — the value
+    :func:`_joint_cost` starts its maxima from, and a floor that
+    non-negative cost-model prices never go below.
+
+    :meth:`deltas` scores a path's swaps in one pass; only :meth:`reset`
+    and :meth:`move` change the state. ``priced`` counts the swaps scored
+    and ``moves`` the swaps applied. Deltas rank moves and never price
+    results: they sum in another order than :func:`_joint_cost` (whose
+    ``sum`` is compensated on Python 3.12+), so every reported number
+    still comes from :func:`_joint_cost` and :func:`_joint_storage`.
+    """
+
+    def __init__(self, candidate_sets: list[list[_Candidate]]) -> None:
+        ids: dict[SharedIndexKey, int] = {}
+        self._queries: list[np.ndarray] = []
+        self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._starts: list[list[int]] = []
+        for candidates in candidate_sets:
+            keys: list[int] = []
+            upkeep: list[float] = []
+            pages: list[float] = []
+            owners: list[int] = []
+            starts = [0]
+            for index, candidate in enumerate(candidates):
+                for key, cost in candidate.maintenance.items():
+                    keys.append(ids.setdefault(key, len(ids)))
+                    upkeep.append(cost)
+                    pages.append(candidate.storage.get(key, 0.0))
+                    owners.append(index)
+                starts.append(len(keys))
+            self._queries.append(
+                np.array([candidate.query_cost for candidate in candidates])
+            )
+            self._blocks.append(
+                (
+                    np.array(keys, dtype=np.intp),
+                    np.array((upkeep, pages), dtype=float),
+                    np.array(owners, dtype=np.intp),
+                )
+            )
+            self._starts.append(starts)
+        self._rows = np.zeros((2, len(candidate_sets), len(ids)))
+        self._first = np.zeros((2, len(ids)))
+        self._second = np.zeros((2, len(ids)))
+        self._holder = np.zeros((2, len(ids)), dtype=np.intp)
+        self.choice: list[int] = []
+        self.priced = 0
+        self.moves = 0
+
+    def reset(self, choice: list[int]) -> None:
+        """Make ``choice`` (one candidate index per path) the selection."""
+        self.choice = list(choice)
+        self._rows[...] = 0.0
+        for path, candidate in enumerate(self.choice):
+            self._place(path, candidate)
+        self._refresh(np.arange(self._rows.shape[2]))
+
+    def move(self, path: int, candidate: int) -> None:
+        """Apply one swap: ``path`` now selects ``candidate``."""
+        keys = self._blocks[path][0]
+        old = keys[self._part(path, self.choice[path])]
+        self._rows[:, path, old] = 0.0
+        self.choice[path] = candidate
+        self._refresh(np.concatenate((old, self._place(path, candidate))))
+        self.moves += 1
+
+    def deltas(self, path: int) -> tuple[np.ndarray, np.ndarray]:
+        """Joint cost and storage change of swapping ``path`` to each candidate.
+
+        The current candidate's entries are exactly 0.
+        """
+        keys, values, owners = self._blocks[path]
+        queries = self._queries[path]
+        excluded = np.where(
+            self._holder[:, keys] == path,
+            self._second[:, keys],
+            self._first[:, keys],
+        )
+        extra = np.maximum(values - excluded, 0.0)
+        upkeep = np.bincount(owners, extra[0], minlength=len(queries))
+        pages = np.bincount(owners, extra[1], minlength=len(queries))
+        current = self.choice[path]
+        self.priced += len(queries) - 1
+        return (
+            (queries - queries[current]) + (upkeep - upkeep[current]),
+            pages - pages[current],
+        )
+
+    def _part(self, path: int, candidate: int) -> slice:
+        """Where one candidate's blocks sit in its path's flat arrays."""
+        starts = self._starts[path]
+        return slice(starts[candidate], starts[candidate + 1])
+
+    def _place(self, path: int, candidate: int) -> np.ndarray:
+        """Write one candidate's blocks into its path's row; their key ids."""
+        keys, values, _ = self._blocks[path]
+        part = self._part(path, candidate)
+        self._rows[:, path, keys[part]] = values[:, part]
+        return keys[part]
+
+    def _refresh(self, columns: np.ndarray) -> None:
+        """Recompute the per-key top two over the selection's rows."""
+        block = self._rows[:, :, columns]
+        holder = block.argmax(axis=1)[:, None]
+        self._holder[:, columns] = holder[:, 0]
+        self._first[:, columns] = np.take_along_axis(block, holder, axis=1)[:, 0]
+        np.put_along_axis(block, holder, 0.0, axis=1)
+        self._second[:, columns] = block.max(axis=1)
+
+
+def _chosen(
+    candidate_sets: list[list[_Candidate]], choice: list[int]
 ) -> list[_Candidate]:
-    """Greedy coordinate descent: re-optimize one path at a time until stable."""
+    """The candidates a per-path index selection names."""
+    return [candidates[index] for candidates, index in zip(candidate_sets, choice)]
+
+
+def _descend(pricer: _SwapPricer, choice: list[int]) -> list[int]:
+    """Greedy coordinate descent: re-optimize one path at a time until stable.
+
+    Each path's scan walks its candidates in order and takes one whenever
+    its cost delta beats the running best by more than 1e-12 (the
+    first-improvement chain); the scan's last pick is applied as one move.
+    """
+    pricer.reset(choice)
     improved = True
     while improved:
         improved = False
-        for index, candidates in enumerate(candidate_sets):
-            current_cost, _ = _joint_cost(tuple(selection))
-            for candidate in candidates:
-                trial = list(selection)
-                trial[index] = candidate
-                cost, _ = _joint_cost(tuple(trial))
-                if cost < current_cost - 1e-12:
-                    selection = trial
-                    current_cost = cost
-                    improved = True
-    return selection
+        for path in range(len(choice)):
+            cost, _ = pricer.deltas(path)
+            best, running = None, 0.0
+            # Only a delta below -1e-12 can start the chain.
+            for candidate in np.flatnonzero(cost < -1e-12).tolist():
+                if cost[candidate] < running - 1e-12:
+                    best, running = candidate, cost[candidate]
+            if best is not None:
+                pricer.move(path, best)
+                improved = True
+    return list(pricer.choice)
 
 
 def _reuse_joint_selection(
     joint_cache: dict,
     cache_key: tuple,
     candidate_sets: list[list[_Candidate]],
+    pricer: _SwapPricer,
 ) -> list[_Candidate] | None:
     """The cached joint selection re-validated against fresh candidates.
 
     Maps the previously selected configurations into the regenerated
     candidate sets (their pricing may have moved with the perturbed
-    matrices) and scans for a single improving single-path swap — the
-    same improvement predicate as the coordinate descent, stopping at
-    the first hit. When no swap improves, the cached selection is still
-    a local optimum of the updated sharing landscape: the mapped
-    selection is returned, the caller skips the multi-start descent
-    entirely, and the ``reuses`` counter records it so tests can assert
-    the reuse happened rather than timing it. Any other outcome
-    (options changed, a selected configuration fell out of its
-    candidate set, a swap improved) returns ``None`` after at most one
-    partial sweep and the full joint stage runs.
+    matrices) and scans the paths' swap deltas for a single improving
+    single-path swap — the same improvement predicate as the coordinate
+    descent, stopping at the first path with a hit. When no swap
+    improves, the cached selection is still a local optimum of the
+    updated sharing landscape: the mapped selection is returned, the
+    caller skips the multi-start descent entirely, and the ``reuses``
+    counter records it so tests can assert the reuse happened rather
+    than timing it. Any other outcome (options changed, a selected
+    configuration fell out of its candidate set, a swap improved)
+    returns ``None`` and the full joint stage runs.
     """
     entry = joint_cache.get("entry")
     if entry is None or entry[0] != cache_key:
@@ -527,37 +669,33 @@ def _reuse_joint_selection(
     previous: list[IndexConfiguration] = entry[1]
     if len(previous) != len(candidate_sets):
         return None
-    mapped: list[_Candidate] = []
+    choice: list[int] = []
     for configuration, candidates in zip(previous, candidate_sets):
         match = next(
             (
-                candidate
-                for candidate in candidates
+                index
+                for index, candidate in enumerate(candidates)
                 if candidate.configuration == configuration
             ),
             None,
         )
         if match is None:
             return None
-        mapped.append(match)
-    current_cost, _ = _joint_cost(tuple(mapped))
-    for index, candidates in enumerate(candidate_sets):
-        for candidate in candidates:
-            if candidate is mapped[index]:
-                continue
-            trial = list(mapped)
-            trial[index] = candidate
-            cost, _ = _joint_cost(tuple(trial))
-            if cost < current_cost - 1e-12:
-                return None
+        choice.append(match)
+    pricer.reset(choice)
+    for path in range(len(choice)):
+        cost, _ = pricer.deltas(path)
+        if (cost < -1e-12).any():
+            return None
     joint_cache["reuses"] = joint_cache.get("reuses", 0) + 1
-    return mapped
+    return _chosen(candidate_sets, choice)
 
 
 def _select_unconstrained(
     candidate_sets: list[list[_Candidate]],
-    restarts: int = DEFAULT_RESTARTS,
-    seed: int = 0,
+    restarts: int,
+    seed: int,
+    pricer: _SwapPricer | None,
 ) -> tuple[list[_Candidate], bool]:
     """Best joint selection, exact for small cross products.
 
@@ -565,8 +703,9 @@ def _select_unconstrained(
     descent from the independent optimum, hedged by ``restarts`` extra
     descents from selections drawn uniformly at random per path (seeded:
     the same ``seed`` always explores the same restarts, so results are
-    deterministic). The best of all descents wins; ties keep the
-    independent-optimum descent.
+    deterministic). ``pricer`` ranks the descents' swaps; the exact cross
+    product does not use it. The best of all descents, compared by
+    :func:`_joint_cost`, wins; ties keep the independent-optimum descent.
     """
     combinations = 1
     for candidates in candidate_sets:
@@ -583,16 +722,18 @@ def _select_unconstrained(
         return list(best_selection), True
 
     # Start from each path's independent best and descend.
-    selection = [
-        min(candidates, key=lambda candidate: candidate.total)
+    start = [
+        min(range(len(candidates)), key=lambda index: candidates[index].total)
         for candidates in candidate_sets
     ]
-    best_selection = _descend(candidate_sets, selection)
+    best_selection = _chosen(candidate_sets, _descend(pricer, start))
     best_cost, _ = _joint_cost(tuple(best_selection))
     rng = random.Random(seed)
     for _ in range(restarts):
-        start = [rng.choice(candidates) for candidates in candidate_sets]
-        restarted = _descend(candidate_sets, start)
+        start = [
+            rng.choice(range(len(candidates))) for candidates in candidate_sets
+        ]
+        restarted = _chosen(candidate_sets, _descend(pricer, start))
         cost, _ = _joint_cost(tuple(restarted))
         if cost < best_cost - 1e-12:
             best_cost = cost
@@ -631,39 +772,52 @@ def _select_budgeted_exact(
     return list(best_selection), list(overall_selection)
 
 
-def _best_swap(
-    candidate_sets: list[list[_Candidate]],
-    selection: list[_Candidate],
-    rank,
-) -> tuple[tuple, int, _Candidate, float, float] | None:
-    """The best single-path swap under a ranking rule, or ``None``.
+def _shrink_rank(cost: np.ndarray, storage: np.ndarray):
+    """Storage-descent rank: union shrink first, then the cost reduction."""
+    reduction = -storage
+    return reduction > 1e-12, reduction, -cost
 
-    ``rank(trial_cost, trial_storage)`` returns a comparable rank tuple,
-    or ``None`` to reject the move; the highest rank wins. Shared by the
-    sweep's two phases so the swap enumeration cannot drift between
-    them.
+
+def _benefit_rank(cost: np.ndarray, storage: np.ndarray):
+    """Marginal-benefit rank: cost reduction per added page, then reduction.
+
+    A reduction that adds no pages ranks at infinity, above every ratio.
     """
-    best: tuple[tuple, int, _Candidate, float, float] | None = None
-    for index, candidates in enumerate(candidate_sets):
-        for candidate in candidates:
-            if candidate is selection[index]:
-                continue
-            trial = list(selection)
-            trial[index] = candidate
-            trial_cost, _ = _joint_cost(tuple(trial))
-            trial_storage = _joint_storage(tuple(trial))
-            move_rank = rank(trial_cost, trial_storage)
-            if move_rank is None:
-                continue
-            if best is None or move_rank > best[0]:
-                best = (move_rank, index, candidate, trial_cost, trial_storage)
-    return best
+    reduction = -cost
+    ratio = np.divide(
+        reduction, storage, out=np.full(len(cost), np.inf), where=storage > 0
+    )
+    return reduction > 1e-12, ratio, reduction
+
+
+def _best_move(pricer: _SwapPricer, rank) -> tuple[int, int] | None:
+    """The ``(path, candidate)`` swap with the lexicographically largest rank.
+
+    ``rank(cost_deltas, storage_deltas)`` returns a validity mask and the
+    primary and secondary rank vectors of one path's swaps. Ties go to
+    the earliest path, then the earliest candidate; the current candidate
+    is never a move.
+    """
+    best: tuple[tuple[float, float], int, int] | None = None
+    for path, current in enumerate(pricer.choice):
+        valid, primary, secondary = rank(*pricer.deltas(path))
+        valid[current] = False
+        if not valid.any():
+            continue
+        top = primary[valid].max()
+        tied = valid & (primary == top)
+        candidate = int(np.argmax(np.where(tied, secondary, -np.inf)))
+        move_rank = (float(top), float(secondary[candidate]))
+        if best is None or move_rank > best[0]:
+            best = (move_rank, path, candidate)
+    return None if best is None else best[1:]
 
 
 def _budget_sweep(
     candidate_sets: list[list[_Candidate]],
     budget_pages: float,
     unconstrained: list[_Candidate],
+    pricer: _SwapPricer,
 ) -> list[_Candidate]:
     """Greedy marginal-benefit selection under the budget.
 
@@ -680,60 +834,53 @@ def _budget_sweep(
        apply the single-path swap with the best cost reduction per
        added page (pure cost reductions rank above everything).
 
-    The unconstrained optimum is seeded into the record so generous
-    budgets recover it exactly. The answer is the cheapest recorded
-    selection that fits; nothing recorded depends on the budget, so
+    Moves are ranked from ``pricer``'s swap deltas. The unconstrained
+    optimum is seeded into the record so generous budgets recover it
+    exactly. Each recorded selection is priced once with
+    :func:`_joint_cost` and :func:`_joint_storage`, and the answer is the
+    cheapest that fits; nothing recorded depends on the budget, so
     feasible sets nest as the budget grows and the returned cost
     degrades monotonically as it tightens.
     """
-    selection = [
+    start = [
         min(
-            candidates,
-            key=lambda candidate: (sum(candidate.storage.values()), candidate.total),
+            range(len(candidates)),
+            key=lambda index: (
+                sum(candidates[index].storage.values()),
+                candidates[index].total,
+            ),
         )
         for candidates in candidate_sets
     ]
-    cost, _ = _joint_cost(tuple(selection))
-    storage = _joint_storage(tuple(selection))
-    visited: list[tuple[list[_Candidate], float, float]] = [
-        (list(selection), cost, storage),
-        (
-            list(unconstrained),
-            _joint_cost(tuple(unconstrained))[0],
-            _joint_storage(tuple(unconstrained)),
-        ),
+    seeded = [
+        next(index for index, candidate in enumerate(candidates) if candidate is chosen)
+        for candidates, chosen in zip(candidate_sets, unconstrained)
     ]
-
-    def shrink_rank(trial_cost: float, trial_storage: float):
-        reduction = storage - trial_storage
-        if reduction <= 1e-12:
-            return None
-        return (reduction, cost - trial_cost)
-
-    def benefit_rank(trial_cost: float, trial_storage: float):
-        reduction = cost - trial_cost
-        if reduction <= 1e-12:
-            return None
-        added = trial_storage - storage
-        ratio = float("inf") if added <= 0 else reduction / added
-        return (ratio, reduction)
-
-    for rank in (shrink_rank, benefit_rank):
-        while True:
-            move = _best_swap(candidate_sets, selection, rank)
-            if move is None:
-                break
-            _, index, candidate, cost, storage = move
-            selection[index] = candidate
-            visited.append((list(selection), cost, storage))
-    feasible = [entry for entry in visited if entry[2] <= budget_pages]
+    visited = [start, seeded]
+    pricer.reset(start)
+    for rank in (_shrink_rank, _benefit_rank):
+        while (move := _best_move(pricer, rank)) is not None:
+            pricer.move(*move)
+            visited.append(list(pricer.choice))
+    feasible = []
+    for choice in visited:
+        selection = tuple(_chosen(candidate_sets, choice))
+        if _joint_storage(selection) <= budget_pages:
+            feasible.append((selection, _joint_cost(selection)[0]))
     if not feasible:
         raise OptimizerError(
             f"no joint configuration fits within {budget_pages} pages; "
             "consider including the NONE organization"
         )
-    best = min(feasible, key=lambda entry: entry[1])
-    return best[0]
+    return list(min(feasible, key=lambda entry: entry[1])[0])
+
+
+def _note_swaps(span, pricer: _SwapPricer | None) -> None:
+    """Note on the ``multipath.joint`` span how many swaps it scored and applied."""
+    span.note(
+        priced=pricer.priced if pricer is not None else 0,
+        moves=pricer.moves if pricer is not None else 0,
+    )
 
 
 def optimize_multipath(
@@ -1017,10 +1164,11 @@ def _optimize_multipath(
         for candidates in candidate_sets:
             combinations *= len(candidates)
         descent_regime = combinations > _EXACT_LIMIT
+        pricer = _SwapPricer(candidate_sets) if descent_regime else None
         cache_key = (per_row_organizations, beam_width, restarts, seed)
         if joint_cache is not None and descent_regime and not degradations:
             reused = _reuse_joint_selection(
-                joint_cache, cache_key, candidate_sets
+                joint_cache, cache_key, candidate_sets, pricer
             )
             if reused is not None:
                 recorder.counter("multipath.joint_reuses").add()
@@ -1035,10 +1183,11 @@ def _optimize_multipath(
                 )
         with recorder.span(
             "multipath.joint", combinations=combinations, budgeted=False
-        ):
+        ) as span:
             selection, product_exact = _select_unconstrained(
-                candidate_sets, restarts, seed
+                candidate_sets, restarts, seed, pricer
             )
+            _note_swaps(span, pricer)
         if joint_cache is not None and descent_regime and not degradations:
             joint_cache["entry"] = (
                 cache_key,
@@ -1061,13 +1210,15 @@ def _optimize_multipath(
     expired = deadline is not None and deadline.expired
     with recorder.span(
         "multipath.joint", combinations=combinations, budgeted=True
-    ):
+    ) as span:
+        pricer = None
         if combinations <= _EXACT_LIMIT and not expired:
             selection, unconstrained = _select_budgeted_exact(
                 candidate_sets, budget_pages
             )
             budget_exact = True
         else:
+            pricer = _SwapPricer(candidate_sets)
             if expired:
                 # Feasibility cannot be skipped under a budget, so the
                 # sweep still runs — but seeded with the independent
@@ -1084,12 +1235,13 @@ def _optimize_multipath(
                 ).add()
             else:
                 unconstrained, _ = _select_unconstrained(
-                    candidate_sets, restarts, seed
+                    candidate_sets, restarts, seed, pricer
                 )
             selection = _budget_sweep(
-                candidate_sets, budget_pages, unconstrained
+                candidate_sets, budget_pages, unconstrained, pricer
             )
             budget_exact = False
+        _note_swaps(span, pricer)
     cost, savings = _joint_cost(tuple(selection))
     return MultiPathResult(
         configurations=[c.configuration for c in selection],

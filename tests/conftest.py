@@ -143,6 +143,50 @@ def make_nix_heavy_world(length, seed):
     return stats, load
 
 
+def make_suffix_fleet(seed, chain_length, paths, prefix="L"):
+    """``paths`` overlapping suffix paths of one seeded linear chain.
+
+    Path ``i`` starts at level ``i`` and every path ends at the chain's
+    last attribute, so the paths share their tails' physical subpaths —
+    the multi-path benchmark's fleet shape: 1.5e5-2.5e5 objects decaying
+    1.35-1.45x per level and a 2:1 query:update mixed load per path.
+    """
+    from repro.core.multipath import PathWorkload
+    from repro.model.path import Path
+
+    rng = random.Random(seed)
+    levels = [LevelSpec(f"{prefix}{index}") for index in range(chain_length)]
+    schema, full_path = linear_path_schema(levels)
+    per_class = {}
+    objects = rng.uniform(1.5e5, 2.5e5)
+    for position in range(1, chain_length + 1):
+        count = round(objects)
+        per_class[full_path.class_at(position)] = ClassStats(
+            objects=count, distinct=max(10, round(count / rng.uniform(3.0, 6.0)))
+        )
+        objects = max(100.0, objects / rng.uniform(1.35, 1.45))
+    fleet = []
+    for start in range(paths):
+        path = full_path
+        if start:
+            path = Path.parse(
+                schema,
+                ".".join(
+                    [f"{prefix}{start}"]
+                    + [f"ref{index}" for index in range(start + 1, chain_length)]
+                    + ["label"]
+                ),
+            )
+        stats = PathStatistics(
+            path, {name: per_class[name] for name in path.scope}
+        )
+        load = WorkloadGenerator(rng.randrange(2**31)).mixed(
+            path, query_weight=2.0, update_weight=1.0
+        )
+        fleet.append(PathWorkload(stats=stats, load=load))
+    return fleet
+
+
 @pytest.fixture(scope="session")
 def small_synth_stats(small_synth):
     """Derived statistics of the small synthetic database."""

@@ -1,0 +1,224 @@
+"""The joint stage's swap-delta engine against the per-trial reference scans.
+
+``core/multipath.py`` ranks single-path swaps from per-path cost and
+storage deltas (:class:`~repro.core.multipath._SwapPricer`); the scans it
+replaced, which re-price every trial selection with ``_joint_cost`` and
+``_joint_storage``, live in ``tests/multipath_reference.py``. Pinned here:
+
+* every :class:`~repro.core.multipath.MultiPathResult` field equals the
+  reference's on overlapping suffix fleets, duplicated-path fleets (exact
+  sharing ties) and unrelated paths, under budgets of 0-1x the
+  unconstrained footprint and unbudgeted — with ``_EXACT_LIMIT`` forced
+  to 1 so the descent and the sweep run instead of the exact cross
+  products;
+* a :class:`~repro.whatif.MultiPathSession` perturbation sequence takes
+  the same joint-reuse decisions and answers;
+* each cost and storage delta equals the difference of the joint prices
+  of the trial and the current selection, after any sequence of moves.
+"""
+
+import operator
+from dataclasses import replace
+
+import pytest
+from conftest import make_suffix_fleet
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import multipath_reference as reference
+from repro.core import multipath as mp
+from repro.core.configuration import IndexConfiguration
+from repro.core.cost_matrix import CostMatrix
+from repro.organizations import EXTENDED_ORGANIZATIONS, IndexOrganization
+from repro.whatif import MultiPathSession, Perturbation
+
+BUDGET_FRACTIONS = (0.0, 0.1, 0.25, 0.5, 1.0)
+
+FLEETS = {
+    "suffix": lambda: make_suffix_fleet(21, chain_length=12, paths=4),
+    "duplicated": lambda: [
+        workload
+        for workload in make_suffix_fleet(22, chain_length=10, paths=2)
+        for _ in range(2)
+    ],
+    "unrelated": lambda: [
+        make_suffix_fleet(23 + index, chain_length=9 + index, paths=1, prefix=prefix)[0]
+        for index, prefix in enumerate("ABC")
+    ],
+}
+
+
+@pytest.fixture(scope="module", params=sorted(FLEETS))
+def fleet(request):
+    workloads = FLEETS[request.param]()
+    matrices = [
+        CostMatrix.compute(w.stats, w.load, organizations=EXTENDED_ORGANIZATIONS)
+        for w in workloads
+    ]
+    return workloads, matrices
+
+
+class TestJointStageParity:
+    def test_every_field_matches_the_reference(self, fleet, monkeypatch):
+        workloads, matrices = fleet
+        monkeypatch.setattr(mp, "_EXACT_LIMIT", 1)
+
+        def both(budget):
+            options = dict(matrices=matrices, beam_width=16, budget_pages=budget)
+            engine = mp.optimize_multipath(workloads, **options)
+            with monkeypatch.context() as patch:
+                reference.install(patch)
+                scans = mp.optimize_multipath(workloads, **options)
+            assert engine == scans, budget
+            assert not engine.exact
+            return engine
+
+        footprint = both(None).storage_pages
+        for fraction in BUDGET_FRACTIONS:
+            both(footprint * fraction)
+
+    def test_session_sequence_matches_the_reference(self, monkeypatch):
+        monkeypatch.setattr(mp, "_EXACT_LIMIT", 1)
+        steps = [
+            (0, Perturbation("L2", "query", "scale", 1.001)),
+            (0, Perturbation("L0", "query", "set", 0.0)),
+            (2, Perturbation("L7", "delete", "scale", 1000.0)),
+            (1, Perturbation("L3", "query", "scale", 1.002)),
+            (1, Perturbation("L4", "insert", "scale", 1000.0)),
+        ]
+
+        def replay():
+            joint = MultiPathSession.from_workloads(
+                make_suffix_fleet(24, chain_length=8, paths=3)
+            )
+            results = [joint.optimize(beam_width=8)]
+            for index, perturbation in steps:
+                joint.perturb(index, perturbation)
+                results.append(joint.optimize(beam_width=8))
+            return results, joint.joint_reuses
+
+        engine = replay()
+        with monkeypatch.context() as patch:
+            reference.install(patch)
+            scans = replay()
+        assert engine == scans
+        # The sequence both keeps the cached selection and re-descends.
+        assert 0 < engine[1] < len(steps)
+
+
+_KEYS = [
+    mp.SharedIndexKey(steps=(("C", f"a{index}"),), organization=organization)
+    for index in range(5)
+    for organization in (IndexOrganization.MX, IndexOrganization.NIX)
+]
+_PLACEHOLDER = IndexConfiguration.whole_path(1, IndexOrganization.MX)
+# Sums of these few halves are exact in binary floating point, so the
+# per-trial prices and the deltas agree bit for bit and every tie is a
+# true tie on both sides.
+_EXACT_PRICES = st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0, 40.0])
+_PRICES = st.one_of(
+    _EXACT_PRICES, st.floats(min_value=0.0, max_value=1e5, allow_nan=False)
+)
+
+
+@st.composite
+def swap_landscapes(draw, prices=_PRICES):
+    """Small random candidate sets, a selection and a sequence of moves.
+
+    The second path may be an equal copy of the first, as in a fleet
+    that lists one path twice.
+    """
+    candidate_sets = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        candidates = []
+        for _ in range(draw(st.integers(min_value=1, max_value=5))):
+            keys = draw(
+                st.lists(st.sampled_from(_KEYS), min_size=1, max_size=4, unique=True)
+            )
+            candidates.append(
+                mp._Candidate(
+                    configuration=_PLACEHOLDER,
+                    query_cost=draw(prices),
+                    maintenance={key: draw(prices) for key in keys},
+                    storage={key: float(draw(st.integers(0, 500))) for key in keys},
+                )
+            )
+        candidate_sets.append(candidates)
+    if len(candidate_sets) > 1 and draw(st.booleans()):
+        candidate_sets[1] = [replace(candidate) for candidate in candidate_sets[0]]
+    choice = [
+        draw(st.integers(min_value=0, max_value=len(candidates) - 1))
+        for candidates in candidate_sets
+    ]
+    moves = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=len(candidate_sets) - 1),
+                st.integers(min_value=0, max_value=4),
+            ),
+            max_size=5,
+        )
+    )
+    return candidate_sets, choice, moves
+
+
+def assert_deltas_match_joint_prices(candidate_sets, pricer):
+    selection = mp._chosen(candidate_sets, pricer.choice)
+    cost = mp._joint_cost(tuple(selection))[0]
+    storage = mp._joint_storage(tuple(selection))
+    for path, candidates in enumerate(candidate_sets):
+        cost_deltas, storage_deltas = pricer.deltas(path)
+        for index, candidate in enumerate(candidates):
+            trial = list(selection)
+            trial[path] = candidate
+            assert cost_deltas[index] == pytest.approx(
+                mp._joint_cost(tuple(trial))[0] - cost,
+                rel=0,
+                abs=1e-9 * max(1.0, abs(cost)),
+            )
+            assert storage_deltas[index] == pytest.approx(
+                mp._joint_storage(tuple(trial)) - storage,
+                rel=0,
+                abs=1e-9 * max(1.0, abs(storage)),
+            )
+
+
+class TestSwapDeltas:
+    @settings(max_examples=150, deadline=None)
+    @given(swap_landscapes())
+    def test_deltas_equal_joint_price_differences(self, landscape):
+        candidate_sets, choice, moves = landscape
+        pricer = mp._SwapPricer(candidate_sets)
+        pricer.reset(choice)
+        assert_deltas_match_joint_prices(candidate_sets, pricer)
+        for path, index in moves:
+            pricer.move(path, index % len(candidate_sets[path]))
+            assert_deltas_match_joint_prices(candidate_sets, pricer)
+        assert pricer.moves == len(moves)
+
+    @settings(max_examples=150, deadline=None)
+    @given(swap_landscapes(prices=_EXACT_PRICES))
+    def test_moves_equal_the_reference_scans(self, landscape):
+        """On exact prices, each sweep rank's best move (ties included)
+        and each descent end in the reference's picks."""
+        candidate_sets, choice, _ = landscape
+        selection = mp._chosen(candidate_sets, choice)
+        cost = mp._joint_cost(tuple(selection))[0]
+        storage = mp._joint_storage(tuple(selection))
+        pricer = mp._SwapPricer(candidate_sets)
+        work = reference.Work()
+        for rank, reference_rank in (
+            (mp._shrink_rank, reference.shrink_rank),
+            (mp._benefit_rank, reference.benefit_rank),
+        ):
+            pricer.reset(choice)
+            expected = reference.best_swap(
+                candidate_sets, selection, reference_rank(cost, storage), work
+            )
+            if expected is not None:
+                _, path, candidate, _, _ = expected
+                expected = (path, [c is candidate for c in candidate_sets[path]].index(True))
+            assert mp._best_move(pricer, rank) == expected
+        descended = mp._chosen(candidate_sets, mp._descend(pricer, choice))
+        expected = reference.descend(candidate_sets, selection, work)
+        assert all(map(operator.is_, descended, expected))

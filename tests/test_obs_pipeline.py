@@ -24,7 +24,10 @@ import json
 import pathlib
 
 import pytest
+from conftest import make_suffix_fleet
 
+import multipath_reference
+import repro.core.multipath as multipath_module
 from repro.cli import main as cli_main
 from repro.core.advisor import advise
 from repro.core.cost_matrix import CostMatrix
@@ -32,7 +35,7 @@ from repro.core.multipath import PathWorkload, optimize_multipath
 from repro.costmodel.params import ClassStats, PathStatistics
 from repro.io import spec_to_dict
 from repro.obs import Recorder, dumps_profile, profile_document
-from repro.organizations import ALL_ORGANIZATIONS
+from repro.organizations import ALL_ORGANIZATIONS, EXTENDED_ORGANIZATIONS
 from repro.paper import figure7_load, figure7_statistics
 from repro.resilience import FakeClock
 from repro.synth import LevelSpec, linear_path_schema, populate_path_database
@@ -193,6 +196,30 @@ class TestMultipathSpans:
         assert "multipath.joint" in names
         counters = recorder.profile()["metrics"]["counters"]
         assert counters["multipath.optimizations"] == 1
+
+    def test_joint_span_counts_swaps(self, monkeypatch):
+        """``priced`` and ``moves`` on the sweep regime's joint span count
+        what the per-trial reference scans do for the same fleet."""
+        workloads = make_suffix_fleet(31, chain_length=12, paths=4)
+        matrices = [
+            CostMatrix.compute(w.stats, w.load, organizations=EXTENDED_ORGANIZATIONS)
+            for w in workloads
+        ]
+        generous = optimize_multipath(
+            workloads, matrices=matrices, budget_pages=10**12
+        )
+        budget = 0.25 * generous.storage_pages
+        recorder = Recorder()
+        optimize_multipath(
+            workloads, matrices=matrices, budget_pages=budget, recorder=recorder
+        )
+        (joint,) = [s for s in recorder.spans if s["name"] == "multipath.joint"]
+        assert joint["args"]["combinations"] > multipath_module._EXACT_LIMIT
+        with monkeypatch.context() as patch:
+            work = multipath_reference.install(patch)
+            optimize_multipath(workloads, matrices=matrices, budget_pages=budget)
+        assert joint["args"]["moves"] == work.moves > 0
+        assert joint["args"]["priced"] == work.priced > work.moves
 
 
 class TestReplaySpans:
