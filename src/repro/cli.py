@@ -686,8 +686,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "candidates kept per path by the k-best beam generator "
-            "(default: exact enumeration for short paths, a width-16 beam "
-            "beyond)"
+            "(default: every path enumerated when the fleet's cross product "
+            "is small enough to walk exhaustively, else a width-16 beam for "
+            "every path)"
         ),
     )
     multipath_parser.add_argument(

@@ -65,8 +65,13 @@ def optimize_with_budget(
     smallest-storage assignment exceeds the budget); include the ``NONE``
     organization in the matrix to make a zero-storage fallback available.
     """
-    if budget_pages < 0:
-        raise OptimizerError(f"negative storage budget: {budget_pages}")
+    # NaN fails every `storage <= budget` test, so reject it before the
+    # enumeration rather than after it.
+    if not budget_pages >= 0:
+        raise OptimizerError(
+            f"storage budget must be a non-negative number of pages, got "
+            f"{budget_pages}"
+        )
     pages = matrix._storage_matrix()
     best_cost = float("inf")
     best_parts: tuple[IndexedSubpath, ...] | None = None

@@ -13,23 +13,25 @@ physical index, so its maintenance cost (inserts, deletes, CMD) is paid
 once — and its storage pages are occupied once — rather than per path.
 Query costs are always per path.
 
-Selection is staged:
+Selection is one pipeline, with one implementation per stage:
 
-1. **Candidate generation per path.** Each path contributes its locally
-   cheapest configurations, with the best ``per_row_organizations``
-   organizations per subpath so sharing can win even when it is not
-   locally optimal. Short paths are enumerated exactly; beyond
-   :data:`EXACT_CANDIDATE_LIMIT` candidates the generator is the k-best
-   beam sweep :func:`repro.search.partitions.top_configurations`
-   (``beam_width`` candidates per path, exact over the space it covers),
-   which keeps many-long-paths joint selection out of the ``2^(n-1)``
-   regime entirely. Passing ``beam_width`` explicitly forces the beam;
-   the exact enumeration is retained as the parity oracle for small
-   instances.
-2. **Joint search across paths.** The cross product of the candidate
-   sets is searched exactly when it is small
-   (:data:`_EXACT_LIMIT` combinations) and by greedy coordinate descent
-   otherwise — hedged with :data:`DEFAULT_RESTARTS` seeded randomized
+1. **Candidate generation per path** (:func:`_candidates`). Each path
+   contributes its locally cheapest configurations, with the best
+   ``per_row_organizations`` organizations per subpath so sharing can win
+   even when it is not locally optimal. One rule covers the whole fleet,
+   with or without a budget: every path is enumerated exactly only when
+   the joint stage will walk the cross product exhaustively as well (no
+   ``beam_width``, every path's space within
+   :data:`EXACT_CANDIDATE_LIMIT`, their product within
+   :data:`_EXACT_LIMIT`). Otherwise every path gets the k-best beam sweep
+   :func:`repro.search.partitions.top_configurations` (``beam_width``
+   candidates per path, exact over the space it covers), which keeps
+   many-long-paths joint selection out of the ``2^(n-1)`` regime
+   entirely.
+2. **Joint search across paths.** A cross product of at most
+   :data:`_EXACT_LIMIT` combinations is walked exhaustively
+   (:func:`_exhaustive`); a larger one is searched by greedy coordinate
+   descent — hedged with :data:`DEFAULT_RESTARTS` seeded randomized
    restarts against its local minima — with shared physical indexes
    charged once. The descent ranks its moves by per-path deltas: one
    numpy pass of :class:`_SwapPricer` over interned index keys scores
@@ -40,15 +42,16 @@ Selection is staged:
    constrains the union of selected physical indexes — priced per
    :class:`SharedIndexKey` from the cost-model storage estimates, which
    derive from :class:`repro.storage.sizes.SizeModel` — to a page
-   budget: exact filtered search when the cross product is small, and
-   otherwise a greedy marginal-benefit sweep (best cost-reduction per
-   added page first) whose recorded trajectory is filtered by the
-   budget, so tighter budgets always cost at least as much as looser
-   ones. The sweep ranks its moves from the same per-path cost and
-   storage deltas; each recorded selection is priced once by
-   :func:`_joint_cost` and :func:`_joint_storage`, so the budget filter
-   and every reported number come from them. The budget-free path
-   remains the default (``budget_pages=None``).
+   budget. The exhaustive walk keeps the cheapest selection that fits
+   beside the cheapest outright. Beyond it, a greedy marginal-benefit
+   sweep (best cost-reduction per added page first) starts from stage
+   2's selection, and its recorded trajectory is filtered by the budget,
+   so tighter budgets always cost at least as much as looser ones. The
+   sweep ranks its moves from the same per-path cost and storage deltas;
+   each recorded selection is priced once by :func:`_joint_cost` and
+   :func:`_joint_storage`, so the budget filter and every reported number
+   come from them. The budget-free path remains the default
+   (``budget_pages=None``).
 
 For what-if loops, :func:`optimize_multipath` also accepts one
 :class:`~repro.whatif.AdvisorSession` per path (``sessions=``): matrices
@@ -64,6 +67,7 @@ they remain a local optimum of the regenerated candidate sets.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -74,7 +78,7 @@ from repro.core.cost_matrix import CostMatrix
 from repro.costmodel.params import PathStatistics
 from repro.errors import OptimizerError
 from repro.kernel.arrays import fold_segments
-from repro.obs.recorder import NULL_RECORDER, resolve_recorder
+from repro.obs.recorder import resolve_recorder
 from repro.organizations import CONFIGURABLE_ORGANIZATIONS, IndexOrganization
 from repro.search.partitions import (
     configuration_count,
@@ -84,13 +88,14 @@ from repro.search.partitions import (
 from repro.workload.load import LoadDistribution
 
 #: Above this many cross-path combinations the joint search switches to
-#: coordinate descent.
+#: coordinate descent, and no path's candidates are enumerated.
 _EXACT_LIMIT = 200_000
 
 #: Largest per-path candidate space (``r·(1+r)^(n-1)``) that is still
-#: enumerated exactly when ``beam_width`` is not forced. Length 10 with
+#: enumerated exactly when ``beam_width`` is not forced (and the fleet's
+#: product of spaces stays within :data:`_EXACT_LIMIT`). Length 10 with
 #: two organizations per row is ~39k candidates; length 11 crosses this
-#: limit and switches to the beam generator.
+#: limit and switches the fleet to the beam generator.
 EXACT_CANDIDATE_LIMIT = 50_000
 
 #: Candidates kept per path by the beam generator when ``beam_width`` is
@@ -314,78 +319,54 @@ def _price_candidates(
     return candidates
 
 
-def _candidates_exact(
-    workload: PathWorkload, matrix: CostMatrix, per_row_organizations: int
+def _candidates(
+    workload: PathWorkload, matrix: CostMatrix, descriptor: tuple
 ) -> list[_Candidate]:
-    """The parity oracle: all partitions × best organizations per block."""
-    assignments: list[tuple[IndexedSubpath, ...]] = []
-    for blocks in enumerate_partitions(matrix.length):
-        # Per block: the best `per_row_organizations` organizations.
-        options: list[list[IndexedSubpath]] = []
-        for start, end in blocks:
-            # Tie-tolerant ranking (the Min_Cost tolerance): near-tie
-            # organizations rank by column order, so the candidate pool is
-            # stable across platforms and cost-model reformulations.
-            ranked = matrix.ranked_organizations(
-                start, end, limit=per_row_organizations
-            )
-            options.append(
-                [IndexedSubpath(start, end, org) for org in ranked]
-            )
-        assignments.extend(itertools.product(*options))
-    return _price_candidates(workload.stats, matrix, assignments)
+    """One path's candidate set for a generation descriptor.
 
-
-def _candidates_beam(
-    workload: PathWorkload,
-    matrix: CostMatrix,
-    per_row_organizations: int,
-    width: int,
-) -> list[_Candidate]:
-    """Top-``width`` locally cheapest configurations via the k-best sweep."""
-    return _price_candidates(
-        workload.stats,
-        matrix,
-        [
-            parts
-            for _cost, parts in top_configurations(
-                matrix, count=width, per_row_organizations=per_row_organizations
-            )
-        ],
-    )
-
-
-def _candidates_budget(
-    workload: PathWorkload,
-    matrix: CostMatrix,
-    width: int,
-) -> list[_Candidate]:
-    """Beam candidates for the budgeted search: cheapest ∪ smallest.
-
-    Two k-best sweeps over every organization per block — one ranked by
-    processing cost, one by storage pages — merged without duplicates.
-    With ``width`` at least the candidate-space size the cost sweep alone
-    already covers the whole space.
+    ``descriptor`` is ``(organizations_per_block, width, budgeted)``. A
+    ``width`` of ``None`` enumerates every partition with each block's
+    best ``organizations_per_block`` organizations. The ranking is
+    tie-tolerant (the Min_Cost tolerance): near-tie organizations rank by
+    column order, so the candidate pool is stable across platforms and
+    cost-model reformulations. An integer ``width`` keeps the k-best
+    sweep's ``width`` locally cheapest configurations; ``budgeted`` then
+    appends, in first-seen order, those of the ``width`` smallest by
+    storage pages that the cost sweep did not already hold, so tight
+    budgets keep feasible candidates. Assignments are deduplicated before
+    pricing, so the two sweeps' overlap is never priced twice.
     """
-    organizations = len(matrix.organizations)
+    organizations, width, budgeted = descriptor
+    if width is None:
+        assignments: list[tuple[IndexedSubpath, ...]] = []
+        for blocks in enumerate_partitions(matrix.length):
+            options = [
+                [
+                    IndexedSubpath(start, end, organization)
+                    for organization in matrix.ranked_organizations(
+                        start, end, limit=organizations
+                    )
+                ]
+                for start, end in blocks
+            ]
+            assignments.extend(itertools.product(*options))
+        return _price_candidates(workload.stats, matrix, assignments)
     assignments = [
-        tuple(parts)
+        parts
         for _cost, parts in top_configurations(
             matrix, count=width, per_row_organizations=organizations
         )
     ]
-    # Dedupe by parts (configuration identity) *before* pricing, so the
-    # storage sweep's overlap with the cost sweep is never priced twice.
-    seen = set(assignments)
-    for _pages, parts in top_configurations(
-        matrix._storage_matrix(),
-        count=width,
-        per_row_organizations=organizations,
-    ):
-        assignment = tuple(parts)
-        if assignment not in seen:
-            seen.add(assignment)
-            assignments.append(assignment)
+    if budgeted:
+        seen = set(assignments)
+        for _pages, parts in top_configurations(
+            matrix._storage_matrix(),
+            count=width,
+            per_row_organizations=organizations,
+        ):
+            if parts not in seen:
+                seen.add(parts)
+                assignments.append(parts)
     return _price_candidates(workload.stats, matrix, assignments)
 
 
@@ -397,71 +378,46 @@ def _candidate_descriptors(
 ) -> tuple[list[tuple], bool]:
     """Per-path candidate-generation descriptors plus the exactness flag.
 
-    A descriptor is a hashable tuple fully determining what
-    :func:`_generate_candidates` produces for a path — ``("exact", r)``,
-    ``("beam", r, width)`` or ``("budget_beam", width)`` — which makes it
-    the cache key for session-carried candidate sets: identical
+    A descriptor ``(organizations_per_block, width, budgeted)`` fully
+    determines what :func:`_candidates` produces for a path, which makes
+    it the cache key for session-carried candidate sets: identical
     descriptor + unchanged matrix (session version) ⇒ identical
-    candidates. The mode decisions are unchanged from the pre-session
-    code paths; only their bookkeeping moved here.
+    candidates. ``budgeted`` is set only on beams, the one place it
+    changes the candidates.
+
+    One rule serves both regimes: every path is enumerated only when no
+    ``beam_width`` is given, every path's space is within
+    :data:`EXACT_CANDIDATE_LIMIT` and the product of the spaces is within
+    :data:`_EXACT_LIMIT` — that is, only when the joint stage walks the
+    cross product exhaustively too, because tens of thousands of exact
+    candidates per path handed to a greedy search multiply every swap
+    scan for no exactness in return. Otherwise every path gets the beam.
     """
-    descriptors: list[tuple] = []
-    generation_exact = True
-    if budget_pages is None:
-        for matrix in matrices:
-            space = configuration_count(matrix.length, per_row_organizations)
-            if beam_width is None and space <= EXACT_CANDIDATE_LIMIT:
-                descriptors.append(("exact", per_row_organizations))
-            else:
-                width = (
-                    beam_width if beam_width is not None else DEFAULT_BEAM_WIDTH
-                )
-                descriptors.append(("beam", per_row_organizations, width))
-                if width < space:
-                    generation_exact = False
-    else:
-        # A storage budget couples the per-block organization choices (the
-        # affordable option may be any organization, NONE included), so
-        # budgeted generation ranks over every organization in the matrix
-        # — the same widening optimize_with_budget applies — instead of
-        # the cost-ranked best per_row_organizations. The generation mode
-        # is decided globally: exact enumeration only when the downstream
-        # filtered cross product is exhaustive too, because handing tens
-        # of thousands of exact candidates per path to the greedy sweep
-        # multiplies every swap scan for no exactness in return.
-        spaces = [
-            configuration_count(matrix.length, len(matrix.organizations))
-            for matrix in matrices
-        ]
-        product = 1
-        for space in spaces:
-            product *= space
-        if (
-            beam_width is None
-            and max(spaces) <= EXACT_CANDIDATE_LIMIT
-            and product <= _EXACT_LIMIT
-        ):
-            for matrix in matrices:
-                descriptors.append(("exact", len(matrix.organizations)))
-        else:
-            width = beam_width if beam_width is not None else DEFAULT_BEAM_WIDTH
-            for space in spaces:
-                descriptors.append(("budget_beam", width))
-                if width < space:
-                    generation_exact = False
-    return descriptors, generation_exact
-
-
-def _generate_candidates(
-    workload: PathWorkload, matrix: CostMatrix, descriptor: tuple
-) -> list[_Candidate]:
-    """Produce one path's candidate set for a generation descriptor."""
-    kind = descriptor[0]
-    if kind == "exact":
-        return _candidates_exact(workload, matrix, descriptor[1])
-    if kind == "beam":
-        return _candidates_beam(workload, matrix, descriptor[1], descriptor[2])
-    return _candidates_budget(workload, matrix, descriptor[1])
+    budgeted = budget_pages is not None
+    # A storage budget couples the per-block organization choices (the
+    # affordable option may be any organization, NONE included), so
+    # budgeted generation ranks over every organization in the matrix —
+    # the same widening optimize_with_budget applies — instead of the
+    # cost-ranked best per_row_organizations.
+    per_block = [
+        len(matrix.organizations) if budgeted else per_row_organizations
+        for matrix in matrices
+    ]
+    spaces = [
+        configuration_count(matrix.length, organizations)
+        for matrix, organizations in zip(matrices, per_block)
+    ]
+    if (
+        beam_width is None
+        and max(spaces) <= EXACT_CANDIDATE_LIMIT
+        and math.prod(spaces) <= _EXACT_LIMIT
+    ):
+        return [(organizations, None, False) for organizations in per_block], True
+    width = beam_width if beam_width is not None else DEFAULT_BEAM_WIDTH
+    return (
+        [(organizations, width, budgeted) for organizations in per_block],
+        all(width >= space for space in spaces),
+    )
 
 
 def _joint_cost(selection: tuple[_Candidate, ...]) -> tuple[float, float]:
@@ -691,36 +647,52 @@ def _reuse_joint_selection(
     return _chosen(candidate_sets, choice)
 
 
+def _exhaustive(
+    candidate_sets: list[list[_Candidate]], budget_pages: float | None
+) -> tuple[list[_Candidate], list[_Candidate]]:
+    """One walk over the whole cross product, tracking two optima.
+
+    Returns ``(best_fitting, best_overall)``: the cheapest selection whose
+    physical-index union fits the budget, and the cheapest outright (for
+    the ``unconstrained_cost`` report). Every selection fits a ``None``
+    budget, so the two are then the same. Selections come in
+    ``itertools.product`` order and only a strictly cheaper one replaces
+    the incumbent, so ties keep the earliest.
+    """
+    best_cost = overall_cost = float("inf")
+    best: tuple[_Candidate, ...] | None = None
+    overall: tuple[_Candidate, ...] | None = None
+    for selection in itertools.product(*candidate_sets):
+        cost, _ = _joint_cost(selection)
+        if cost < overall_cost:
+            overall_cost, overall = cost, selection
+        if cost < best_cost and (
+            budget_pages is None or _joint_storage(selection) <= budget_pages
+        ):
+            best_cost, best = cost, selection
+    if best is None:
+        raise OptimizerError(
+            f"no joint configuration fits within {budget_pages} pages; "
+            "consider including the NONE organization"
+        )
+    return list(best), list(overall)
+
+
 def _select_unconstrained(
     candidate_sets: list[list[_Candidate]],
     restarts: int,
     seed: int,
-    pricer: _SwapPricer | None,
-) -> tuple[list[_Candidate], bool]:
-    """Best joint selection, exact for small cross products.
+    pricer: _SwapPricer,
+) -> list[_Candidate]:
+    """Seeded multi-start coordinate descent over a large cross product.
 
-    Beyond :data:`_EXACT_LIMIT` combinations the search is coordinate
-    descent from the independent optimum, hedged by ``restarts`` extra
+    One descent from the independent optimum, hedged by ``restarts`` extra
     descents from selections drawn uniformly at random per path (seeded:
     the same ``seed`` always explores the same restarts, so results are
-    deterministic). ``pricer`` ranks the descents' swaps; the exact cross
-    product does not use it. The best of all descents, compared by
-    :func:`_joint_cost`, wins; ties keep the independent-optimum descent.
+    deterministic). ``pricer`` ranks the descents' swaps. The best of all
+    descents, compared by :func:`_joint_cost`, wins; ties keep the
+    independent-optimum descent.
     """
-    combinations = 1
-    for candidates in candidate_sets:
-        combinations *= len(candidates)
-    if combinations <= _EXACT_LIMIT:
-        best_cost = float("inf")
-        best_selection: tuple[_Candidate, ...] | None = None
-        for selection in itertools.product(*candidate_sets):
-            cost, _ = _joint_cost(selection)
-            if cost < best_cost:
-                best_cost = cost
-                best_selection = selection
-        assert best_selection is not None
-        return list(best_selection), True
-
     # Start from each path's independent best and descend.
     start = [
         min(range(len(candidates)), key=lambda index: candidates[index].total)
@@ -738,38 +710,7 @@ def _select_unconstrained(
         if cost < best_cost - 1e-12:
             best_cost = cost
             best_selection = restarted
-    return best_selection, False
-
-
-def _select_budgeted_exact(
-    candidate_sets: list[list[_Candidate]], budget_pages: float
-) -> tuple[list[_Candidate], list[_Candidate]]:
-    """One exhaustive pass over the cross product, tracking two optima.
-
-    Returns ``(best_feasible, best_overall)`` — the cheapest selection
-    whose physical-index union fits the budget and the cheapest
-    selection outright (for the ``unconstrained_cost`` report) — so the
-    exact budgeted path never walks the product twice.
-    """
-    best_cost = float("inf")
-    best_selection: tuple[_Candidate, ...] | None = None
-    overall_cost = float("inf")
-    overall_selection: tuple[_Candidate, ...] | None = None
-    for selection in itertools.product(*candidate_sets):
-        cost, _ = _joint_cost(selection)
-        if cost < overall_cost:
-            overall_cost = cost
-            overall_selection = selection
-        if cost < best_cost and _joint_storage(selection) <= budget_pages:
-            best_cost = cost
-            best_selection = selection
-    if best_selection is None:
-        raise OptimizerError(
-            f"no joint configuration fits within {budget_pages} pages; "
-            "consider including the NONE organization"
-        )
-    assert overall_selection is not None
-    return list(best_selection), list(overall_selection)
+    return best_selection
 
 
 def _shrink_rank(cost: np.ndarray, storage: np.ndarray):
@@ -875,14 +816,6 @@ def _budget_sweep(
     return list(min(feasible, key=lambda entry: entry[1])[0])
 
 
-def _note_swaps(span, pricer: _SwapPricer | None) -> None:
-    """Note on the ``multipath.joint`` span how many swaps it scored and applied."""
-    span.note(
-        priced=pricer.priced if pricer is not None else 0,
-        moves=pricer.moves if pricer is not None else 0,
-    )
-
-
 def optimize_multipath(
     workloads: list[PathWorkload] | None = None,
     per_row_organizations: int = 2,
@@ -921,13 +854,15 @@ def optimize_multipath(
         Worker processes per matrix construction (see
         :meth:`CostMatrix.compute`).
     beam_width:
-        ``None`` (default) enumerates a path's candidates exactly while
-        its ``r·(1+r)^(n-1)`` candidate space stays within
-        :data:`EXACT_CANDIDATE_LIMIT` and falls back to a
-        :data:`DEFAULT_BEAM_WIDTH`-wide k-best beam beyond; an integer
+        ``None`` (default) enumerates every path's candidates exactly when
+        the fleet is small enough for the joint stage to walk their cross
+        product exhaustively: every path's ``r·(1+r)^(n-1)`` candidate
+        space within :data:`EXACT_CANDIDATE_LIMIT` and the product of the
+        spaces within the exact cross-product limit. Otherwise every path
+        gets a :data:`DEFAULT_BEAM_WIDTH`-wide k-best beam. An integer
         forces the beam with that many candidates per path. With
         ``beam_width`` at least the candidate-space size the beam covers
-        the whole space and matches the exact oracle.
+        the whole space and matches the enumeration.
     budget_pages:
         Constrain the union of selected physical indexes (shared indexes
         stored once) to this many pages; ``None`` (default) selects
@@ -935,12 +870,13 @@ def optimize_multipath(
         per-block organization choices, budgeted generation ranks over
         *every* organization in the matrix (``per_row_organizations`` is
         ignored, and the beam adds a storage-ranked sweep so tight
-        budgets keep feasible candidates). Candidates are enumerated
-        exactly only when the downstream filtered cross product is
-        exhaustive as well; otherwise every path uses the capped beam so
-        the greedy sweep stays fast. Include the ``NONE`` organization
-        to guarantee a zero-storage fallback. Tightening the budget
-        never decreases the returned cost.
+        budgets keep feasible candidates); the choice between enumeration
+        and beam follows the same rule as without a budget. An
+        exhaustive walk returns the cheapest selection that fits;
+        beyond it, the greedy sweep starts from the unconstrained
+        selection. Include the ``NONE`` organization to guarantee a
+        zero-storage fallback. Tightening the budget never decreases the
+        returned cost.
     restarts:
         Seeded randomized restarts of the coordinate descent when the
         joint stage runs beyond the exact cross-product limit (default
@@ -968,9 +904,8 @@ def optimize_multipath(
         skipped, ``joint_cache["reuses"]`` incremented — whenever they
         are still a local optimum, i.e. when only candidates *outside*
         the selection changed enough to matter; the result is re-priced
-        against the current matrices either way. Exact joint searches
-        and budgeted selections ignore the cache (their answers come
-        from exhaustive scans that cannot be partially reused).
+        against the current matrices either way. Exhaustive walks and
+        budgeted selections ignore the cache.
     deadline:
         An optional :class:`~repro.resilience.Deadline`. Selection never
         aborts on expiry — it *degrades*: paths whose candidates are not
@@ -994,263 +929,185 @@ def optimize_multipath(
     """
     recorder = resolve_recorder(recorder)
     with recorder.span("multipath.optimize") as span:
-        result = _optimize_multipath(
-            workloads,
-            per_row_organizations,
-            matrices,
-            organizations,
-            workers,
-            beam_width,
-            budget_pages,
-            restarts,
-            seed,
-            sessions,
-            joint_cache,
-            deadline,
-            degradation,
-            recorder,
+        if sessions is not None:
+            if workloads is not None or matrices is not None:
+                raise OptimizerError(
+                    "pass either sessions or workloads/matrices, not both"
+                )
+            workloads = [
+                PathWorkload(stats=session.stats, load=session.load)
+                for session in sessions
+            ]
+            matrices = [session.matrix for session in sessions]
+        if not workloads:
+            raise OptimizerError("at least one path is required")
+        validate_selection_options(
+            per_row_organizations, beam_width, budget_pages, restarts
+        )
+        if matrices is not None:
+            if len(matrices) != len(workloads):
+                raise OptimizerError(
+                    f"{len(matrices)} matrices for {len(workloads)} workloads"
+                )
+            for workload, matrix in zip(workloads, matrices):
+                if matrix.length != workload.stats.length:
+                    raise OptimizerError(
+                        f"matrix of length {matrix.length} cannot describe "
+                        f"{workload.stats.path} (length {workload.stats.length})"
+                    )
+        else:
+            compute_organizations = (
+                organizations
+                if organizations is not None
+                else CONFIGURABLE_ORGANIZATIONS
+            )
+            matrices = [
+                CostMatrix.compute(
+                    w.stats,
+                    w.load,
+                    organizations=compute_organizations,
+                    workers=workers,
+                    degradation=degradation,
+                    recorder=recorder,
+                )
+                for w in workloads
+            ]
+
+        degradations: list[str] = []
+
+        def degrade(action: str, **detail) -> None:
+            if degradation is not None:
+                degradation.record(
+                    "multipath", action, "deadline_expired", **detail
+                )
+            recorder.counter(
+                "resilience.degradations", layer="multipath", action=action
+            ).add()
+            rendered = " ".join(f"{key}={value}" for key, value in detail.items())
+            degradations.append(
+                f"{action}: deadline_expired" + (f" {rendered}" if rendered else "")
+            )
+
+        descriptors, generation_exact = _candidate_descriptors(
+            matrices, per_row_organizations, beam_width, budget_pages
+        )
+        candidate_sets: list[list[_Candidate]] = []
+        with recorder.span("multipath.candidates", paths=len(workloads)):
+            for index, (workload, matrix, descriptor) in enumerate(
+                zip(workloads, matrices, descriptors)
+            ):
+                session = sessions[index] if sessions is not None else None
+                if session is not None:
+                    cached = session.candidate_cache.get(descriptor)
+                    if cached is not None and cached[0] == session.version:
+                        recorder.counter("multipath.candidate_cache_hits").add()
+                        candidate_sets.append(cached[1])
+                        continue
+                if deadline is not None and deadline.expired:
+                    # Out of time before this path's candidates were
+                    # generated: a width-1 beam (its single locally
+                    # cheapest configuration) keeps the joint stage
+                    # answerable in O(path length) — and the degraded set
+                    # is never stored in the session cache.
+                    degrade("candidates_beam1", path=index)
+                    generation_exact = False
+                    descriptor = (descriptor[0], 1, budget_pages is not None)
+                    session = None
+                candidates = _candidates(workload, matrix, descriptor)
+                if session is not None:
+                    session.candidate_cache[descriptor] = (
+                        session.version,
+                        candidates,
+                    )
+                candidate_sets.append(candidates)
+
+        independent = 0.0
+        for candidates in candidate_sets:
+            independent += min(candidate.total for candidate in candidates)
+        combinations = math.prod(len(candidates) for candidates in candidate_sets)
+        expired = deadline is not None and deadline.expired
+        exhaustive = combinations <= _EXACT_LIMIT and not expired
+
+        # The unconstrained selection, unless the exhaustive walk finds it:
+        # each path's independent optimum when out of time (sharing savings
+        # may be left on the table, but the selection is valid and fully
+        # priced), else the cached joint selection while it stays a local
+        # optimum, else the multi-start descent.
+        unconstrained: list[_Candidate] | None = None
+        pricer: _SwapPricer | None = None
+        if expired:
+            unconstrained = [
+                min(candidates, key=lambda candidate: candidate.total)
+                for candidates in candidate_sets
+            ]
+            degrade(
+                "joint_independent" if budget_pages is None else "budget_sweep_seeded"
+            )
+        cache_key = (per_row_organizations, beam_width, restarts, seed)
+        reusable = (
+            joint_cache is not None
+            and budget_pages is None
+            and not exhaustive
+            and not degradations
+        )
+        if reusable:
+            pricer = _SwapPricer(candidate_sets)
+            unconstrained = _reuse_joint_selection(
+                joint_cache, cache_key, candidate_sets, pricer
+            )
+            if unconstrained is not None:
+                recorder.counter("multipath.joint_reuses").add()
+        selection = unconstrained
+        if budget_pages is not None or unconstrained is None:
+            with recorder.span(
+                "multipath.joint",
+                combinations=combinations,
+                budgeted=budget_pages is not None,
+            ) as joint:
+                if exhaustive:
+                    selection, unconstrained = _exhaustive(
+                        candidate_sets, budget_pages
+                    )
+                else:
+                    if pricer is None:
+                        pricer = _SwapPricer(candidate_sets)
+                    if unconstrained is None:
+                        unconstrained = _select_unconstrained(
+                            candidate_sets, restarts, seed, pricer
+                        )
+                        if reusable:
+                            joint_cache["entry"] = (
+                                cache_key,
+                                [c.configuration for c in unconstrained],
+                            )
+                    selection = (
+                        unconstrained
+                        if budget_pages is None
+                        else _budget_sweep(
+                            candidate_sets, budget_pages, unconstrained, pricer
+                        )
+                    )
+                joint.note(
+                    priced=pricer.priced if pricer is not None else 0,
+                    moves=pricer.moves if pricer is not None else 0,
+                )
+
+        cost, savings = _joint_cost(tuple(selection))
+        result = MultiPathResult(
+            configurations=[candidate.configuration for candidate in selection],
+            total_cost=cost,
+            shared_savings=savings,
+            independent_cost=independent,
+            exact=generation_exact and exhaustive,
+            storage_pages=_joint_storage(tuple(selection)),
+            budget_pages=budget_pages,
+            unconstrained_cost=(
+                None
+                if budget_pages is None
+                else _joint_cost(tuple(unconstrained))[0]
+            ),
+            degradations=tuple(degradations),
         )
         span.note(paths=len(result.configurations), exact=result.exact)
     recorder.counter("multipath.optimizations").add()
     return result
-
-
-def _optimize_multipath(
-    workloads,
-    per_row_organizations,
-    matrices,
-    organizations,
-    workers,
-    beam_width,
-    budget_pages,
-    restarts,
-    seed,
-    sessions,
-    joint_cache,
-    deadline,
-    degradation,
-    recorder=NULL_RECORDER,
-) -> MultiPathResult:
-    """The selection pipeline behind :func:`optimize_multipath`."""
-    if sessions is not None:
-        if workloads is not None or matrices is not None:
-            raise OptimizerError(
-                "pass either sessions or workloads/matrices, not both"
-            )
-        workloads = [
-            PathWorkload(stats=session.stats, load=session.load)
-            for session in sessions
-        ]
-        matrices = [session.matrix for session in sessions]
-    if not workloads:
-        raise OptimizerError("at least one path is required")
-    validate_selection_options(
-        per_row_organizations, beam_width, budget_pages, restarts
-    )
-    if matrices is not None:
-        if len(matrices) != len(workloads):
-            raise OptimizerError(
-                f"{len(matrices)} matrices for {len(workloads)} workloads"
-            )
-        for workload, matrix in zip(workloads, matrices):
-            if matrix.length != workload.stats.length:
-                raise OptimizerError(
-                    f"matrix of length {matrix.length} cannot describe "
-                    f"{workload.stats.path} (length {workload.stats.length})"
-                )
-    else:
-        compute_organizations = (
-            organizations
-            if organizations is not None
-            else CONFIGURABLE_ORGANIZATIONS
-        )
-        matrices = [
-            CostMatrix.compute(
-                w.stats,
-                w.load,
-                organizations=compute_organizations,
-                workers=workers,
-                degradation=degradation,
-                recorder=recorder,
-            )
-            for w in workloads
-        ]
-
-    degradations: list[str] = []
-
-    def degrade(action: str, **detail) -> None:
-        if degradation is not None:
-            degradation.record("multipath", action, "deadline_expired", **detail)
-        rendered = " ".join(f"{key}={value}" for key, value in detail.items())
-        degradations.append(
-            f"{action}: deadline_expired" + (f" {rendered}" if rendered else "")
-        )
-
-    descriptors, generation_exact = _candidate_descriptors(
-        matrices, per_row_organizations, beam_width, budget_pages
-    )
-    candidate_sets: list[list[_Candidate]] = []
-    with recorder.span("multipath.candidates", paths=len(workloads)):
-        for index, (workload, matrix, descriptor) in enumerate(
-            zip(workloads, matrices, descriptors)
-        ):
-            session = sessions[index] if sessions is not None else None
-            if session is not None:
-                cached = session.candidate_cache.get(descriptor)
-                if cached is not None and cached[0] == session.version:
-                    recorder.counter("multipath.candidate_cache_hits").add()
-                    candidate_sets.append(cached[1])
-                    continue
-            if deadline is not None and deadline.expired:
-                # Out of time before this path's candidates were
-                # generated: a width-1 beam (its single locally cheapest
-                # configuration) keeps the joint stage answerable in
-                # O(path length) — and the degraded set is never stored
-                # in the session cache.
-                fallback = (
-                    ("budget_beam", 1)
-                    if budget_pages is not None
-                    else ("beam", per_row_organizations, 1)
-                )
-                degrade("candidates_beam1", path=index)
-                recorder.counter(
-                    "resilience.degradations",
-                    layer="multipath",
-                    action="candidates_beam1",
-                ).add()
-                generation_exact = False
-                candidate_sets.append(
-                    _generate_candidates(workload, matrix, fallback)
-                )
-                continue
-            candidates = _generate_candidates(workload, matrix, descriptor)
-            if session is not None:
-                session.candidate_cache[descriptor] = (
-                    session.version,
-                    candidates,
-                )
-            candidate_sets.append(candidates)
-
-    independent = 0.0
-    for candidates in candidate_sets:
-        independent += min(candidate.total for candidate in candidates)
-
-    if budget_pages is None:
-        if deadline is not None and deadline.expired:
-            # No time for a joint search: each path keeps its independent
-            # optimum (sharing savings may be left on the table, but the
-            # selection is valid and fully priced).
-            selection = [
-                min(candidates, key=lambda candidate: candidate.total)
-                for candidates in candidate_sets
-            ]
-            degrade("joint_independent")
-            recorder.counter(
-                "resilience.degradations",
-                layer="multipath",
-                action="joint_independent",
-            ).add()
-            cost, savings = _joint_cost(tuple(selection))
-            return MultiPathResult(
-                configurations=[c.configuration for c in selection],
-                total_cost=cost,
-                shared_savings=savings,
-                independent_cost=independent,
-                exact=False,
-                storage_pages=_joint_storage(tuple(selection)),
-                degradations=tuple(degradations),
-            )
-        combinations = 1
-        for candidates in candidate_sets:
-            combinations *= len(candidates)
-        descent_regime = combinations > _EXACT_LIMIT
-        pricer = _SwapPricer(candidate_sets) if descent_regime else None
-        cache_key = (per_row_organizations, beam_width, restarts, seed)
-        if joint_cache is not None and descent_regime and not degradations:
-            reused = _reuse_joint_selection(
-                joint_cache, cache_key, candidate_sets, pricer
-            )
-            if reused is not None:
-                recorder.counter("multipath.joint_reuses").add()
-                cost, savings = _joint_cost(tuple(reused))
-                return MultiPathResult(
-                    configurations=[c.configuration for c in reused],
-                    total_cost=cost,
-                    shared_savings=savings,
-                    independent_cost=independent,
-                    exact=False,
-                    storage_pages=_joint_storage(tuple(reused)),
-                )
-        with recorder.span(
-            "multipath.joint", combinations=combinations, budgeted=False
-        ) as span:
-            selection, product_exact = _select_unconstrained(
-                candidate_sets, restarts, seed, pricer
-            )
-            _note_swaps(span, pricer)
-        if joint_cache is not None and descent_regime and not degradations:
-            joint_cache["entry"] = (
-                cache_key,
-                [candidate.configuration for candidate in selection],
-            )
-        cost, savings = _joint_cost(tuple(selection))
-        return MultiPathResult(
-            configurations=[c.configuration for c in selection],
-            total_cost=cost,
-            shared_savings=savings,
-            independent_cost=independent,
-            exact=generation_exact and product_exact,
-            storage_pages=_joint_storage(tuple(selection)),
-            degradations=tuple(degradations),
-        )
-
-    combinations = 1
-    for candidates in candidate_sets:
-        combinations *= len(candidates)
-    expired = deadline is not None and deadline.expired
-    with recorder.span(
-        "multipath.joint", combinations=combinations, budgeted=True
-    ) as span:
-        pricer = None
-        if combinations <= _EXACT_LIMIT and not expired:
-            selection, unconstrained = _select_budgeted_exact(
-                candidate_sets, budget_pages
-            )
-            budget_exact = True
-        else:
-            pricer = _SwapPricer(candidate_sets)
-            if expired:
-                # Feasibility cannot be skipped under a budget, so the
-                # sweep still runs — but seeded with the independent
-                # optima instead of the multi-start coordinate descent.
-                unconstrained = [
-                    min(candidates, key=lambda candidate: candidate.total)
-                    for candidates in candidate_sets
-                ]
-                degrade("budget_sweep_seeded")
-                recorder.counter(
-                    "resilience.degradations",
-                    layer="multipath",
-                    action="budget_sweep_seeded",
-                ).add()
-            else:
-                unconstrained, _ = _select_unconstrained(
-                    candidate_sets, restarts, seed, pricer
-                )
-            selection = _budget_sweep(
-                candidate_sets, budget_pages, unconstrained, pricer
-            )
-            budget_exact = False
-        _note_swaps(span, pricer)
-    cost, savings = _joint_cost(tuple(selection))
-    return MultiPathResult(
-        configurations=[c.configuration for c in selection],
-        total_cost=cost,
-        shared_savings=savings,
-        independent_cost=independent,
-        exact=generation_exact and budget_exact,
-        storage_pages=_joint_storage(tuple(selection)),
-        budget_pages=budget_pages,
-        unconstrained_cost=_joint_cost(tuple(unconstrained))[0],
-        degradations=tuple(degradations),
-    )

@@ -7,6 +7,10 @@ rebuilds the whole selection and re-prices it with
 :func:`~repro.core.multipath._joint_storage`. They are kept here, and
 only here, as the reference the delta engine must agree with.
 
+:func:`select_exact` and :func:`select_budgeted_exact` are the two
+product loops that :func:`~repro.core.multipath._exhaustive` merged: the
+unbudgeted and the budgeted walk over the whole cross product.
+
 :func:`install` swaps them into the module for one test (through
 pytest's ``monkeypatch``) and returns a :class:`Work` tally that counts
 what they did the way the ``multipath.joint`` span's notes count the
@@ -122,6 +126,42 @@ def select_unconstrained(candidate_sets, restarts, seed, work):
     return best_selection, False
 
 
+def select_exact(candidate_sets):
+    """The cheapest selection of the whole cross product."""
+    best_cost = float("inf")
+    best_selection = None
+    for selection in itertools.product(*candidate_sets):
+        cost, _ = mp._joint_cost(selection)
+        if cost < best_cost:
+            best_cost = cost
+            best_selection = selection
+    assert best_selection is not None
+    return list(best_selection), True
+
+
+def select_budgeted_exact(candidate_sets, budget_pages):
+    """The cheapest selection that fits the budget, and the cheapest outright."""
+    best_cost = float("inf")
+    best_selection = None
+    overall_cost = float("inf")
+    overall_selection = None
+    for selection in itertools.product(*candidate_sets):
+        cost, _ = mp._joint_cost(selection)
+        if cost < overall_cost:
+            overall_cost = cost
+            overall_selection = selection
+        if cost < best_cost and mp._joint_storage(selection) <= budget_pages:
+            best_cost = cost
+            best_selection = selection
+    if best_selection is None:
+        raise OptimizerError(
+            f"no joint configuration fits within {budget_pages} pages; "
+            "consider including the NONE organization"
+        )
+    assert overall_selection is not None
+    return list(best_selection), list(overall_selection)
+
+
 def best_swap(candidate_sets, selection, rank, work):
     """The best single-path swap under a ranking rule, or ``None``."""
     best = None
@@ -215,7 +255,7 @@ def install(monkeypatch) -> Work:
         "_select_unconstrained",
         lambda candidate_sets, restarts, seed, _pricer: select_unconstrained(
             candidate_sets, restarts, seed, work
-        ),
+        )[0],
     )
     monkeypatch.setattr(
         mp,

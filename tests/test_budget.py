@@ -70,6 +70,13 @@ class TestBudgetedSelection:
         with pytest.raises(OptimizerError):
             optimize_with_budget(fig7_matrix, budget_pages=-1.0)
 
+    def test_nan_budget_rejected(self, fig7_matrix):
+        with pytest.raises(
+            OptimizerError,
+            match="storage budget must be a non-negative number of pages, got nan",
+        ):
+            optimize_with_budget(fig7_matrix, budget_pages=float("nan"))
+
     def test_literal_matrix_rejected(self, fig6):
         with pytest.raises(OptimizerError):
             optimize_with_budget(fig6, budget_pages=100.0)

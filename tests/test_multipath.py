@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core.cost_matrix import CostMatrix
 from repro.core.multipath import (
+    DEFAULT_BEAM_WIDTH,
     MultiPathResult,
     PathWorkload,
     optimize_multipath,
@@ -20,6 +21,7 @@ from repro.core.multipath import (
 from repro.costmodel.params import ClassStats, PathStatistics
 from repro.errors import OptimizerError
 from repro.model.path import Path
+from repro.obs import Recorder
 from repro.organizations import EXTENDED_ORGANIZATIONS, IndexOrganization
 from repro.paper import figure7_load, figure7_statistics, pe_path, pexa_path
 from repro.search.partitions import configuration_count
@@ -294,6 +296,23 @@ class TestBeamCandidateGeneration:
         single = optimize_multipath([workload], beam_width=1)
         assert result.total_cost <= single.total_cost + 1e-9
 
+    def test_fleet_too_large_to_walk_gets_the_beam_everywhere(self):
+        """Each path's space (486, 162 and 54 candidates) could be
+        enumerated, but their product is past the exhaustive walk's
+        limit: every path gets the default beam, and the walk covers
+        the beams' product instead of a descent over enumerated sets."""
+        workloads = [synthetic_workload(length) for length in (6, 5, 4)]
+        recorder = Recorder()
+        result = optimize_multipath(workloads, recorder=recorder)
+        (joint,) = [
+            span["args"]
+            for span in recorder.spans
+            if span["name"] == "multipath.joint"
+        ]
+        assert joint["combinations"] == DEFAULT_BEAM_WIDTH**3
+        assert joint["priced"] == joint["moves"] == 0
+        assert not result.exact
+
     def test_beam_width_validation(self):
         with pytest.raises(OptimizerError, match="beam width"):
             optimize_multipath([pexa_workload()], beam_width=0)
@@ -549,12 +568,12 @@ class TestBatchedPricing:
             workload.load,
             organizations=EXTENDED_ORGANIZATIONS,
         )
-        run = {
-            "exact": lambda: mp._candidates_exact(workload, matrix, 2),
-            "beam": lambda: mp._candidates_beam(workload, matrix, 2, 16),
-            "budget": lambda: mp._candidates_budget(workload, matrix, 16),
+        descriptor = {
+            "exact": (2, None, False),
+            "beam": (2, 16, False),
+            "budget": (len(EXTENDED_ORGANIZATIONS), 16, True),
         }[generator]
-        candidates = run()
+        candidates = mp._candidates(workload, matrix, descriptor)
         oracle = oracle_matrix(
             workload.stats, workload.load, organizations=EXTENDED_ORGANIZATIONS
         )

@@ -14,22 +14,34 @@ replaced, which re-price every trial selection with ``_joint_cost`` and
 * a :class:`~repro.whatif.MultiPathSession` perturbation sequence takes
   the same joint-reuse decisions and answers;
 * each cost and storage delta equals the difference of the joint prices
-  of the trial and the current selection, after any sequence of moves.
+  of the trial and the current selection, after any sequence of moves;
+* each joint-stage regime — exhaustive, descent, sweep, expired
+  candidates, expired joint stage, joint reuse — opens (or skips) the
+  ``multipath.joint`` span with the same notes, ``exact`` flag,
+  degradations and counters;
+* the merged exhaustive walk returns what the two product loops it
+  replaced return, ties and infeasible budgets included.
 """
 
 import operator
 from dataclasses import replace
+from typing import NamedTuple
 
 import pytest
 from conftest import make_suffix_fleet
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_resilience_units import expired_deadline
 
 import multipath_reference as reference
 from repro.core import multipath as mp
 from repro.core.configuration import IndexConfiguration
 from repro.core.cost_matrix import CostMatrix
+from repro.errors import OptimizerError
+from repro.obs import Recorder
+from repro.obs.metrics import metric_key
 from repro.organizations import EXTENDED_ORGANIZATIONS, IndexOrganization
+from repro.resilience import DegradationReport
 from repro.whatif import MultiPathSession, Perturbation
 
 BUDGET_FRACTIONS = (0.0, 0.1, 0.25, 0.5, 1.0)
@@ -104,6 +116,176 @@ class TestJointStageParity:
         assert engine == scans
         # The sequence both keeps the cached selection and re-descends.
         assert 0 < engine[1] < len(steps)
+
+
+class Regime(NamedTuple):
+    """One joint-stage regime and what its last call must leave behind."""
+
+    #: ``"short"`` (lengths 3 and 2, exhaustive) or ``"long"`` (lengths
+    #: 8, 7 and 6, ``beam_width=8`` and ``_EXACT_LIMIT`` at 1).
+    fleet: str
+    #: One set of flags per ``MultiPathSession.optimize`` call:
+    #: ``"budget"`` (half the fleet's unconstrained footprint),
+    #: ``"expired"`` (an expired deadline), and ``"drift"`` or ``"shift"``
+    #: (a perturbation applied first that keeps / breaks the cached
+    #: selection's local optimality).
+    calls: tuple
+    #: The ``multipath.joint`` span's ``combinations``, ``None`` when the
+    #: last call opens no such span.
+    combinations: int | None
+    budgeted: bool
+    exact: bool
+    degradations: tuple[str, ...]
+    reuses: int = 0
+
+
+_BEAM1 = tuple(f"candidates_beam1: deadline_expired path={path}" for path in (0, 1))
+REGIMES = {
+    # 18 × 6: every partition, the two best organizations per block.
+    "exhaustive": Regime("short", ((),), 108, False, True, ()),
+    # 100 × 20: every partition, all four organizations per block.
+    "exhaustive-budgeted": Regime("short", (("budget",),), 2000, True, True, ()),
+    "descent": Regime("long", ((),), 8**3, False, False, ()),
+    # The cost sweep's 8 plus the storage sweep's 8 per path.
+    "sweep": Regime("long", (("budget",),), 16**3, True, False, ()),
+    "candidates-expired": Regime(
+        "short",
+        (("expired",),),
+        None,
+        False,
+        False,
+        _BEAM1 + ("joint_independent: deadline_expired",),
+    ),
+    # Width-1 beams: each path's cheapest and smallest configuration.
+    "candidates-expired-budgeted": Regime(
+        "short",
+        (("budget", "expired"),),
+        2 * 2,
+        True,
+        False,
+        _BEAM1 + ("budget_sweep_seeded: deadline_expired",),
+    ),
+    # Warm candidate caches skip the deadline check: only the joint
+    # stage sees the expiry.
+    "joint-expired": Regime(
+        "short",
+        ((), ("expired",)),
+        None,
+        False,
+        False,
+        ("joint_independent: deadline_expired",),
+    ),
+    "joint-expired-budgeted": Regime(
+        "short",
+        (("budget",), ("budget", "expired")),
+        2000,
+        True,
+        False,
+        ("budget_sweep_seeded: deadline_expired",),
+    ),
+    "reuse-hit": Regime("long", ((), ("drift",)), None, False, False, (), reuses=1),
+    "reuse-miss": Regime("long", ((), ("shift",)), 8**3, False, False, ()),
+    # The drift that keeps an unbudgeted selection: a budget never reuses.
+    "sweep-after-drift": Regime(
+        "long", (("budget",), ("budget", "drift")), 16**3, True, False, ()
+    ),
+}
+_PERTURBATIONS = {
+    "drift": (0, Perturbation("L2", "query", "scale", 1.001)),
+    "shift": (0, Perturbation("L0", "query", "set", 0.0)),
+}
+_ACTIONS = ("candidates_beam1", "joint_independent", "budget_sweep_seeded")
+
+
+def _regime_fleet(name):
+    if name == "short":
+        return make_suffix_fleet(41, chain_length=3, paths=2), {}
+    return make_suffix_fleet(43, chain_length=8, paths=3), {"beam_width": 8}
+
+
+def observe_regime(regime, monkeypatch, scans=False):
+    """Run a regime's calls through one session; observe the last call.
+
+    Returns the result, the call's :class:`DegradationReport`, its
+    ``multipath.joint`` span arguments (``None`` when absent), its counter
+    increments and, with ``scans``, the reference scans' ``(priced,
+    moves)`` tally for the call.
+    """
+    workloads, options = _regime_fleet(regime.fleet)
+    budget = 0.5 * mp.optimize_multipath(
+        workloads, organizations=EXTENDED_ORGANIZATIONS, **options
+    ).storage_pages
+    with monkeypatch.context() as patch:
+        if regime.fleet == "long":
+            patch.setattr(mp, "_EXACT_LIMIT", 1)
+        work = reference.install(patch) if scans else reference.Work()
+        recorder = Recorder()
+        joint = MultiPathSession.from_workloads(
+            workloads, organizations=EXTENDED_ORGANIZATIONS, recorder=recorder
+        )
+        for flags in regime.calls:
+            for flag in set(flags) & set(_PERTURBATIONS):
+                joint.perturb(*_PERTURBATIONS[flag])
+            call = dict(options, degradation=DegradationReport())
+            if "budget" in flags:
+                call["budget_pages"] = budget
+            if "expired" in flags:
+                call["deadline"] = expired_deadline()
+            spans = len(recorder.spans)
+            counters = dict(recorder.profile()["metrics"]["counters"])
+            tally = (work.priced, work.moves)
+            result = joint.optimize(**call)
+    joints = [
+        span["args"] for span in recorder.spans[spans:] if span["name"] == "multipath.joint"
+    ]
+    assert len(joints) <= 1
+    increments = {
+        key: value - counters.get(key, 0)
+        for key, value in recorder.profile()["metrics"]["counters"].items()
+    }
+    return (
+        result,
+        call["degradation"],
+        joints[0] if joints else None,
+        increments,
+        (work.priced - tally[0], work.moves - tally[1]),
+    )
+
+
+class TestRegimeContract:
+    """Which joint stage answers each regime, and what it reports: the
+    ``multipath.joint`` span and its notes, ``exact``, the degradations in
+    order, the degradation counters and the joint reuses."""
+
+    @pytest.mark.parametrize("name", sorted(REGIMES))
+    def test_regime(self, name, monkeypatch):
+        regime = REGIMES[name]
+        result, report, joint, increments, _ = observe_regime(regime, monkeypatch)
+        assert result.exact == regime.exact
+        assert result.degradations == regime.degradations
+        assert [event.describe() for event in report.events] == [
+            f"[multipath] {entry}" for entry in regime.degradations
+        ]
+        for action in _ACTIONS:
+            key = metric_key(
+                "resilience.degradations", {"layer": "multipath", "action": action}
+            )
+            assert increments.get(key, 0) == report.count(
+                layer="multipath", action=action
+            )
+        assert increments.get("multipath.joint_reuses", 0) == regime.reuses
+        if regime.combinations is None:
+            assert joint is None
+            return
+        *_, (priced, moves) = observe_regime(regime, monkeypatch, scans=True)
+        if regime.exact:
+            assert priced == moves == 0
+        assert joint == {
+            "combinations": regime.combinations,
+            "budgeted": regime.budgeted,
+            "priced": priced,
+            "moves": moves,
+        }
 
 
 _KEYS = [
@@ -222,3 +404,36 @@ class TestSwapDeltas:
         descended = mp._chosen(candidate_sets, mp._descend(pricer, choice))
         expected = reference.descend(candidate_sets, selection, work)
         assert all(map(operator.is_, descended, expected))
+
+
+class TestExhaustiveWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(swap_landscapes(prices=_EXACT_PRICES), st.data())
+    def test_walk_equals_the_reference_loops(self, landscape, data):
+        """On exact prices (true ties, duplicated paths), the merged walk
+        returns the two reference loops' selections by identity, and
+        their error text when nothing fits the budget."""
+        candidate_sets, choice, _ = landscape
+        # One selection's own footprint puts the budget on a boundary.
+        footprint = mp._joint_storage(tuple(mp._chosen(candidate_sets, choice)))
+        budget = data.draw(
+            st.one_of(
+                st.sampled_from([None, 0.0, footprint, float("inf")]),
+                st.integers(min_value=0, max_value=2000).map(float),
+            )
+        )
+        if budget is None:
+            cheapest, _ = reference.select_exact(candidate_sets)
+            expected = (cheapest, cheapest)
+        else:
+            try:
+                expected = reference.select_budgeted_exact(candidate_sets, budget)
+            except OptimizerError as error:
+                with pytest.raises(OptimizerError) as raised:
+                    mp._exhaustive(candidate_sets, budget)
+                assert str(raised.value) == str(error)
+                return
+        walked = mp._exhaustive(candidate_sets, budget)
+        for selection, reference_selection in zip(walked, expected, strict=True):
+            assert len(selection) == len(reference_selection)
+            assert all(map(operator.is_, selection, reference_selection))
