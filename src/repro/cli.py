@@ -2,26 +2,34 @@
 
 ::
 
-    python -m repro advise  SPEC.json [--trace] [--json] [--noindex]
-                            [--strategy NAME]
-    python -m repro matrix  SPEC.json
+    python -m repro advise    SPEC.json [--trace] [--noindex] [--strategy NAME]
+                              [--workers N] [--json] [--profile FILE] [--stats]
+    python -m repro matrix    SPEC.json [--workers N]
     python -m repro multipath SPEC.json [SPEC2.json ...] [--beam-width N]
-                            [--budget-pages P] [--restarts N] [--noindex]
-                            [--json]
-    python -m repro whatif  SPEC.json [--steps STEPS.json]
-                            [--perturb CLASS:COMP*F | CLASS:COMP=V ...]
-                            [--strategy NAME] [--json]
-    python -m repro trace   SPEC.json --regime NAME --events N [--seed S]
-                            [--out FILE]
-    python -m repro replay  SPEC.json --trace FILE --window N [--slide N]
-                            [--threshold X] [--hysteresis K] [--track-stats]
-                            [--rate-scale S] [--strategy NAME] [--json]
-    python -m repro example                # print a template spec
-    python -m repro paper   [--trace]      # reproduce Example 5.1
-    python -m repro measure [--check] [--threshold X] [--report FILE]
-                            [--layout btree|hash] [--json]
-    python -m repro measure --scenario NAME [--trace FILE]
-                            [--regime NAME --events N] [--seed S] [--json]
+                              [--budget-pages P] [--per-row-organizations R]
+                              [--restarts N] [--noindex] [--workers N]
+                              [--json] [--profile FILE] [--stats]
+    python -m repro whatif    SPEC.json [--steps STEPS.json]
+                              [--perturb CLASS:COMP*F | CLASS:COMP=V ...]
+                              [--noindex] [--strategy NAME] [--workers N]
+                              [--json] [--profile FILE] [--stats]
+    python -m repro trace     SPEC.json [--regime NAME] [--events N] [--seed S]
+                              [--edge-share F] [--out FILE]
+    python -m repro replay    SPEC.json --trace FILE [--window N] [--slide N]
+                              [--window-seconds T] [--slide-seconds T]
+                              [--threshold X|auto] [--hysteresis K]
+                              [--rate-scale S] [--track-stats]
+                              [--checkpoint FILE [--resume]] [--deadline-ms T]
+                              [--on-error raise|skip|collect] [--noindex]
+                              [--strategy NAME] [--workers N]
+                              [--json] [--profile FILE] [--stats]
+    python -m repro example                  # print a template spec
+    python -m repro paper     [--trace]      # reproduce Example 5.1
+    python -m repro measure   [--layout btree|hash] [--check] [--threshold X]
+                              [--report FILE] [--json] [--profile FILE] [--stats]
+    python -m repro measure   --scenario NAME [--layout btree|hash]
+                              [--trace FILE | --regime NAME --events N]
+                              [--seed S] [--json] [--profile FILE] [--stats]
 
 ``SPEC.json`` is the advisor-spec document described in :mod:`repro.io`;
 ``multipath`` takes one spec per path and selects their configurations
@@ -44,7 +52,7 @@ import argparse
 import json
 import sys
 
-from repro.core.advisor import DEFAULT_STRATEGY, advise
+from repro.core.advisor import DEFAULT_STRATEGY, AdvisorReport, advise
 from repro.core.configuration import IndexConfiguration
 from repro.core.cost_matrix import CostMatrix
 from repro.core.multipath import (
@@ -76,48 +84,22 @@ from repro.whatif import (
 )
 
 
-def _recorder_for(arguments: argparse.Namespace) -> Recorder | None:
-    """A live :class:`~repro.obs.Recorder` when profiling was requested.
+def _pipeline_options(
+    spec: AdvisorSpec, arguments: argparse.Namespace
+) -> dict:
+    """The cost-matrix options of one run: the spec's and the flags'.
 
-    ``None`` (no ``--profile`` and no ``--stats``) keeps every
-    instrumented call on the zero-overhead null-recorder path.
-    """
-    if getattr(arguments, "profile", None) or getattr(
-        arguments, "stats", False
-    ):
-        return Recorder()
-    return None
-
-
-def _finish_profile(
-    recorder: Recorder | None, arguments: argparse.Namespace
-) -> None:
-    """Write/print the requested profile outputs after a command ran."""
-    if recorder is None:
-        return
-    if getattr(arguments, "stats", False):
-        print()
-        print(stats_table(recorder))
-    profile = getattr(arguments, "profile", None)
-    if profile:
-        write_profile(
-            recorder,
-            profile,
-            meta={"command": arguments.command},
-        )
-        print(f"profile written to {profile}", file=sys.stderr)
-
-
-def _spec_options(spec: AdvisorSpec, noindex: bool) -> dict:
-    """The organization, NONE-fallback and range options a spec asks for.
-
-    ``noindex`` (the ``--noindex`` flag) adds the zero-storage NONE
-    fallback on top of the spec's own ``include_noindex``.
+    ``--noindex`` adds the zero-storage NONE fallback on top of the
+    spec's own ``include_noindex``; ``recorder`` is the one :func:`main`
+    made for ``--profile``/``--stats`` (``None`` without them).
     """
     return dict(
         organizations=spec.organizations or CONFIGURABLE_ORGANIZATIONS,
-        include_noindex=spec.include_noindex or noindex,
+        include_noindex=spec.include_noindex
+        or getattr(arguments, "noindex", False),
         range_selectivity=spec.range_selectivity,
+        workers=arguments.workers,
+        recorder=arguments.recorder,
     )
 
 
@@ -136,17 +118,38 @@ def _configuration_json(
     ]
 
 
+def _step_json(path: Path, step, **fields) -> dict:
+    """A what-if or replay step as JSON: ``fields`` plus the shared keys."""
+    report = step.report
+    return {
+        "step": step.index,
+        **fields,
+        "mode": report.mode if report else None,
+        "rows_recomputed": len(report.recomputed_rows) if report else None,
+        "rows_patched": len(report.patched_rows) if report else None,
+        "cost": step.cost,
+        "configuration_changed": step.configuration_changed,
+        "configuration": _configuration_json(path, step.result.configuration),
+    }
+
+
+def _print_report(report: AdvisorReport, trace: bool) -> None:
+    """An advisor report, then the search trace when ``trace`` is set."""
+    print(report.render())
+    if trace:
+        print()
+        for line in report.optimal.trace:
+            print("  " + line)
+
+
 def _cmd_advise(arguments: argparse.Namespace) -> int:
     spec = load_spec(arguments.spec)
-    recorder = _recorder_for(arguments)
     report = advise(
         spec.stats,
         spec.load,
-        **_spec_options(spec, arguments.noindex),
+        **_pipeline_options(spec, arguments),
         keep_trace=arguments.trace,
         strategy=arguments.strategy,
-        workers=arguments.workers,
-        recorder=recorder,
     )
     if arguments.json:
         path = spec.stats.path
@@ -167,22 +170,14 @@ def _cmd_advise(arguments: argparse.Namespace) -> int:
         }
         print(json.dumps(payload, indent=2))
     else:
-        print(report.render())
-        if arguments.trace:
-            print()
-            for line in report.optimal.trace:
-                print("  " + line)
-    _finish_profile(recorder, arguments)
+        _print_report(report, arguments.trace)
     return 0
 
 
 def _cmd_matrix(arguments: argparse.Namespace) -> int:
     spec = load_spec(arguments.spec)
     matrix = CostMatrix.compute(
-        spec.stats,
-        spec.load,
-        **_spec_options(spec, noindex=False),
-        workers=arguments.workers,
+        spec.stats, spec.load, **_pipeline_options(spec, arguments)
     )
     print(matrix.render(spec.stats.path))
     return 0
@@ -199,17 +194,11 @@ def _cmd_multipath(arguments: argparse.Namespace) -> int:
     specs = [load_spec(spec_path) for spec_path in arguments.specs]
     workloads = [PathWorkload(stats=spec.stats, load=spec.load) for spec in specs]
     # Each matrix honours its own spec's options; --noindex adds the
-    # zero-storage NONE fallback to every path's organizations through the
-    # same include_noindex seam as advise/matrix, which keeps tight
-    # --budget-pages runs feasible.
-    recorder = _recorder_for(arguments)
+    # zero-storage NONE fallback to every path's organizations, which
+    # keeps tight --budget-pages runs feasible.
     matrices = [
         CostMatrix.compute(
-            spec.stats,
-            spec.load,
-            **_spec_options(spec, arguments.noindex),
-            workers=arguments.workers,
-            recorder=recorder,
+            spec.stats, spec.load, **_pipeline_options(spec, arguments)
         )
         for spec in specs
     ]
@@ -220,7 +209,7 @@ def _cmd_multipath(arguments: argparse.Namespace) -> int:
         beam_width=arguments.beam_width,
         budget_pages=arguments.budget_pages,
         restarts=arguments.restarts,
-        recorder=recorder,
+        recorder=arguments.recorder,
     )
     paths = [spec.stats.path for spec in specs]
     if arguments.json:
@@ -247,7 +236,6 @@ def _cmd_multipath(arguments: argparse.Namespace) -> int:
         # The table already carries the per-path configurations and the
         # joint/independent/savings/storage/budget summary.
         print(multipath_table(paths, result))
-    _finish_profile(recorder, arguments)
     return 0
 
 
@@ -259,30 +247,23 @@ def _cmd_whatif(arguments: argparse.Namespace) -> int:
             try:
                 document = json.load(handle)
             except json.JSONDecodeError as error:
-                print(
-                    f"error: invalid JSON in {arguments.steps}: {error}",
-                    file=sys.stderr,
-                )
-                return 1
+                raise ReproError(
+                    f"invalid JSON in {arguments.steps}: {error}"
+                ) from None
         perturbations.extend(parse_steps(document))
     perturbations.extend(
         Perturbation.parse(text) for text in arguments.perturb
     )
     if not perturbations:
-        print(
-            "error: no perturbations given (use --steps FILE and/or "
-            "--perturb CLASS:COMPONENT*FACTOR)",
-            file=sys.stderr,
+        raise ReproError(
+            "no perturbations given (use --steps FILE and/or "
+            "--perturb CLASS:COMPONENT*FACTOR)"
         )
-        return 1
-    recorder = _recorder_for(arguments)
     session = AdvisorSession(
         spec.stats,
         spec.load,
-        **_spec_options(spec, arguments.noindex),
+        **_pipeline_options(spec, arguments),
         strategy=arguments.strategy,
-        workers=arguments.workers,
-        recorder=recorder,
     )
     steps = session.run(perturbations)
     path = spec.stats.path
@@ -291,30 +272,19 @@ def _cmd_whatif(arguments: argparse.Namespace) -> int:
             "path": str(path),
             "strategy": arguments.strategy,
             "steps": [
-                {
-                    "step": step.index,
-                    "perturbation": step.description,
-                    "mode": step.report.mode if step.report else None,
-                    "rows_recomputed": (
-                        len(step.report.recomputed_rows) if step.report else None
-                    ),
-                    "rows_patched": (
-                        len(step.report.patched_rows) if step.report else None
-                    ),
-                    "kernel_slice_rows": (
+                _step_json(
+                    path,
+                    step,
+                    perturbation=step.description,
+                    kernel_slice_rows=(
                         step.report.kernel_slice_rows if step.report else None
                     ),
-                    "kernel_fallback_reason": (
+                    kernel_fallback_reason=(
                         step.report.kernel_fallback_reason
                         if step.report
                         else None
                     ),
-                    "cost": step.cost,
-                    "configuration_changed": step.configuration_changed,
-                    "configuration": _configuration_json(
-                        path, step.result.configuration
-                    ),
-                }
+                )
                 for step in steps
             ],
         }
@@ -326,17 +296,6 @@ def _cmd_whatif(arguments: argparse.Namespace) -> int:
             f"\n{len(steps) - 1} steps, {changes} configuration changes, "
             f"final cost {steps[-1].cost:.2f}"
         )
-        fallbacks = {
-            step.report.kernel_fallback_reason
-            for step in steps
-            if step.report is not None
-            and step.report.kernel_fallback_reason is not None
-        }
-        if fallbacks:
-            print(
-                "kernel fallbacks: " + ", ".join(sorted(fallbacks))
-            )
-    _finish_profile(recorder, arguments)
     return 0
 
 
@@ -365,29 +324,19 @@ def _cmd_replay(arguments: argparse.Namespace) -> int:
         try:
             threshold = float(threshold)
         except ValueError:
-            print(
-                f"error: --threshold must be a number or 'auto', "
-                f"got {arguments.threshold!r}",
-                file=sys.stderr,
-            )
-            return 1
+            raise ReproError(
+                "--threshold must be a number or 'auto', "
+                f"got {arguments.threshold!r}"
+            ) from None
     window = arguments.window
     if window is None and arguments.window_seconds is None:
         window = 200
-    recorder = _recorder_for(arguments)
     session_options = dict(
-        **_spec_options(spec, arguments.noindex),
-        strategy=arguments.strategy,
-        workers=arguments.workers,
-        recorder=recorder,
+        **_pipeline_options(spec, arguments), strategy=arguments.strategy
     )
     if arguments.resume:
         if not arguments.checkpoint:
-            print(
-                "error: --resume requires --checkpoint FILE",
-                file=sys.stderr,
-            )
-            return 1
+            raise ReproError("--resume requires --checkpoint FILE")
         from repro.resilience import restore_advisor
 
         advisor = restore_advisor(
@@ -439,27 +388,16 @@ def _cmd_replay(arguments: argparse.Namespace) -> int:
             ],
             "degradations": advisor.degradation.to_dicts(),
             "steps": [
-                {
-                    "step": step.index,
-                    "window": step.window,
-                    "forced": step.forced,
-                    "rung": step.rung,
-                    "events_seen": step.events_seen,
-                    "change": step.change,
-                    "perturbations": step.perturbations,
-                    "mode": step.report.mode if step.report else None,
-                    "rows_recomputed": (
-                        len(step.report.recomputed_rows) if step.report else None
-                    ),
-                    "rows_patched": (
-                        len(step.report.patched_rows) if step.report else None
-                    ),
-                    "cost": step.cost,
-                    "configuration_changed": step.configuration_changed,
-                    "configuration": _configuration_json(
-                        path, step.result.configuration
-                    ),
-                }
+                _step_json(
+                    path,
+                    step,
+                    window=step.window,
+                    forced=step.forced,
+                    rung=step.rung,
+                    events_seen=step.events_seen,
+                    change=step.change,
+                    perturbations=step.perturbations,
+                )
                 for step in steps
             ],
         }
@@ -473,7 +411,6 @@ def _cmd_replay(arguments: argparse.Namespace) -> int:
             print("degradations:")
             for line in advisor.degradation.describe().splitlines():
                 print(f"  {line}")
-    _finish_profile(recorder, arguments)
     return 0
 
 
@@ -491,11 +428,7 @@ def _cmd_paper(arguments: argparse.Namespace) -> int:
     report = advise(
         figure7_statistics(), figure7_load(), keep_trace=arguments.trace
     )
-    print(report.render())
-    if arguments.trace:
-        print()
-        for line in report.optimal.trace:
-            print("  " + line)
+    _print_report(report, arguments.trace)
     return 0
 
 
@@ -514,13 +447,10 @@ def _cmd_measure(arguments: argparse.Namespace) -> int:
     if arguments.scenario:
         scenarios = {s.name: s for s in default_scenarios()}
         if arguments.scenario not in scenarios:
-            print(
-                "error: unknown scenario "
-                f"{arguments.scenario!r}; available: "
-                + ", ".join(sorted(scenarios)),
-                file=sys.stderr,
+            raise ReproError(
+                f"unknown scenario {arguments.scenario!r}; available: "
+                + ", ".join(sorted(scenarios))
             )
-            return 1
         scenario = scenarios[arguments.scenario]
         database, path, stats, configuration = scenario.build()
         if arguments.trace:
@@ -529,7 +459,6 @@ def _cmd_measure(arguments: argparse.Namespace) -> int:
             events = generate_trace(
                 path, arguments.regime, arguments.events, seed=arguments.seed
             )
-        recorder = _recorder_for(arguments)
         report = replay_trace(
             database,
             path,
@@ -538,13 +467,12 @@ def _cmd_measure(arguments: argparse.Namespace) -> int:
             seed=arguments.seed,
             stats=stats,
             layout=arguments.layout or "btree",
-            recorder=recorder,
+            recorder=arguments.recorder,
         )
         if arguments.json:
             print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
         else:
             print(render_backend_replay(report))
-        _finish_profile(recorder, arguments)
         return 0
 
     # Without --layout every layout is calibrated and guarded on its
@@ -588,10 +516,9 @@ def _cmd_measure(arguments: argparse.Namespace) -> int:
             )
         if failed:
             return 1
-    # The calibration path records nothing yet; an explicitly requested
-    # profile is still honored (as an empty document) rather than
-    # silently dropped.
-    _finish_profile(_recorder_for(arguments), arguments)
+    # The calibration path records nothing yet; main() still honors an
+    # explicitly requested profile (as an empty document) rather than
+    # silently dropping it.
     return 0
 
 
@@ -608,7 +535,34 @@ def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_profile_argument(parser: argparse.ArgumentParser) -> None:
+def _add_selection_arguments(
+    parser: argparse.ArgumentParser, strategy: str | None = None
+) -> None:
+    """``--noindex``, and ``--strategy`` defaulting to ``strategy`` if given.
+
+    A helper, not argparse ``parents=``: parent parsers share their
+    actions, so one subcommand's ``set_defaults(strategy=...)`` would
+    change every other subcommand's default too.
+    """
+    parser.add_argument(
+        "--noindex",
+        action="store_true",
+        help="also consider leaving subpaths unindexed",
+    )
+    if strategy is not None:
+        parser.add_argument(
+            "--strategy",
+            choices=available_strategies(),
+            default=strategy,
+            help="search strategy (default: %(default)s)",
+        )
+
+
+def _add_output_arguments(parser: argparse.ArgumentParser) -> None:
+    """``--json`` and the ``--profile``/``--stats`` pair :func:`main` serves."""
+    parser.add_argument(
+        "--json", action="store_true", help="machine-readable output"
+    )
     parser.add_argument(
         "--profile",
         metavar="FILE",
@@ -647,22 +601,9 @@ def build_parser() -> argparse.ArgumentParser:
     advise_parser.add_argument(
         "--trace", action="store_true", help="show branch-and-bound decisions"
     )
-    advise_parser.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    advise_parser.add_argument(
-        "--noindex",
-        action="store_true",
-        help="also consider leaving subpaths unindexed",
-    )
-    advise_parser.add_argument(
-        "--strategy",
-        choices=available_strategies(),
-        default=DEFAULT_STRATEGY,
-        help="search strategy (default: the paper's branch and bound)",
-    )
+    _add_selection_arguments(advise_parser, DEFAULT_STRATEGY)
     _add_workers_argument(advise_parser)
-    _add_profile_argument(advise_parser)
+    _add_output_arguments(advise_parser)
     advise_parser.set_defaults(handler=_cmd_advise)
 
     matrix_parser = commands.add_parser(
@@ -713,14 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     multipath_parser.add_argument(
-        "--noindex",
-        action="store_true",
-        help=(
-            "include the NONE organization on every path (keeps tight "
-            "--budget-pages runs feasible)"
-        ),
-    )
-    multipath_parser.add_argument(
         "--restarts",
         type=int,
         default=DEFAULT_RESTARTS,
@@ -731,11 +664,9 @@ def build_parser() -> argparse.ArgumentParser:
             f"{DEFAULT_RESTARTS}; 0 disables)"
         ),
     )
-    multipath_parser.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
+    _add_selection_arguments(multipath_parser)
     _add_workers_argument(multipath_parser)
-    _add_profile_argument(multipath_parser)
+    _add_output_arguments(multipath_parser)
     multipath_parser.set_defaults(handler=_cmd_multipath)
 
     whatif_parser = commands.add_parser(
@@ -765,25 +696,9 @@ def build_parser() -> argparse.ArgumentParser:
             "or Division:query=0.4 (repeatable; applied after --steps)"
         ),
     )
-    whatif_parser.add_argument(
-        "--strategy",
-        choices=available_strategies(),
-        default=DEFAULT_SESSION_STRATEGY,
-        help=(
-            "search strategy for every step (default: the incremental "
-            "dynamic program, which consumes per-step dirty-row sets)"
-        ),
-    )
-    whatif_parser.add_argument(
-        "--noindex",
-        action="store_true",
-        help="also consider leaving subpaths unindexed",
-    )
-    whatif_parser.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
+    _add_selection_arguments(whatif_parser, DEFAULT_SESSION_STRATEGY)
     _add_workers_argument(whatif_parser)
-    _add_profile_argument(whatif_parser)
+    _add_output_arguments(whatif_parser)
     whatif_parser.set_defaults(handler=_cmd_whatif)
 
     trace_parser = commands.add_parser(
@@ -919,20 +834,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     replay_parser.add_argument(
-        "--strategy",
-        choices=available_strategies(),
-        default=DEFAULT_SESSION_STRATEGY,
-        help=(
-            "search strategy for every re-advise (default: the "
-            "incremental dynamic program)"
-        ),
-    )
-    replay_parser.add_argument(
-        "--noindex",
-        action="store_true",
-        help="also consider leaving subpaths unindexed",
-    )
-    replay_parser.add_argument(
         "--checkpoint",
         metavar="FILE",
         default=None,
@@ -973,11 +874,9 @@ def build_parser() -> argparse.ArgumentParser:
             "error; skipped line numbers are always reported"
         ),
     )
-    replay_parser.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
+    _add_selection_arguments(replay_parser, DEFAULT_SESSION_STRATEGY)
     _add_workers_argument(replay_parser)
-    _add_profile_argument(replay_parser)
+    _add_output_arguments(replay_parser)
     replay_parser.set_defaults(handler=_cmd_replay)
 
     example_parser = commands.add_parser(
@@ -1059,24 +958,42 @@ def build_parser() -> argparse.ArgumentParser:
     measure_parser.add_argument(
         "--seed", type=int, default=0, help="replay / generation seed"
     )
-    measure_parser.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    _add_profile_argument(measure_parser)
+    _add_output_arguments(measure_parser)
     measure_parser.set_defaults(handler=_cmd_measure)
     return parser
+
+
+def _finish_profile(arguments: argparse.Namespace) -> None:
+    """Print the ``--stats`` table and write the ``--profile`` document."""
+    if arguments.stats:
+        print()
+        print(stats_table(arguments.recorder))
+    if arguments.profile:
+        write_profile(
+            arguments.recorder,
+            arguments.profile,
+            meta={"command": arguments.command},
+        )
+        print(f"profile written to {arguments.profile}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     arguments = parser.parse_args(argv)
+    # One recorder for the whole run when --profile or --stats asks for
+    # it; None keeps every instrumented call on the zero-overhead
+    # null-recorder path.
+    profiled = getattr(arguments, "profile", None) or getattr(
+        arguments, "stats", False
+    )
+    arguments.recorder = Recorder() if profiled else None
     try:
-        return arguments.handler(arguments)
+        code = arguments.handler(arguments)
+        if code == 0 and profiled:
+            _finish_profile(arguments)
+        return code
     except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     except BrokenPipeError:
@@ -1087,3 +1004,7 @@ def main(argv: list[str] | None = None) -> int:
         except Exception:
             pass
         return 0
+    except OSError as error:
+        # A missing, unreadable or directory path argument.
+        print(f"error: {error}", file=sys.stderr)
+        return 1

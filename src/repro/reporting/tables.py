@@ -9,6 +9,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
+    from repro.core.cost_matrix import RecomputeReport
     from repro.core.multipath import MultiPathResult
     from repro.trace import ReplayStep
     from repro.whatif import WhatIfStep
@@ -107,27 +108,16 @@ def whatif_table(
     previous_cost: float | None = None
     fallback_reasons: set[str] = set()
     for step in steps:
-        if step.report is None:
-            work = "-"
-        elif step.report.mode == "full":
-            work = f"full ({step.report.total_rows} rows)"
-        else:
-            work = (
-                f"{len(step.report.recomputed_rows)}"
-                f"+{len(step.report.patched_rows)}p"
-                f"/{step.report.total_rows}"
-            )
-            if step.report.kernel_slice_rows:
-                work += f" k{step.report.kernel_slice_rows}"
-            if step.report.kernel_fallback_reason is not None:
+        report = step.report
+        work = _dirty_rows_cell(report)
+        if report is not None and report.mode != "full":
+            if report.kernel_slice_rows:
+                work += f" k{report.kernel_slice_rows}"
+            if report.kernel_fallback_reason is not None:
                 work += "!"
-                fallback_reasons.add(step.report.kernel_fallback_reason)
+                fallback_reasons.add(report.kernel_fallback_reason)
         delta = "" if previous_cost is None else f"{step.cost - previous_cost:+.2f}"
-        configuration = (
-            step.result.configuration.render(path)
-            if step.report is None or step.configuration_changed
-            else "(unchanged)"
-        )
+        configuration = _configuration_cell(path, step)
         rows.append(
             [step.description, work, f"{step.cost:.2f}", delta, configuration]
         )
@@ -168,22 +158,7 @@ def replay_table(
             origin = "flush"
         else:
             origin = "baseline"
-        if step.report is None:
-            work = "-"
-        elif step.report.mode == "full":
-            work = f"full ({step.report.total_rows} rows)"
-        else:
-            work = (
-                f"{len(step.report.recomputed_rows)}"
-                f"+{len(step.report.patched_rows)}p"
-                f"/{step.report.total_rows}"
-            )
         delta = "" if previous_cost is None else f"{step.cost - previous_cost:+.2f}"
-        configuration = (
-            step.result.configuration.render(path)
-            if step.report is None or step.configuration_changed
-            else "(unchanged)"
-        )
         if step.report is None:
             drift = "-"
         elif step.change > 9.995:
@@ -198,10 +173,10 @@ def replay_table(
                 step.events_seen,
                 drift,
                 step.perturbations if step.report is not None else "-",
-                work,
+                _dirty_rows_cell(step.report),
                 f"{step.cost:.2f}",
                 delta,
-                configuration,
+                _configuration_cell(path, step),
             ]
         )
         previous_cost = step.cost
@@ -219,6 +194,25 @@ def replay_table(
         rows,
         title=title,
     )
+
+
+def _dirty_rows_cell(report: "RecomputeReport | None") -> str:
+    """The matrix work of one step: ``-``, ``full (N rows)`` or ``R+Pp/N``."""
+    if report is None:
+        return "-"
+    if report.mode == "full":
+        return f"full ({report.total_rows} rows)"
+    return (
+        f"{len(report.recomputed_rows)}+{len(report.patched_rows)}p"
+        f"/{report.total_rows}"
+    )
+
+
+def _configuration_cell(path: object, step: "WhatIfStep | ReplayStep") -> str:
+    """A step's configuration, or ``(unchanged)`` when it did not change."""
+    if step.report is None or step.configuration_changed:
+        return step.result.configuration.render(path)
+    return "(unchanged)"
 
 
 def comparison_table(

@@ -52,6 +52,7 @@ from typing import Any
 from repro.costmodel.params import ClassStats, PathStatistics
 from repro.errors import CheckpointError
 from repro.resilience.degradation import DegradationReport
+from repro.search import SearchResult
 from repro.trace.continuous import ContinuousAdvisor, ReplayStep
 from repro.trace.drift import DriftDetector
 from repro.trace.events import TraceEvent
@@ -241,42 +242,8 @@ def _session_record(session: AdvisorSession) -> dict[str, Any]:
         "batched_steps": session.batched_steps,
         "pending_rows": sorted(list(row) for row in session._pending),
         "pending_full": session._pending_full,
-        "last_result": None
-        if last is None
-        else _result_record(last),
+        "last_result": None if last is None else last.to_dict(),
     }
-
-
-def _result_record(result) -> dict[str, Any]:
-    """A search result through ReplayStep's canonical serializer."""
-    shim = ReplayStep(
-        index=0,
-        window=None,
-        events_seen=0,
-        change=0.0,
-        perturbations=0,
-        report=None,
-        result=result,
-        configuration_changed=False,
-    )
-    return shim.to_dict()["result"]
-
-
-def _result_from_record(record: dict[str, Any]):
-    shim = ReplayStep.from_dict(
-        {
-            "index": 0,
-            "window": None,
-            "events_seen": 0,
-            "change": 0.0,
-            "perturbations": 0,
-            "forced": False,
-            "configuration_changed": False,
-            "report": None,
-            "result": record,
-        }
-    )
-    return shim.result
 
 
 def _restore_session_state(
@@ -325,7 +292,7 @@ def _restore_session_state(
     primed = session.advise()
     stored = record["last_result"]
     if stored is not None:
-        result = _result_from_record(stored)
+        result = SearchResult.from_dict(stored)
         exact = not result.extras.get("degraded", False)
         clean = not record["pending_rows"] and not record["pending_full"]
         if exact and clean and (

@@ -13,11 +13,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol, runtime_checkable
 
-from repro.core.configuration import IndexConfiguration
+from repro.core.configuration import IndexConfiguration, IndexedSubpath
 from repro.core.cost_matrix import CostMatrix
 from repro.errors import OptimizerError
 from repro.model.path import Path
 from repro.obs.recorder import resolve_recorder  # noqa: F401  (re-export)
+from repro.organizations import IndexOrganization
+
+
+def _jsonify(value: Any) -> Any:
+    """A deterministic JSON-safe projection of a result payload.
+
+    Tuples become lists (what a JSON round-trip would do anyway) and
+    anything JSON cannot express becomes its ``str`` — so serialized
+    timelines compare stably between a live run and a checkpoint resume.
+    """
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_jsonify(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): _jsonify(item) for key, item in value.items()}
+    return str(value)
 
 
 @dataclass
@@ -58,6 +75,45 @@ class SearchResult:
         return (
             f"{self.configuration.render(path)} with processing cost "
             f"{self.cost:.2f} ({self.work})"
+        )
+
+    def to_dict(self) -> dict[str, Any]:
+        """The JSON object form accepted by :meth:`from_dict`.
+
+        The configuration is spelled as ``[start, end, org]`` triples and
+        the float cost rides through JSON's exact ``repr`` round-trip for
+        doubles. Checkpoints and replay steps both serialize results
+        through here, so the two never drift apart.
+        """
+        return {
+            "configuration": [
+                [part.start, part.end, part.organization.value]
+                for part in self.configuration.assignments
+            ],
+            "cost": self.cost,
+            "evaluated": self.evaluated,
+            "pruned": self.pruned,
+            "strategy": self.strategy,
+            "trace": _jsonify(self.trace),
+            "extras": _jsonify(self.extras),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> "SearchResult":
+        """Rebuild a result from its :meth:`to_dict` form."""
+        return cls(
+            configuration=IndexConfiguration(
+                tuple(
+                    IndexedSubpath(start, end, IndexOrganization(organization))
+                    for start, end, organization in data["configuration"]
+                )
+            ),
+            cost=data["cost"],
+            evaluated=data["evaluated"],
+            pruned=data["pruned"],
+            trace=list(data["trace"]),
+            strategy=data["strategy"],
+            extras=dict(data["extras"]),
         )
 
 

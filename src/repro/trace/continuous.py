@@ -27,12 +27,10 @@ import time
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from repro.core.configuration import IndexConfiguration, IndexedSubpath
 from repro.core.cost_matrix import RecomputeReport
 from repro.costmodel.params import PathStatistics
 from repro.errors import TraceError
 from repro.obs.recorder import resolve_recorder
-from repro.organizations import IndexOrganization
 from repro.resilience import Deadline, DegradationReport
 from repro.search import SearchResult
 from repro.trace.drift import DriftDecision, DriftDetector
@@ -41,22 +39,6 @@ from repro.trace.window import WindowAggregator
 from repro.whatif import AdvisorSession, Perturbation
 from repro.whatif.perturbation import perturbations_between
 from repro.workload.load import LoadDistribution
-
-
-def _jsonify(value: Any) -> Any:
-    """A deterministic JSON-safe projection of a result payload.
-
-    Tuples become lists (what a JSON round-trip would do anyway) and
-    anything JSON cannot express becomes its ``str`` — so serialized
-    timelines compare stably between a live run and a checkpoint resume.
-    """
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(item) for item in value]
-    if isinstance(value, dict):
-        return {str(key): _jsonify(item) for key, item in value.items()}
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -108,10 +90,9 @@ class ReplayStep:
         """The JSON object form accepted by :meth:`from_dict`.
 
         Complete enough to resurrect the step bit-identically: the
-        result's configuration is spelled as ``[start, end, org]``
-        triples and float costs ride through JSON's exact ``repr``
-        round-trip for doubles. Checkpoints and the replay CLI both
-        serialize steps through here, so the two never drift apart.
+        result goes through :meth:`~repro.search.SearchResult.to_dict`
+        and float values ride through JSON's exact ``repr`` round-trip
+        for doubles.
         """
         report = None
         if self.report is not None:
@@ -134,18 +115,7 @@ class ReplayStep:
             "rung": self.rung,
             "configuration_changed": self.configuration_changed,
             "report": report,
-            "result": {
-                "configuration": [
-                    [part.start, part.end, part.organization.value]
-                    for part in self.result.configuration.assignments
-                ],
-                "cost": self.result.cost,
-                "evaluated": self.result.evaluated,
-                "pruned": self.result.pruned,
-                "strategy": self.result.strategy,
-                "trace": _jsonify(self.result.trace),
-                "extras": _jsonify(self.result.extras),
-            },
+            "result": self.result.to_dict(),
         }
 
     @classmethod
@@ -167,21 +137,6 @@ class ReplayStep:
                 kernel_slice_rows=raw.get("kernel_slice_rows", 0),
                 kernel_fallback_reason=raw.get("kernel_fallback_reason"),
             )
-        raw_result = data["result"]
-        result = SearchResult(
-            configuration=IndexConfiguration(
-                tuple(
-                    IndexedSubpath(start, end, IndexOrganization(organization))
-                    for start, end, organization in raw_result["configuration"]
-                )
-            ),
-            cost=raw_result["cost"],
-            evaluated=raw_result["evaluated"],
-            pruned=raw_result["pruned"],
-            trace=list(raw_result["trace"]),
-            strategy=raw_result["strategy"],
-            extras=dict(raw_result["extras"]),
-        )
         return cls(
             index=data["index"],
             window=data["window"],
@@ -189,7 +144,7 @@ class ReplayStep:
             change=data["change"],
             perturbations=data["perturbations"],
             report=report,
-            result=result,
+            result=SearchResult.from_dict(data["result"]),
             configuration_changed=data["configuration_changed"],
             forced=data["forced"],
             rung=data.get("rung", "exact"),

@@ -99,6 +99,19 @@ class TestWhatIfCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["strategy"] == "branch_and_bound"
 
+    def test_kernel_fallback_printed_once(self, tmp_path, capsys):
+        # Under a range predicate a query change at the last class dirties
+        # only rows ending at the last attribute, which the kernel leaves
+        # to the scalar oracle: the table's footnote names the reason.
+        document = spec_to_dict(figure7_statistics(), figure7_load())
+        document["options"]["range_selectivity"] = 0.1
+        path = tmp_path / "range.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        code = main(["whatif", str(path), "--perturb", "Division:query*2"])
+        assert code == 0
+        output = capsys.readouterr().out
+        assert output.count("range predicate (scalar oracle)") == 1
+
 
 class TestMultipathRestartsFlag:
     def test_restarts_flag_accepted(self, spec_path, capsys):

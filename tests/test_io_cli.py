@@ -186,3 +186,23 @@ class TestCLI:
         path.write_text(json.dumps({"schema": {"classes": []}}))
         assert main(["advise", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "arguments",
+        [
+            ["advise", "{dir}"],
+            ["whatif", "{spec}", "--steps", "{dir}"],
+            ["replay", "{spec}", "--trace", "{dir}"],
+        ],
+        ids=["spec", "steps", "trace"],
+    )
+    def test_directory_argument_is_error(
+        self, capsys, fig7_spec_dict, tmp_path, arguments
+    ):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(fig7_spec_dict))
+        argv = [
+            part.format(dir=tmp_path, spec=spec) for part in arguments
+        ]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")

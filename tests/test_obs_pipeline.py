@@ -39,7 +39,7 @@ from repro.organizations import ALL_ORGANIZATIONS, EXTENDED_ORGANIZATIONS
 from repro.paper import figure7_load, figure7_statistics
 from repro.resilience import FakeClock
 from repro.synth import LevelSpec, linear_path_schema, populate_path_database
-from repro.trace import ContinuousAdvisor, generate_trace
+from repro.trace import ContinuousAdvisor, generate_trace, write_trace
 from repro.whatif import AdvisorSession, Perturbation
 from repro.workload.load import LoadDistribution
 
@@ -331,3 +331,38 @@ class TestCliProfile:
             document, required_spans=("session.apply", "session.advise")
         )
         assert failures == []
+
+    @pytest.mark.parametrize(
+        "arguments, required",
+        [
+            (["multipath", "{spec}", "{spec}"], ("multipath.optimize",)),
+            (
+                ["replay", "{spec}", "--trace", "{trace}", "--window", "100"],
+                ("replay.readvise",),
+            ),
+            (["measure", "--scenario", "nix-path-small"], ("backend.replay",)),
+            # Calibration records nothing yet: the profile is still written.
+            (["measure", "--layout", "btree"], ()),
+        ],
+        ids=["multipath", "replay", "measure-scenario", "measure-calibration"],
+    )
+    def test_profile_lifecycle(
+        self, spec_path, tmp_path, capsys, arguments, required
+    ):
+        trace = tmp_path / "trace.jsonl"
+        path = figure7_statistics().path
+        write_trace(generate_trace(path, "mixed_drift", 600, seed=3), trace)
+        profile = tmp_path / "profile.json"
+        argv = [part.format(spec=spec_path, trace=trace) for part in arguments]
+        code = cli_main(argv + ["--profile", str(profile), "--stats"])
+        assert code == 0
+        assert "observability stats" in capsys.readouterr().out
+        document = json.loads(profile.read_text(encoding="utf-8"))
+        assert document["meta"] == {"command": arguments[0]}
+        assert check_trace.validate(document, required_spans=required) == []
+
+    def test_failing_command_writes_no_profile(self, spec_path, tmp_path):
+        profile = tmp_path / "profile.json"
+        code = cli_main(["whatif", spec_path, "--profile", str(profile)])
+        assert code == 1
+        assert not profile.exists()

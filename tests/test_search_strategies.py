@@ -6,6 +6,8 @@ strategy returns the same optimal cost on randomized synthetic
 statistics/workloads.
 """
 
+import dataclasses
+import json
 import random
 
 import pytest
@@ -16,6 +18,7 @@ from repro.core.cost_matrix import CostMatrix
 from repro.costmodel.params import ClassStats, PathStatistics
 from repro.errors import OptimizerError
 from repro.organizations import IndexOrganization
+from repro.resilience import degraded_search
 from repro.search import (
     SearchResult,
     SearchStrategy,
@@ -119,6 +122,35 @@ class TestRegistry:
             result = get_strategy(name).search(fig6)
             assert isinstance(result, SearchResult)
             assert result.strategy == name
+
+
+class TestResultSerialization:
+    """``SearchResult.to_dict``/``from_dict`` survive a JSON round trip."""
+
+    @staticmethod
+    def assert_round_trips(result):
+        document = json.loads(json.dumps(result.to_dict()))
+        rebuilt = SearchResult.from_dict(document)
+        for field in dataclasses.fields(SearchResult):
+            assert getattr(rebuilt, field.name) == getattr(
+                result, field.name
+            ), field.name
+
+    @pytest.mark.parametrize("keep_trace", [False, True])
+    @pytest.mark.parametrize("name", available_strategies())
+    def test_every_strategy_round_trips(
+        self, fig7_stats, fig7_load, name, keep_trace
+    ):
+        matrix = CostMatrix.compute(fig7_stats, fig7_load)
+        result = get_strategy(name).search(matrix, keep_trace=keep_trace)
+        assert bool(result.trace) == keep_trace
+        self.assert_round_trips(result)
+
+    def test_degraded_overrun_round_trips(self, fig7_stats, fig7_load):
+        matrix = CostMatrix.compute(fig7_stats, fig7_load)
+        result = degraded_search(matrix)
+        assert result.extras["rung"] == "dynamic_program:overrun"
+        self.assert_round_trips(result)
 
 
 class TestFigure6AllStrategies:
