@@ -264,19 +264,33 @@ def _evaluate_rows(
     """
     recorder.counter("matrix.rows_priced").add(len(rows))
     if recorder.enabled and arrays is None:
-        cached = kernel.cached_lowering(stats, load, range_selectivity)
-        if cached is not None:
-            recorder.counter("kernel.lowering_cache.hits").add()
-            arrays = cached
-        else:
-            recorder.counter("kernel.lowering_cache.misses").add()
-            with recorder.span("kernel.lower", rows=len(rows)):
-                arrays = kernel.lower(stats, load, range_selectivity)
+        arrays = lowering(stats, load, range_selectivity, len(rows), recorder)
     with recorder.span("kernel.fold", rows=len(rows)):
         return kernel.compute_rows(
             stats, load, organizations, rows, range_selectivity,
             arrays=arrays, recorder=recorder,
         )
+
+
+def lowering(
+    stats: PathStatistics,
+    load: LoadDistribution,
+    range_selectivity: float | None,
+    rows: int,
+    recorder=NULL_RECORDER,
+):
+    """The cached lowering of these inputs, lowering them on a miss.
+
+    The probe lands on the ``kernel.lowering_cache.*`` counters and a
+    fresh lowering (for ``rows`` matrix rows) in a ``kernel.lower`` span.
+    """
+    cached = kernel.cached_lowering(stats, load, range_selectivity)
+    if cached is not None:
+        recorder.counter("kernel.lowering_cache.hits").add()
+        return cached
+    recorder.counter("kernel.lowering_cache.misses").add()
+    with recorder.span("kernel.lower", rows=rows):
+        return kernel.lower(stats, load, range_selectivity)
 
 
 #: Worker-process copy of the fan-out's shared inputs ``(stats, load,

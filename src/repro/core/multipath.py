@@ -73,12 +73,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import kernel
 from repro.core.configuration import IndexConfiguration, IndexedSubpath
-from repro.core.cost_matrix import CostMatrix
+from repro.core.cost_matrix import CostMatrix, lowering
 from repro.costmodel.params import PathStatistics
 from repro.errors import OptimizerError
 from repro.kernel.arrays import fold_segments
-from repro.obs.recorder import resolve_recorder
+from repro.kernel.evaluate import adopt_suffix_units
+from repro.obs.recorder import NULL_RECORDER, resolve_recorder
 from repro.organizations import CONFIGURABLE_ORGANIZATIONS, IndexOrganization
 from repro.search.partitions import (
     configuration_count,
@@ -118,6 +120,104 @@ class PathWorkload:
 
     stats: PathStatistics
     load: LoadDistribution
+
+
+def _suffix_offset(longer: PathStatistics, shorter: PathStatistics) -> int | None:
+    """Where ``shorter`` sits in ``longer`` as a suffix, else ``None``.
+
+    A suffix ends at ``longer``'s last attribute: its position ``p`` is
+    ``longer``'s ``p + k``, ``k`` the length difference (0 for a
+    duplicated path). It qualifies when the cost-model configurations are
+    equal and, at every position, so are the hierarchy (root first: the
+    path's class), the attribute definition and every hierarchy member's
+    :class:`~repro.costmodel.params.ClassStats` — every input of the
+    kernel's statistics-only units.
+    """
+    offset = longer.length - shorter.length
+    if offset < 0 or shorter.config != longer.config:
+        return None
+    for position in range(1, shorter.length + 1):
+        shifted = position + offset
+        members = shorter.members(position)
+        if (
+            members != longer.members(shifted)
+            or shorter.path.attribute_def_at(position)
+            != longer.path.attribute_def_at(shifted)
+            or any(
+                shorter.stats_of(member) != longer.stats_of(member)
+                for member in members
+            )
+        ):
+            return None
+    return offset
+
+
+def _suffix_families(stats: list[PathStatistics]) -> list[list[tuple[int, int]]]:
+    """The paths' suffix families, as ``(path index, offset)`` lists.
+
+    Paths are placed longest first: each joins the first family whose
+    longest path it is a suffix of, or founds its own, so a family lists
+    its longest path first (offset 0). Families come in the input order
+    of their first path, so a fleet without suffixes keeps its order.
+    """
+    families: list[list[tuple[int, int]]] = []
+    for index in sorted(range(len(stats)), key=lambda i: -stats[i].length):
+        for family in families:
+            offset = _suffix_offset(stats[family[0][0]], stats[index])
+            if offset is not None:
+                family.append((index, offset))
+                break
+        else:
+            families.append([(index, 0)])
+    return sorted(
+        families, key=lambda family: min(index for index, _ in family)
+    )
+
+
+def build_fleet(
+    workloads: list[PathWorkload],
+    build,
+    range_selectivity: float | None = None,
+    recorder=NULL_RECORDER,
+) -> list:
+    """``build(workload)`` for every path, pricing shared suffixes once.
+
+    Section 6's "a path may be a subpath of another path": row ``(s, e)``
+    of a suffix at offset ``k`` covers the classes, and the probe chain
+    to the path's end, of its family's longest path's row ``(s + k, e +
+    k)``, so the two rows' statistics-only kernel units are equal; only
+    the loads differ. Each family's longest path is built first. Before
+    each suffix is built, its lowering adopts the longest path's units
+    (:func:`repro.kernel.evaluate.adopt_suffix_units`), so its build
+    folds only its own loads into bit-identical entries. Units are
+    adopted only from a longest path priced in this process, that is a
+    serial build. ``recorder`` counts the adopted (row, organization)
+    unit sets in ``kernel.units_adopted``. Returns the built objects in
+    input order.
+    """
+    built: list = [None] * len(workloads)
+    for (longest, _), *suffixes in _suffix_families(
+        [workload.stats for workload in workloads]
+    ):
+        built[longest] = build(workloads[longest])
+        source = kernel.cached_lowering(
+            workloads[longest].stats, workloads[longest].load, range_selectivity
+        )
+        for index, offset in suffixes:
+            stats, load = workloads[index].stats, workloads[index].load
+            if source is not None:
+                recorder.counter("kernel.units_adopted").add(
+                    adopt_suffix_units(
+                        source,
+                        offset,
+                        lambda: lowering(
+                            stats, load, range_selectivity,
+                            stats.length * (stats.length + 1) // 2, recorder,
+                        ),
+                    )
+                )
+            built[index] = build(workloads[index])
+    return built
 
 
 def validate_selection_options(
@@ -961,17 +1061,18 @@ def optimize_multipath(
                 if organizations is not None
                 else CONFIGURABLE_ORGANIZATIONS
             )
-            matrices = [
-                CostMatrix.compute(
+            matrices = build_fleet(
+                workloads,
+                lambda w: CostMatrix.compute(
                     w.stats,
                     w.load,
                     organizations=compute_organizations,
                     workers=workers,
                     degradation=degradation,
                     recorder=recorder,
-                )
-                for w in workloads
-            ]
+                ),
+                recorder=recorder,
+            )
 
         degradations: list[str] = []
 

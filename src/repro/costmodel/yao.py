@@ -64,7 +64,10 @@ def npa(t: float, n: float, m: float) -> float:
     return (1.0 - fraction) * low_value + fraction * high_value
 
 
-@lru_cache(maxsize=1 << 16)
+# Every freshly priced statistics object brings its own (t, n, m) keys
+# (about 500 per multi-path fleet), so the memos are capped: a process
+# that prices world after world keeps the recent keys, not all of them.
+@lru_cache(maxsize=1 << 12)
 def _npa_integer(t: int, n: float, m: float) -> float:
     if t <= 0:
         return 0.0
@@ -74,7 +77,7 @@ def _npa_integer(t: int, n: float, m: float) -> float:
     return float(min(max(value, 0.0), m))
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=1 << 12)
 def _npa_pair(lower: int, n: float, m: float) -> tuple[float, float]:
     """``(npa(lower), npa(lower + 1))`` sharing one product accumulation.
 

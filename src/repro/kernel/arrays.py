@@ -510,7 +510,9 @@ class StatArrays:
         # per-entry probe/insert/delete costs plus per-row CMD rates and
         # storage sums — which are statistics-only (the workload enters
         # the formulas exclusively through the frequency folds), so
-        # patched clones share it by reference too. Bounded FIFO.
+        # patched clones share it by reference too, and a suffix path's
+        # lowering is seeded from its longest path's
+        # (repro.kernel.evaluate.adopt_suffix_units). Bounded FIFO.
         self._tables: dict = {}
         self._units: dict = {}
 

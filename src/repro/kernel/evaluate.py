@@ -161,6 +161,84 @@ def evaluate_rows(
     return priced
 
 
+def _full_build_rows(length: int, range_selectivity):
+    """The rows a full :meth:`~repro.core.cost_matrix.CostMatrix.compute`
+    hands the kernel, in Figure 6 order: ``(starts, ends)`` arrays and the
+    key its units are memoized under (the rows :func:`evaluate_rows`
+    routes to the scalar oracle left out)."""
+    starts, ends = np.triu_indices(length)
+    starts, ends = starts + 1, ends + 1
+    if range_selectivity is not None:
+        kept = ends < length
+        starts, ends = starts[kept], ends[kept]
+    return starts, ends, tuple(zip(starts.tolist(), ends.tolist()))
+
+
+def adopt_suffix_units(source: StatArrays, offset: int, lower) -> int:
+    """Seed a suffix path's unit memo with its longest path's units.
+
+    ``source`` is the lowering of a path whose full build already ran in
+    this process; ``lower()`` returns the lowering of a suffix of that
+    path at ``offset``: its position ``p`` is the source's ``p +
+    offset``, both end at the same attribute, and the classes, attribute
+    definitions, hierarchies, class statistics, cost-model configuration
+    and range selectivity agree. A row's statistics-only units read only
+    the row's own positions and the probe fan-in from its end to the
+    path's end, so the suffix's row ``(s, e)`` has the very units of the
+    source's row ``(s + offset, e + offset)``.
+
+    For each canonical organization whose units over a full build's rows
+    sit in the source's memo, the suffix's memo receives the per-entry
+    units, per-row CMD rates and storage sums gathered at the shifted
+    rows, under the key a full build of the suffix looks up; that build
+    then pays only its own α/β/γ folds. ``lower`` is called only when
+    there is something to adopt. Returns the number of (row,
+    organization) unit sets adopted: ``0`` when the source's rows were
+    priced in worker processes, or the suffix already holds the units.
+    """
+    selectivity = source.range_selectivity
+    starts, ends, source_rows = _full_build_rows(source.length, selectivity)
+    canonicals = dict.fromkeys(map(canonical_organization, IndexOrganization))
+    found = []
+    for organization in canonicals:
+        units = source._units.get((organization, source_rows))
+        if units is not None:
+            found.append((organization, units))
+    target_starts, target_ends, target_rows = _full_build_rows(
+        source.length - offset, selectivity
+    )
+    if not (found and target_rows):
+        return 0
+    target = lower()
+    row_of = np.zeros((source.length + 1, source.length + 1), dtype=np.int64)
+    row_of[starts, ends] = np.arange(len(source_rows))
+    picks = row_of[target_starts + offset, target_ends + offset]
+    # A row's entries are its positions' hierarchy members, the rows laid
+    # out back to back as _RowBatch flattens them.
+    member_offset = np.array(source.member_offset)
+    counts = member_offset[ends + 1] - member_offset[starts]
+    first = np.cumsum(counts) - counts
+    taken = counts[picks]
+    entries = np.arange(taken.sum()) + np.repeat(
+        first[picks] - (np.cumsum(taken) - taken), taken
+    )
+
+    def gather(units):
+        unit_q, unit_i, unit_d, cmd_rate, storage = units
+        return (
+            unit_q[entries], unit_i[entries], unit_d[entries],
+            cmd_rate[picks], storage[picks],
+        )
+
+    adopted = 0
+    for organization, units in found:
+        key = (organization, target_rows)
+        if key not in target._units:
+            target.cached_units(key, lambda units=units: gather(units))
+            adopted += len(target_rows)
+    return adopted
+
+
 class _RowBatch:
     """Index arrays over the batch's rows, (row, position) pairs and
     (row, position, member) entries, in the scalar iteration order."""

@@ -23,6 +23,7 @@ information, it only defers it.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Any, Iterable
@@ -169,8 +170,9 @@ class ContinuousAdvisor:
         ``~ 1/sqrt(window)``; count and hybrid modes only — a wall-clock
         window has no fixed event count to scale against).
     deadline_ms:
-        Per-re-advise wall-clock budget in milliseconds; ``None``
-        (default) leaves every re-advise exact. When set, each
+        Per-re-advise wall-clock budget in milliseconds, finite and
+        non-negative (``0`` expires at once); ``None`` (default) leaves
+        every re-advise exact. When set, each
         :meth:`~repro.whatif.AdvisorSession.advise` call gets a fresh
         :class:`~repro.resilience.Deadline` and may answer from the
         degradation ladder instead of the exact search; the emitted
@@ -210,6 +212,13 @@ class ContinuousAdvisor:
         recorder=None,
         **session_options,
     ) -> None:
+        # Checked here, in the caller's unit: the Deadline built at each
+        # re-advise would only report the budget converted to seconds.
+        if deadline_ms is not None and not 0.0 <= deadline_ms < math.inf:
+            raise TraceError(
+                f"deadline_ms must be a finite non-negative number of "
+                f"milliseconds, got {deadline_ms}"
+            )
         self.deadline_ms = deadline_ms
         #: Every fallback taken anywhere in the stack, shared with the
         #: session (and through it the matrix layer).

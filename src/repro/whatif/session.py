@@ -30,7 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.cost_matrix import CostMatrix, RecomputeReport
-from repro.core.multipath import MultiPathResult, PathWorkload, optimize_multipath
+from repro.core.multipath import (
+    MultiPathResult,
+    PathWorkload,
+    build_fleet,
+    optimize_multipath,
+)
 from repro.costmodel.params import PathStatistics
 from repro.errors import DeadlineExceeded, OptimizerError
 from repro.obs.recorder import resolve_recorder
@@ -378,14 +383,22 @@ class MultiPathSession:
         """Build one session per :class:`PathWorkload`.
 
         A ``recorder`` among the options is shared: every path session
-        and the joint layer record into the same timeline.
+        and the joint layer record into the same timeline. Sessions are
+        built through :func:`~repro.core.multipath.build_fleet`, so a
+        suffix path's matrix adopts its longest path's statistics-only
+        kernel units.
         """
+        recorder = session_options.get("recorder")
         return cls(
-            [
-                AdvisorSession(workload.stats, workload.load, **session_options)
-                for workload in workloads
-            ],
-            recorder=session_options.get("recorder"),
+            build_fleet(
+                workloads,
+                lambda workload: AdvisorSession(
+                    workload.stats, workload.load, **session_options
+                ),
+                range_selectivity=session_options.get("range_selectivity"),
+                recorder=resolve_recorder(recorder),
+            ),
+            recorder=recorder,
         )
 
     def apply(

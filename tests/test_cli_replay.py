@@ -145,6 +145,21 @@ class TestReplayCommand:
         assert code == 1
         assert "window" in capsys.readouterr().err
 
+    def test_negative_deadline_fails_in_milliseconds(
+        self, spec_path, trace_path, capsys
+    ):
+        code = main(
+            [
+                "replay", spec_path, "--trace", trace_path,
+                "--window", "100", "--deadline-ms", "-1",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "-1" in err and "milliseconds" in err
+        assert "-0.001" not in err
+
     def test_track_stats_and_noindex_accepted(
         self, spec_path, trace_path, capsys
     ):

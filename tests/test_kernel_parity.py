@@ -11,8 +11,10 @@ surface: no public entry point takes an engine selector, the kernel
 exports a closed set of names, and the auto-parallel threshold.
 """
 
+import dataclasses
 import inspect
 import math
+import random
 import warnings
 from unittest import mock
 
@@ -27,15 +29,29 @@ from repro.cli import build_parser
 from repro.core import cost_matrix
 from repro.core.advisor import advise
 from repro.core.cost_matrix import PARALLEL_AUTO_MIN_LENGTH, CostMatrix
-from repro.core.multipath import optimize_multipath
+from repro.core.multipath import (
+    MultiPathResult,
+    PathWorkload,
+    build_fleet,
+    optimize_multipath,
+)
 from repro.costmodel.params import ClassStats, CostModelConfig, PathStatistics
 from repro.costmodel.yao import _EXACT_LIMIT, npa
 from repro.kernel import yao_vec
+from repro.kernel.evaluate import RowCosts
 from repro.kernel.yao_vec import npa_array
-from repro.organizations import ALL_ORGANIZATIONS, EXTENDED_ORGANIZATIONS
+from repro.model.path import Path
+from repro.obs import Recorder
+from repro.organizations import (
+    ALL_ORGANIZATIONS,
+    CONFIGURABLE_ORGANIZATIONS,
+    EXTENDED_ORGANIZATIONS,
+    canonical_organization,
+)
 from repro.paper import figure7_load, figure7_statistics
 from repro.synth import LevelSpec, linear_path_schema
-from repro.whatif import AdvisorSession
+from repro.whatif import AdvisorSession, MultiPathSession
+from repro.workload.generator import WorkloadGenerator
 from repro.workload.load import LoadDistribution, LoadTriplet
 
 
@@ -349,6 +365,222 @@ class TestNpaArray:
             [npa(*case) for case in cases]
         )
         assert (npa_array(t, n, m) == expected).all()
+
+
+def make_chain_fleet(seed, levels, starts, config=None, changed=None):
+    """Suffix paths of one seeded chain, shaped like
+    ``conftest.make_suffix_fleet`` but with subclasses and set-valued
+    levels: ``levels`` holds one ``(subclasses, multi_valued)`` pair per
+    level and ``starts`` the level each path starts at (a repeat
+    duplicates a path; ``-k`` is the prefix ending ``k`` levels early).
+    Each path gets its own statistics object and mixed load, in a seeded
+    shuffled order. ``config`` applies to the paths after the first;
+    ``changed`` names a class whose statistics those paths see scaled.
+    The same arguments always build equal, fresh objects."""
+    rng = random.Random(seed)
+    specs = [
+        LevelSpec(f"L{index}", subclasses=subclasses, multi_valued=multi_valued)
+        for index, (subclasses, multi_valued) in enumerate(levels)
+    ]
+    schema, full_path = linear_path_schema(specs)
+    per_class = {}
+    objects = rng.uniform(2e4, 2e5)
+    for position, spec in enumerate(specs, start=1):
+        for name in full_path.hierarchy_at(position):
+            share = 1.0 if name == spec.name else rng.uniform(0.1, 0.5)
+            count = max(50, round(objects * share))
+            fanout = rng.uniform(1.5, 3.0) if spec.multi_valued else 1.0
+            distinct = max(10, round(count * fanout / rng.uniform(2.0, 10.0)))
+            per_class[name] = ClassStats(
+                objects=count, distinct=distinct, fanout=fanout
+            )
+        objects = max(100.0, objects / rng.uniform(1.5, 4.0))
+    altered = dict(per_class)
+    if changed is not None:
+        current = per_class[changed]
+        altered[changed] = ClassStats(
+            objects=current.objects * 2,
+            distinct=current.distinct,
+            fanout=current.fanout,
+        )
+    fleet = []
+    for index, start in enumerate(starts):
+        names = full_path.attribute_names
+        if start >= 0:
+            path = Path(schema, f"L{start}", names[start:])
+        else:
+            path = Path(schema, "L0", names[:start])
+        stats = PathStatistics(
+            path,
+            {name: (altered if index else per_class)[name] for name in path.scope},
+            config if index else None,
+        )
+        load = WorkloadGenerator(rng.randrange(2**31)).mixed(
+            path, query_weight=2.0, update_weight=1.0
+        )
+        fleet.append(PathWorkload(stats, load))
+    rng.shuffle(fleet)
+    return fleet
+
+
+def build_with_adoption(fleet, organizations, range_selectivity, **options):
+    """The fleet's matrices through ``build_fleet``, and the units it
+    reports adopted."""
+    recorder = Recorder()
+    matrices = build_fleet(
+        fleet,
+        lambda workload: CostMatrix.compute(
+            workload.stats,
+            workload.load,
+            organizations,
+            range_selectivity=options.get("built_selectivity", range_selectivity),
+            workers=options.get("workers", 0),
+        ),
+        range_selectivity=range_selectivity,
+        recorder=recorder,
+    )
+    counters = recorder.profile()["metrics"]["counters"]
+    return matrices, counters.get("kernel.units_adopted", 0)
+
+
+def assert_same_as_standalone(matrices, fleet, organizations, range_selectivity):
+    """Each matrix equals a standalone build on fresh objects, all seven
+    component arrays."""
+    for matrix, workload in zip(matrices, fleet):
+        standalone = CostMatrix.compute(
+            workload.stats,
+            workload.load,
+            organizations,
+            range_selectivity=range_selectivity,
+            workers=0,
+        )
+        for name, mine, theirs in zip(
+            RowCosts._fields, matrix._costs, standalone._costs
+        ):
+            assert numpy.array_equal(mine, theirs), name
+
+
+def kernel_rows(length, range_selectivity):
+    """Rows a full build prices in the kernel (range-predicate rows
+    ending at the last attribute price through the scalar oracle)."""
+    if range_selectivity is None:
+        return length * (length + 1) // 2
+    return length * (length - 1) // 2
+
+
+class TestSuffixUnitAdoption:
+    """Suffix paths adopt their longest path's statistics-only units
+    (``build_fleet``), and every matrix stays bit-identical to a
+    standalone build."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        levels=st.lists(
+            st.tuples(st.integers(0, 2), st.booleans()), min_size=2, max_size=7
+        ),
+        paths=st.integers(1, 5),
+        organizations=st.sampled_from(
+            [ALL_ORGANIZATIONS, CONFIGURABLE_ORGANIZATIONS]
+        ),
+        range_selectivity=st.sampled_from([None, 0.1]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_fleet_matrices_match_standalone_builds(
+        self, seed, levels, paths, organizations, range_selectivity
+    ):
+        paths = min(paths, len(levels))
+        # One path repeats: the duplicate adopts at offset 0.
+        starts = [*range(paths), seed % paths]
+        fleet = make_chain_fleet(seed, levels, starts)
+        matrices, adopted = build_with_adoption(
+            fleet, organizations, range_selectivity
+        )
+        assert_same_as_standalone(
+            matrices, make_chain_fleet(seed, levels, starts),
+            organizations, range_selectivity,
+        )
+        # Every path is a suffix of the full chain: all but one adopt.
+        canonicals = len(set(map(canonical_organization, organizations)))
+        lengths = [workload.stats.length for workload in fleet]
+        assert adopted == canonicals * (
+            sum(kernel_rows(length, range_selectivity) for length in lengths)
+            - kernel_rows(max(lengths), range_selectivity)
+        )
+        if range_selectivity is None:
+            # Fresh objects on both sides: a lowering cached on ``fleet``
+            # would already hold every unit.
+            standalone = [
+                CostMatrix.compute(
+                    workload.stats, workload.load, organizations, workers=0
+                )
+                for workload in make_chain_fleet(seed, levels, starts)
+            ]
+            options = {"organizations": organizations, "beam_width": 4}
+            assert_same_result(
+                optimize_multipath(
+                    make_chain_fleet(seed, levels, starts), **options
+                ),
+                optimize_multipath(fleet, matrices=standalone, **options),
+            )
+
+    @pytest.mark.parametrize(
+        "case",
+        ["class statistics", "config", "range selectivity", "prefix", "pool"],
+    )
+    def test_non_suffixes_adopt_nothing(self, case):
+        """A changed class, another cost-model configuration, units
+        priced at another selectivity, a prefix path (same start, earlier
+        end) and a worker-pool build each adopt nothing and still match
+        standalone builds."""
+        levels = [(1, False), (0, True), (2, False), (0, False), (1, True)]
+        starts = {"prefix": [0, -2]}.get(case, [0, 2])
+        options = {
+            "class statistics": {"changed": "L3"},
+            "config": {"config": CostModelConfig(clamp_cardinalities=False)},
+        }.get(case, {})
+        build = {
+            "range selectivity": {"built_selectivity": 0.1},
+            "pool": {"workers": 2},
+        }.get(case, {})
+        selectivity = build.get("built_selectivity")
+        fleet = make_chain_fleet(5, levels, starts, **options)
+        matrices, adopted = build_with_adoption(
+            fleet, ALL_ORGANIZATIONS, None, **build
+        )
+        assert adopted == 0
+        assert_same_as_standalone(
+            matrices, make_chain_fleet(5, levels, starts, **options),
+            ALL_ORGANIZATIONS, selectivity,
+        )
+
+    def test_sessions_adopt_like_matrices(self):
+        """``MultiPathSession.from_workloads`` builds its sessions through
+        the same helper."""
+        levels = [(1, False), (0, True), (2, False), (0, False), (1, True)]
+        starts = [0, 1, 3, 1]
+        recorder = Recorder()
+        sessions = MultiPathSession.from_workloads(
+            make_chain_fleet(9, levels, starts), recorder=recorder
+        )
+        counters = recorder.profile()["metrics"]["counters"]
+        lengths = [session.stats.length for session in sessions.sessions]
+        assert counters["kernel.units_adopted"] == 3 * (
+            sum(kernel_rows(length, None) for length in lengths)
+            - kernel_rows(5, None)
+        )
+        assert_same_as_standalone(
+            [session.matrix for session in sessions.sessions],
+            make_chain_fleet(9, levels, starts),
+            CONFIGURABLE_ORGANIZATIONS, None,
+        )
+
+
+def assert_same_result(left: MultiPathResult, right: MultiPathResult) -> None:
+    """Every field equal, floats compared by ``repr``."""
+    for field in dataclasses.fields(MultiPathResult):
+        assert repr(getattr(left, field.name)) == repr(
+            getattr(right, field.name)
+        ), field.name
 
 
 class TestKernelResolution:

@@ -197,6 +197,32 @@ class TestMultipathSpans:
         counters = recorder.profile()["metrics"]["counters"]
         assert counters["multipath.optimizations"] == 1
 
+    def test_units_adopted_counts_suffix_rows(self):
+        """``kernel.units_adopted`` counts one per (row, canonical
+        organization) unit set a suffix path adopts from its longest
+        path: every row of the three suffixes (lengths 11, 10 and 9 of a
+        12-class chain) in each of the four organizations. Unrelated
+        paths adopt nothing."""
+        recorder = Recorder()
+        optimize_multipath(
+            make_suffix_fleet(31, chain_length=12, paths=4),
+            organizations=EXTENDED_ORGANIZATIONS,
+            beam_width=4,
+            recorder=recorder,
+        )
+        counters = recorder.profile()["metrics"]["counters"]
+        assert counters["kernel.units_adopted"] == (66 + 55 + 45) * 4
+
+        stats_a, load_a = make_world(length=4)
+        stats_b, load_b = make_world(length=3)
+        recorder = Recorder()
+        optimize_multipath(
+            [PathWorkload(stats_a, load_a), PathWorkload(stats_b, load_b)],
+            recorder=recorder,
+        )
+        counters = recorder.profile()["metrics"]["counters"]
+        assert counters.get("kernel.units_adopted", 0) == 0
+
     def test_joint_span_counts_swaps(self, monkeypatch):
         """``priced`` and ``moves`` on the sweep regime's joint span count
         what the per-trial reference scans do for the same fleet."""

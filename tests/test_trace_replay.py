@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.cost_matrix import CostMatrix
 from repro.costmodel.params import ClassStats, PathStatistics
-from repro.errors import CostModelError, OptimizerError, ReproError
+from repro.errors import CostModelError, OptimizerError, ReproError, TraceError
 from repro.search import get_strategy
 from repro.synth import LevelSpec, linear_path_schema
 from repro.trace import ContinuousAdvisor, generate_trace
@@ -390,6 +390,21 @@ class TestContinuousAdvisor:
         assert steps is advisor.steps
         assert steps[0].window is None
         assert advisor.events_seen == 400
+
+    @pytest.mark.parametrize("deadline_ms", [-1.0, float("nan"), float("inf")])
+    def test_invalid_deadline_rejected_in_milliseconds(self, deadline_ms):
+        """The constructor names the milliseconds it was given, not a
+        budget converted to seconds at the first re-advise."""
+        stats, load = make_world()
+        with pytest.raises(TraceError, match="milliseconds") as caught:
+            ContinuousAdvisor(stats, load, window=50, deadline_ms=deadline_ms)
+        assert f"got {deadline_ms}" in str(caught.value)
+        assert "number of seconds" not in str(caught.value)
+
+    def test_zero_deadline_accepted(self):
+        stats, load = make_world()
+        advisor = ContinuousAdvisor(stats, load, window=50, deadline_ms=0)
+        assert advisor.deadline_ms == 0
 
     def test_held_windows_do_not_touch_the_session(self):
         stats, load = make_world()
