@@ -171,16 +171,16 @@ def drift_loads(stats, base_load, steps: int):
 
 def time_dirty_slice(length: int) -> dict:
     """One deterministic recompute chain against a full rebuild per step:
-    total milliseconds of each, plus the kernel-slice row counter summed
-    over every step's report."""
+    total milliseconds of each, plus the re-priced rows summed over every
+    step's report."""
     stats, load = make_inputs(length)
     loads = drift_loads(stats, load, DIRTY_STEPS)
     matrix = CostMatrix.compute(stats, load, include_noindex=True, workers=0)
-    sliced = 0
+    repriced = 0
     started = time.perf_counter()
     for step_load in loads:
         matrix = matrix.recompute(load=step_load, workers=0)
-        sliced += matrix.recompute_report.kernel_slice_rows
+        repriced += len(matrix.recompute_report.recomputed_rows)
     slice_ms = (time.perf_counter() - started) * 1000.0
     started = time.perf_counter()
     for step_load in loads:
@@ -191,7 +191,7 @@ def time_dirty_slice(length: int) -> dict:
         "full_rebuild_ms": round(rebuild_ms, 3),
         "speedup": round(rebuild_ms / slice_ms, 2),
         "steps": DIRTY_STEPS,
-        "kernel_slice_rows": sliced,
+        "rows_repriced": repriced,
     }
 
 
@@ -299,7 +299,7 @@ def check_smoke(report: dict) -> list[str]:
             f"dirty-slice recompute speedup {dirty['speedup']:.2f}x over "
             f"full rebuilds below the smoke floor ({DIRTY_MIN_SPEEDUP}x)"
         )
-    if dirty["kernel_slice_rows"] == 0:
+    if dirty["rows_repriced"] == 0:
         failures.append("dirty-slice chain priced zero rows on the kernel")
     return failures
 

@@ -22,7 +22,7 @@ import time
 from benchmarks.conftest import RESULTS_DIR, write_report
 from benchmarks.env_meta import environment_metadata
 from repro.core.cost_matrix import CostMatrix
-from repro.core.multipath import PathWorkload, optimize_multipath
+from repro.core.multipath import PathWorkload, build_fleet, optimize_multipath
 from repro.costmodel.params import ClassStats, PathStatistics
 from repro.model.path import Path
 from repro.organizations import CONFIGURABLE_ORGANIZATIONS, EXTENDED_ORGANIZATIONS
@@ -81,19 +81,24 @@ def measure_fleet(
     organizations=None,
     budget_pages: float | None = None,
 ) -> dict:
-    """Matrices + joint selection wall time for one fleet scenario."""
+    """Matrices + joint selection wall time for one fleet scenario.
+
+    The matrices are built as one fleet (``build_fleet``), the build
+    ``optimize_multipath`` runs on these inputs: the chain's suffix paths
+    price the rows they share with the longest path once.
+    """
     workloads = chain_fleet(chain_length, paths)
     started = time.perf_counter()
-    matrices = [
-        CostMatrix.compute(
+    matrices = build_fleet(
+        workloads,
+        lambda w: CostMatrix.compute(
             w.stats,
             w.load,
             organizations=organizations
             if organizations is not None
             else CONFIGURABLE_ORGANIZATIONS,
-        )
-        for w in workloads
-    ]
+        ),
+    )
     matrix_seconds = time.perf_counter() - started
 
     started = time.perf_counter()

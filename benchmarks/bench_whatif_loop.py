@@ -168,7 +168,6 @@ def run_session_loop(
     recomputed = 0
     patched = 0
     relaxed = 0
-    sliced = 0
     started = time.perf_counter()
     for load in loads:
         report = session.apply(load=load)
@@ -176,14 +175,12 @@ def run_session_loop(
         costs.append(result.cost)
         recomputed += len(report.recomputed_rows)
         patched += len(report.patched_rows)
-        sliced += report.kernel_slice_rows
         relaxed += result.extras.get("relaxed_positions", stats.length)
     elapsed = (time.perf_counter() - started) * 1000.0
     steps = max(1, len(loads))
     counters = {
         "mean_rows_recomputed": round(recomputed / steps, 2),
         "mean_rows_patched": round(patched / steps, 2),
-        "mean_kernel_slice_rows": round(sliced / steps, 2),
         "mean_positions_relaxed": round(relaxed / steps, 2),
         "total_rows": session.matrix.row_count(),
     }

@@ -58,13 +58,14 @@ from repro.core.cost_matrix import CostMatrix
 from repro.core.multipath import (
     DEFAULT_RESTARTS,
     PathWorkload,
+    build_fleet,
     optimize_multipath,
     validate_selection_options,
 )
 from repro.errors import ReproError
 from repro.io import AdvisorSpec, load_spec, spec_to_dict
 from repro.model.path import Path
-from repro.obs import Recorder, stats_table, write_profile
+from repro.obs import Recorder, resolve_recorder, stats_table, write_profile
 from repro.organizations import CONFIGURABLE_ORGANIZATIONS
 from repro.reporting.tables import multipath_table, replay_table, whatif_table
 from repro.search import available_strategies
@@ -195,13 +196,32 @@ def _cmd_multipath(arguments: argparse.Namespace) -> int:
     workloads = [PathWorkload(stats=spec.stats, load=spec.load) for spec in specs]
     # Each matrix honours its own spec's options; --noindex adds the
     # zero-storage NONE fallback to every path's organizations, which
-    # keeps tight --budget-pages runs feasible.
-    matrices = [
-        CostMatrix.compute(
-            spec.stats, spec.load, **_pipeline_options(spec, arguments)
+    # keeps tight --budget-pages runs feasible. The specs that share
+    # their matrix options build as one fleet, so a duplicated or suffix
+    # path prices the rows it shares with a longer path once.
+    options = [_pipeline_options(spec, arguments) for spec in specs]
+    groups: dict[tuple, list[int]] = {}
+    for index, option in enumerate(options):
+        key = (
+            tuple(option["organizations"]),
+            option["include_noindex"],
+            option["range_selectivity"],
         )
-        for spec in specs
-    ]
+        groups.setdefault(key, []).append(index)
+    matrices: list = [None] * len(specs)
+    recorder = resolve_recorder(arguments.recorder)
+    for indices in groups.values():
+        option = options[indices[0]]
+        built = build_fleet(
+            [workloads[index] for index in indices],
+            lambda workload, option=option: CostMatrix.compute(
+                workload.stats, workload.load, **option
+            ),
+            option["range_selectivity"],
+            recorder,
+        )
+        for index, matrix in zip(indices, built):
+            matrices[index] = matrix
     result = optimize_multipath(
         workloads,
         per_row_organizations=arguments.per_row_organizations,
@@ -272,19 +292,7 @@ def _cmd_whatif(arguments: argparse.Namespace) -> int:
             "path": str(path),
             "strategy": arguments.strategy,
             "steps": [
-                _step_json(
-                    path,
-                    step,
-                    perturbation=step.description,
-                    kernel_slice_rows=(
-                        step.report.kernel_slice_rows if step.report else None
-                    ),
-                    kernel_fallback_reason=(
-                        step.report.kernel_fallback_reason
-                        if step.report
-                        else None
-                    ),
-                )
+                _step_json(path, step, perturbation=step.description)
                 for step in steps
             ],
         }

@@ -19,12 +19,13 @@ A matrix can also be constructed from literal values
 (:meth:`CostMatrix.from_values`), which is how the Figure 6 hypothetical
 matrix and its walkthrough are reproduced.
 
-Construction is the pipeline's bottleneck on long paths, so every row is
-priced by the columnar numpy kernel (:mod:`repro.kernel`), bit-identically
-to the scalar cost model; rows can be fanned out over worker processes
-(:meth:`CostMatrix.compute` with ``workers``), and
-:meth:`CostMatrix.recompute` re-prices only the rows whose inputs actually
-changed for cheap what-if loops over evolving workloads.
+Construction is the pipeline's bottleneck on long paths, so every row,
+range-predicate rows included, is priced by the columnar numpy kernel
+(:mod:`repro.kernel`), bit-identically to the scalar cost model; rows
+can be fanned out over worker processes (:meth:`CostMatrix.compute`
+with ``workers``), and :meth:`CostMatrix.recompute` re-prices only the
+rows whose inputs actually changed for cheap what-if loops over evolving
+workloads.
 """
 
 from __future__ import annotations
@@ -130,13 +131,6 @@ class RecomputeReport:
     re-derived as array operations from the matrix's stored CMD rates.
     Sessions and benchmarks assert incrementality from this report instead
     of inferring it from timings.
-
-    ``kernel_slice_rows`` counts the re-priced rows that went through the
-    columnar kernel as an array-slice re-evaluation; when it is zero even
-    though rows were re-priced, ``kernel_fallback_reason`` says why (every
-    dirty row ends at the last attribute under a range predicate, which the
-    kernel prices through the scalar oracle) — so tests assert the kernel
-    path structurally, never from timings.
     """
 
     mode: str
@@ -144,18 +138,16 @@ class RecomputeReport:
     recomputed_rows: tuple[tuple[int, int], ...]
     patched_rows: tuple[tuple[int, int], ...]
     total_rows: int
-    kernel_slice_rows: int = 0
-    kernel_fallback_reason: str | None = None
+
+    # The kernel prices every row, so no re-priced row ever falls back to
+    # another engine. The benchmark harness's per-layer trace still reads
+    # this name to count fallbacks, so it stays as a constant, not a field.
+    kernel_fallback_reason = None
 
     @property
     def incremental(self) -> bool:
         """``True`` when the dirty-row analysis applied."""
         return self.mode == "incremental"
-
-    @property
-    def kernel_sliced(self) -> bool:
-        """``True`` when re-priced rows went through the columnar kernel."""
-        return self.kernel_slice_rows > 0
 
     @property
     def dirty_rows(self) -> tuple[tuple[int, int], ...]:
@@ -169,21 +161,11 @@ class RecomputeReport:
 
     def describe(self) -> str:
         """One-line human-readable summary."""
-        if self.kernel_slice_rows:
-            engine = f" ({self.kernel_slice_rows} kernel-sliced)"
-        elif self.kernel_fallback_reason:
-            engine = f" (scalar: {self.kernel_fallback_reason})"
-        else:
-            engine = ""
         if self.mode == "full":
-            return (
-                f"full rebuild ({self.reason}): {self.total_rows} rows"
-                f"{engine}"
-            )
+            return f"full rebuild ({self.reason}): {self.total_rows} rows"
         return (
-            f"incremental: {len(self.recomputed_rows)} rows re-priced"
-            f"{engine}, {len(self.patched_rows)} CMD-patched, "
-            f"of {self.total_rows}"
+            f"incremental: {len(self.recomputed_rows)} rows re-priced, "
+            f"{len(self.patched_rows)} CMD-patched, of {self.total_rows}"
         )
 
 
@@ -707,9 +689,7 @@ class CostMatrix:
         as :meth:`compute`. Dirty sets go through the columnar kernel as
         array-slice re-evaluations over the cached lowering of the old
         inputs (a workload-only drift patches it in place) or, without
-        one, over a fresh lowering of the new inputs. The report's
-        ``kernel_slice_rows``/``kernel_fallback_reason`` record how many
-        rows the kernel priced itself and why any others were not.
+        one, over a fresh lowering of the new inputs.
 
         Raises :class:`~repro.errors.OptimizerError` for literal matrices
         (:meth:`from_values`) and when the new inputs describe a different
@@ -766,38 +746,15 @@ class CostMatrix:
                 arrays=arrays,
                 recorder=recorder,
             )
-        kernel_slice_rows = len(dirty_rows)
-        if self._range_selectivity is not None:
-            # Mirror the kernel's own routing: with a range predicate, rows
-            # ending at the path's last attribute price through the scalar
-            # oracle (see repro.kernel.evaluate).
-            kernel_slice_rows -= sum(
-                1 for _, end in dirty_rows if end == self.length
-            )
-        kernel_fallback = None
-        if dirty_rows and kernel_slice_rows == 0:
-            kernel_fallback = (
-                "all dirty rows end at the path's last attribute under "
-                "a range predicate (scalar oracle)"
-            )
         recorder.counter("matrix.recomputes").add()
         recorder.counter("matrix.recompute.rows_repriced").add(len(dirty_rows))
         recorder.counter("matrix.recompute.rows_patched").add(len(patch_rows))
-        recorder.counter("matrix.recompute.kernel_slice_rows").add(
-            kernel_slice_rows
-        )
-        if kernel_fallback is not None:
-            recorder.counter(
-                "matrix.kernel_fallback", reason=kernel_fallback
-            ).add()
         report = RecomputeReport(
             mode=mode,
             reason=reason,
             recomputed_rows=tuple(dirty_rows),
             patched_rows=tuple(patch_rows),
             total_rows=self.row_count(),
-            kernel_slice_rows=kernel_slice_rows,
-            kernel_fallback_reason=kernel_fallback,
         )
         # Clean rows keep the parent's slots, re-priced rows are written as
         # array slices and CMD-only rows are re-derived from their stored

@@ -123,15 +123,6 @@ class SubpathCostModel(abc.ABC):
         attribute = self.stats.path.attribute_def_at(position)
         return self.sizes.key_size(atomic=attribute.is_atomic)
 
-    def entry_size_at(self, position: int) -> int:
-        """Size of one oid entry in a record of an index on ``A_position``.
-
-        Multi-valued attributes store ``(oid, numchild)`` pairs in NIX
-        records; plain oid lists elsewhere. MX/MIX records always store
-        plain oids, so they use :attr:`SizeModel.oid_size` directly.
-        """
-        return self.sizes.oid_size
-
     # -- shape builders -------------------------------------------------
     def mx_shape(self, position: int, class_name: str) -> IndexShape:
         """Shape of the MX (simple) index on ``A_position`` of one class.

@@ -166,8 +166,3 @@ def _structural_levels(
     if top.pages > 1.0:
         levels.append(Level(records=top.pages, pages=1.0))
     return tuple(levels)
-
-
-def height_of(shape: IndexShape) -> int:
-    """``h_X`` of a shape (alias for the attribute, for symmetry)."""
-    return shape.height

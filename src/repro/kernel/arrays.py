@@ -12,8 +12,9 @@ the NIX parent-chain recurrences.
 :class:`ShapeTable` decomposes a list of
 :class:`~repro.costmodel.btree_shape.IndexShape` objects into level
 arrays so that :func:`crt_batch` / :func:`cmt_batch` / :func:`crr_batch`
-can evaluate the paper's CRT/CMT/CRR primitives for many (shape, t)
-pairs at once. Per element the arithmetic replays the scalar primitives
+/ :func:`range_scan_batch` can evaluate the paper's CRT/CMT/CRR
+primitives and the range-predicate leaf walk for many (shape, t) pairs
+at once. Per element the arithmetic replays the scalar primitives
 (:mod:`repro.costmodel.primitives`) operation for operation — the level
 loop accumulates sequentially, clamps use ``min``/``max`` of the same
 operands — so batched results are bit-identical to scalar calls.
@@ -285,6 +286,23 @@ def crr_batch(
     return out
 
 
+def range_scan_batch(
+    table: ShapeTable, select: np.ndarray, selectivity: float, pr=None
+) -> np.ndarray:
+    """Batched :func:`~repro.costmodel.ranges.range_scan_cost` over table
+    rows: one descent, a contiguous leaf walk and, for oversized records,
+    ``pr`` pages per touched record."""
+    oversized = table.oversized[select]
+    descent = (table.height[select] - oversized).astype(np.float64)
+    leaves = np.maximum(1.0, np.ceil(selectivity * table.leaf_pages[select]))
+    cost = descent + (leaves - 1.0)
+    if oversized.any():
+        records = np.maximum(1.0, selectivity * table.record_count[select])
+        pages = _resolve_pages(table, select, pr)
+        cost = np.where(oversized, cost + records * pages, cost)
+    return np.where(table.empty[select] | (selectivity == 0.0), 0.0, cost)
+
+
 def cml_batch(table: ShapeTable, pm=None) -> np.ndarray:
     """Batched ``CML(shape, pm)`` over all table rows."""
     height = table.height.astype(np.float64)
@@ -333,6 +351,8 @@ class StatArrays:
         load: LoadDistribution,
         range_selectivity: float | None = None,
     ) -> None:
+        if range_selectivity is not None and not 0.0 <= range_selectivity <= 1.0:
+            raise CostModelError(f"selectivity out of [0,1]: {range_selectivity}")
         # A lowering lives in its statistics' cache, so a strong reference
         # back would put every cached PathStatistics in a reference cycle
         # that only the cyclic collector frees, arrays and all.

@@ -13,9 +13,11 @@ matrix value is bit-identical to
 Masked terms are padded with ``+0.0`` (all accumulators and terms are
 non-negative, so ``x + 0.0`` leaves the bits unchanged) and per-row
 scalar tails (index heights, storage sums) run through the very scalar
-primitives the scalar cost model uses. Range-predicate rows ending at the
-path's last attribute go through the scalar cost model itself — they
-price a leaf-walk that is already row-constant and outside the hot loop.
+primitives the scalar cost model uses. Under a range predicate, rows
+ending at the path's last attribute price their ending index as a
+contiguous leaf walk (:func:`~repro.costmodel.ranges.range_scan_cost`,
+batched as :func:`~repro.kernel.arrays.range_scan_batch`) in the same
+batch as every other row.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.costmodel.primitives import cml, cmt, crt
-from repro.costmodel.subpath import SubpathContext, subpath_processing_cost
+from repro.costmodel.ranges import range_scan_cost
 from repro.kernel.arrays import (
     ShapeTable,
     StatArrays,
@@ -35,6 +37,7 @@ from repro.kernel.arrays import (
     crt_batch,
     fold_segments,
     get_stat_arrays,
+    range_scan_batch,
 )
 from repro.kernel.yao_vec import npa_array
 from repro.obs.recorder import NULL_RECORDER
@@ -114,26 +117,8 @@ def evaluate_rows(
     """
     organizations = list(organizations)
     recorder.counter("kernel.entries").add(len(rows) * len(organizations))
-    length = stats.length
     priced = RowCosts.zeros(len(rows), len(organizations))
-    kernel_index = []
-    kernel_rows = []
-    for index, (start, end) in enumerate(rows):
-        if range_selectivity is not None and end == length:
-            # Range-ending rows price a contiguous leaf walk (a different
-            # query primitive); the scalar cost model prices them.
-            context = SubpathContext.build(
-                stats, load, start, end, range_selectivity=range_selectivity
-            )
-            for column, organization in enumerate(organizations):
-                priced.put(index, column, subpath_processing_cost(
-                    stats, load, start, end, organization,
-                    range_selectivity=range_selectivity, context=context,
-                ))
-        else:
-            kernel_index.append(index)
-            kernel_rows.append((int(start), int(end)))
-    if not kernel_rows:
+    if not rows:
         return priced
 
     if arrays is None:
@@ -142,35 +127,30 @@ def evaluate_rows(
     # evaluated once and its columns are written for every alias that
     # requested it.
     canonicals = list(dict.fromkeys(map(canonical_organization, organizations)))
-    batch = _RowBatch(arrays, kernel_rows)
-    ends = np.array([end for _, end in kernel_rows])
+    batch = _RowBatch(arrays, [(int(start), int(end)) for start, end in rows])
+    ends = batch.erow
     following = np.array(arrays.following)[ends]
-    targets = np.array(kernel_index)
     for canonical in canonicals:
         with recorder.span(
-            f"kernel.fold.{canonical.value.lower()}", rows=len(kernel_rows)
+            f"kernel.fold.{canonical.value.lower()}", rows=len(rows)
         ):
             query, insert, delete, cmd_rate, storage = batch.evaluate(canonical)
-            rate = np.where(ends < length, cmd_rate, 0.0)
+            rate = np.where(ends < stats.length, cmd_rate, 0.0)
             cmd, total = cmd_and_total(query, insert, delete, rate, following)
             components = (query, insert, delete, cmd, rate, storage, total)
             for column, organization in enumerate(organizations):
                 if canonical_organization(organization) is canonical:
                     for target, values in zip(priced, components):
-                        target[targets, column] = values
+                        target[:, column] = values
     return priced
 
 
-def _full_build_rows(length: int, range_selectivity):
+def _full_build_rows(length: int):
     """The rows a full :meth:`~repro.core.cost_matrix.CostMatrix.compute`
     hands the kernel, in Figure 6 order: ``(starts, ends)`` arrays and the
-    key its units are memoized under (the rows :func:`evaluate_rows`
-    routes to the scalar oracle left out)."""
+    key its units are memoized under."""
     starts, ends = np.triu_indices(length)
     starts, ends = starts + 1, ends + 1
-    if range_selectivity is not None:
-        kept = ends < length
-        starts, ends = starts[kept], ends[kept]
     return starts, ends, tuple(zip(starts.tolist(), ends.tolist()))
 
 
@@ -196,19 +176,18 @@ def adopt_suffix_units(source: StatArrays, offset: int, lower) -> int:
     organization) unit sets adopted: ``0`` when the source's rows were
     priced in worker processes, or the suffix already holds the units.
     """
-    selectivity = source.range_selectivity
-    starts, ends, source_rows = _full_build_rows(source.length, selectivity)
+    starts, ends, source_rows = _full_build_rows(source.length)
     canonicals = dict.fromkeys(map(canonical_organization, IndexOrganization))
     found = []
     for organization in canonicals:
         units = source._units.get((organization, source_rows))
         if units is not None:
             found.append((organization, units))
-    target_starts, target_ends, target_rows = _full_build_rows(
-        source.length - offset, selectivity
-    )
-    if not (found and target_rows):
+    if not found:
         return 0
+    target_starts, target_ends, target_rows = _full_build_rows(
+        source.length - offset
+    )
     target = lower()
     row_of = np.zeros((source.length + 1, source.length + 1), dtype=np.int64)
     row_of[starts, ends] = np.arange(len(source_rows))
@@ -297,6 +276,9 @@ class _RowBatch:
         # -- per-entry statistics and derived load ---------------------
         probes_np = np.array(a.probes)
         self.probes_row = probes_np[self.erow]
+        # Under a range predicate, rows ending at the path's last attribute
+        # scan a contiguous key range of their ending index.
+        self.ranged = (self.erow == length) & (a.range_selectivity is not None)
         self.ninbar_entry = a.ninbar[self.entry_gm, self.entry_end]
         alpha = a.alpha[self.entry_gm].copy()
         root_gm = np.zeros(length + 1, dtype=np.int64)
@@ -367,6 +349,30 @@ class _RowBatch:
                     position += 1
                 storage[index] = running
         return storage
+
+    def _level_query(self, shape, level: int, end: int, pr) -> float:
+        """One probe of a level-``level`` index on a row ending at ``end``:
+        ``CRT`` over the level's probe count, or, on a range-ending row,
+        the ending level's leaf walk and the interior levels' oid fan-in
+        of the matched values (``probes[level]``)."""
+        a = self.arrays
+        if a.range_selectivity is None or end < a.length:
+            return crt(shape, a.keys[level][end], pr)
+        if level == end:
+            return range_scan_cost(shape, a.range_selectivity, pr)
+        return crt(shape, a.probes[level], pr)
+
+    def _row_queries(self, table: ShapeTable, pr) -> np.ndarray:
+        """Per-row retrieval through each row's one index (``table`` has
+        one shape per row): ``CRT`` over the row's probe fan-in, or a
+        range scan on range-ending rows."""
+        queries = crt_batch(table, np.arange(self.row_count), self.probes_row, pr)
+        if self.ranged.any():
+            queries[self.ranged] = range_scan_batch(
+                table, np.flatnonzero(self.ranged),
+                self.arrays.range_selectivity, pr,
+            )
+        return queries
 
     def _scan_costs(self) -> np.ndarray:
         """``Q[gm, e]``: extent-scan cost of querying member ``gm`` on a
@@ -492,7 +498,7 @@ class _RowBatch:
             base = a.member_offset[level]
             for offset in range(len(a.members[level])):
                 gm = base + offset
-                value = crt(shapes[gm], a.keys[level][end], config.pr_mx)
+                value = self._level_query(shapes[gm], level, end, config.pr_mx)
                 c_col[gm] = value
                 accumulator = accumulator + value
             t_col[level - 1] = accumulator
@@ -577,8 +583,8 @@ class _RowBatch:
         h_col = np.zeros(a.length + 2)
         accumulator = 0.0
         for level in range(end, 0, -1):
-            accumulator = accumulator + crt(
-                shapes[level], a.keys[level][end], config.pr_mix
+            accumulator = accumulator + self._level_query(
+                shapes[level], level, end, config.pr_mix
             )
             h_col[level] = accumulator
         shape = shapes[end]
@@ -630,13 +636,11 @@ class _RowBatch:
         table = ShapeTable.from_params(
             du_np[self.erow], record_lengths, key_sizes, a.sizes
         )
-        selector = np.arange(count)
-        crt_rows = crt_batch(table, selector, self.probes_row, config.pr_mx)
         scans = self._scan_costs()
         at_start = self.entry_pos == self.entry_start
         unit_q = np.where(
             at_start,
-            crt_rows[self.entry_row],
+            self._row_queries(table, config.pr_mx)[self.entry_row],
             scans[self.entry_gm, self.entry_end],
         )
         base = cmt_batch(
@@ -685,9 +689,7 @@ class _RowBatch:
         table = ShapeTable.from_params(
             du_np[self.erow], record_lengths, key_sizes, a.sizes
         )
-        selector = np.arange(count)
-        crt_rows = crt_batch(table, selector, self.probes_row, config.pr_mx)
-        unit_q = crt_rows[self.entry_row]
+        unit_q = self._row_queries(table, config.pr_mx)[self.entry_row]
         unit_i = cmt_batch(
             table, self.entry_row, self.ninbar_entry, config.pm_mx
         )
@@ -792,6 +794,12 @@ class _RowBatch:
             t_row[self.entry_row] * partial_pr,
             0.0,
         )
+        if self.ranged.any():
+            ranged = self.ranged[self.entry_row]
+            unit_q[ranged] = range_scan_batch(
+                primary, self.entry_row[ranged], a.range_selectivity,
+                partial_pr[ranged],
+            )
 
         # -- insertion: CSI3 + CSI24 -----------------------------------
         primary_insert = cmt_batch(

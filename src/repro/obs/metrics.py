@@ -1,9 +1,8 @@
 """Counters under stable dotted names.
 
 The registry absorbs the counters that previously lived as scattered
-ad-hoc attributes (``RecomputeReport.kernel_slice_rows``,
-``MultiPathSession.joint_reuses``, degradation rungs, pool retries, the
-``StatArrays`` lowering-cache hits) and re-exports them under one
+ad-hoc attributes (``MultiPathSession.joint_reuses``, degradation
+rungs, pool retries, the ``StatArrays`` lowering-cache hits) and re-exports them under one
 namespace. A metric is identified by a dotted ``name`` plus optional
 ``labels``; the canonical key renders labels sorted
 (``resilience.degradations{action=serial_fallback,layer=matrix}``), so

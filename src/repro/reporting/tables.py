@@ -96,42 +96,26 @@ def whatif_table(
 
     One row per :class:`~repro.whatif.WhatIfStep`: the perturbation, how
     much matrix work the step needed (rows re-priced + rows CMD-patched,
-    or ``full`` on a fallback rebuild — with ``kN`` marking the ``N``
-    rows the columnar kernel re-priced as one dirty slice and ``!`` a
-    step whose dirty rows the kernel left to the scalar oracle), the
-    resulting optimal cost and its delta, and the selected configuration
-    — printed only when it changed from the previous step, so
-    drifting-workload reports surface the re-indexing points at a
-    glance.
+    or ``full`` on a fallback rebuild), the resulting optimal cost and
+    its delta, and the selected configuration — printed only when it
+    changed from the previous step, so drifting-workload reports surface
+    the re-indexing points at a glance.
     """
     rows: list[list[object]] = []
     previous_cost: float | None = None
-    fallback_reasons: set[str] = set()
     for step in steps:
-        report = step.report
-        work = _dirty_rows_cell(report)
-        if report is not None and report.mode != "full":
-            if report.kernel_slice_rows:
-                work += f" k{report.kernel_slice_rows}"
-            if report.kernel_fallback_reason is not None:
-                work += "!"
-                fallback_reasons.add(report.kernel_fallback_reason)
+        work = _dirty_rows_cell(step.report)
         delta = "" if previous_cost is None else f"{step.cost - previous_cost:+.2f}"
         configuration = _configuration_cell(path, step)
         rows.append(
             [step.description, work, f"{step.cost:.2f}", delta, configuration]
         )
         previous_cost = step.cost
-    table = ascii_table(
+    return ascii_table(
         ["step", "dirty rows", "cost", "delta", "configuration"],
         rows,
         title=title,
     )
-    if fallback_reasons:
-        table += "\n! kernel slice fell back to the scalar oracle: " + (
-            ", ".join(sorted(fallback_reasons))
-        )
-    return table
 
 
 def replay_table(

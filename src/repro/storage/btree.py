@@ -531,9 +531,4 @@ class BPlusTree:
             self._pager.free(old.page_id)
 
 
-def record_size_of(entry_count: int, entry_size: int, header: int = 8) -> int:
-    """Helper: byte size of a record with ``entry_count`` fixed-size entries."""
-    return header + max(0, entry_count) * entry_size
-
-
 SizeFunction = Callable[[object], int]

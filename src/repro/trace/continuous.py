@@ -103,8 +103,6 @@ class ReplayStep:
                 "recomputed_rows": [list(row) for row in self.report.recomputed_rows],
                 "patched_rows": [list(row) for row in self.report.patched_rows],
                 "total_rows": self.report.total_rows,
-                "kernel_slice_rows": self.report.kernel_slice_rows,
-                "kernel_fallback_reason": self.report.kernel_fallback_reason,
             }
         return {
             "index": self.index,
@@ -133,10 +131,6 @@ class ReplayStep:
                 ),
                 patched_rows=tuple(tuple(row) for row in raw["patched_rows"]),
                 total_rows=raw["total_rows"],
-                # Tolerant defaults: checkpoints written before the kernel
-                # counters existed resurrect with the dataclass defaults.
-                kernel_slice_rows=raw.get("kernel_slice_rows", 0),
-                kernel_fallback_reason=raw.get("kernel_fallback_reason"),
             )
         return cls(
             index=data["index"],

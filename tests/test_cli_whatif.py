@@ -1,4 +1,5 @@
-"""CLI coverage for the ``whatif`` subcommand and the multipath restarts flag."""
+"""CLI coverage for the ``whatif`` subcommand, the multipath fleet build
+and the multipath restarts flag."""
 
 import json
 
@@ -101,8 +102,8 @@ class TestWhatIfCommand:
 
     def test_kernel_fallback_printed_once(self, tmp_path, capsys):
         # Under a range predicate a query change at the last class dirties
-        # only rows ending at the last attribute, which the kernel leaves
-        # to the scalar oracle: the table's footnote names the reason.
+        # only rows ending at the last attribute; the kernel prices those
+        # too, so the table prints no fallback mark or footnote.
         document = spec_to_dict(figure7_statistics(), figure7_load())
         document["options"]["range_selectivity"] = 0.1
         path = tmp_path / "range.json"
@@ -110,7 +111,34 @@ class TestWhatIfCommand:
         code = main(["whatif", str(path), "--perturb", "Division:query*2"])
         assert code == 0
         output = capsys.readouterr().out
-        assert output.count("range predicate (scalar oracle)") == 1
+        assert "scalar oracle" not in output
+        assert "!" not in output
+
+
+class TestMultipathFleetBuild:
+    @pytest.mark.parametrize(
+        "selectivity, adopted", [(None, "30"), (0.1, None)]
+    )
+    def test_specs_sharing_options_build_as_one_fleet(
+        self, spec_path, tmp_path, capsys, selectivity, adopted
+    ):
+        """The second spec is the first path again: under the same matrix
+        options it adopts the first path's units (10 rows × MX/MIX/NIX);
+        under another range selectivity it builds on its own."""
+        document = spec_to_dict(figure7_statistics(), figure7_load())
+        if selectivity is not None:
+            document["options"]["range_selectivity"] = selectivity
+        second = tmp_path / "second.json"
+        second.write_text(json.dumps(document), encoding="utf-8")
+        code = main(["multipath", spec_path, str(second), "--stats"])
+        assert code == 0
+        # Counter rows are "name value"; span rows carry three columns.
+        counters = dict(
+            fields
+            for fields in map(str.split, capsys.readouterr().out.splitlines())
+            if len(fields) == 2
+        )
+        assert counters.get("kernel.units_adopted") == adopted
 
 
 class TestMultipathRestartsFlag:

@@ -20,7 +20,7 @@ from unittest import mock
 
 import numpy
 import pytest
-from conftest import make_nix_heavy_world, oracle_matrix
+from conftest import assert_same_bits, make_nix_heavy_world, oracle_matrix
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -46,9 +46,11 @@ from repro.organizations import (
     ALL_ORGANIZATIONS,
     CONFIGURABLE_ORGANIZATIONS,
     EXTENDED_ORGANIZATIONS,
+    IndexOrganization,
     canonical_organization,
 )
 from repro.paper import figure7_load, figure7_statistics
+from repro.storage.sizes import SizeModel
 from repro.synth import LevelSpec, linear_path_schema
 from repro.whatif import AdvisorSession, MultiPathSession
 from repro.workload.generator import WorkloadGenerator
@@ -152,6 +154,17 @@ world_strategy = st.fixed_dictionaries(
 )
 
 
+#: Cost-model configurations of the range-predicate property: the
+#: defaults, pinned retrieval pages, and pages small enough that most
+#: NIX/PX/NX records of range-ending rows span several pages.
+RANGE_CONFIGS = [
+    CostModelConfig(),
+    CostModelConfig(pr_mx=2.0, pr_mix=3.0, pr_nix=1.0),
+    CostModelConfig(sizes=SizeModel(page_size=256)),
+    CostModelConfig(sizes=SizeModel(page_size=512)),
+]
+
+
 class TestColumnarMatchesLegacy:
     """The kernel-built matrix against the scalar oracle."""
 
@@ -208,6 +221,37 @@ class TestColumnarMatchesLegacy:
             stats, load, range_selectivity=selectivity, include_noindex=True
         )
         assert_matrices_identical(scalar, columnar)
+
+    @given(
+        length=st.integers(min_value=1, max_value=9),
+        seed=st.integers(min_value=0, max_value=2**16),
+        selectivity=st.sampled_from([0.0, 0.003, 0.1, 0.5, 1.0]),
+        config=st.sampled_from(RANGE_CONFIGS),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_range_rows_match_the_oracle(self, length, seed, selectivity, config):
+        """Range predicates on random worlds with subclasses and
+        set-valued levels, every organization plus SIX/IIX: all seven
+        component arrays, the range-ending rows' leaf walks included,
+        equal the scalar oracle's."""
+        stats, load = make_nix_heavy_world(length, seed)
+        stats = PathStatistics(
+            stats.path,
+            {name: stats.stats_of(name) for name in stats.path.scope},
+            config,
+        )
+        organizations = (
+            *ALL_ORGANIZATIONS, IndexOrganization.SIX, IndexOrganization.IIX
+        )
+        assert_same_bits(
+            CostMatrix.compute(
+                stats, load, organizations,
+                range_selectivity=selectivity, workers=0,
+            ),
+            oracle_matrix(
+                stats, load, organizations, range_selectivity=selectivity
+            ),
+        )
 
     def test_auto_matches_explicit_kernels(self):
         """The default build (paper organizations, fresh statistics)."""
@@ -460,12 +504,10 @@ def assert_same_as_standalone(matrices, fleet, organizations, range_selectivity)
             assert numpy.array_equal(mine, theirs), name
 
 
-def kernel_rows(length, range_selectivity):
-    """Rows a full build prices in the kernel (range-predicate rows
-    ending at the last attribute price through the scalar oracle)."""
-    if range_selectivity is None:
-        return length * (length + 1) // 2
-    return length * (length - 1) // 2
+def kernel_rows(length):
+    """Rows a full build prices in the kernel: every row, under any
+    range selectivity."""
+    return length * (length + 1) // 2
 
 
 class TestSuffixUnitAdoption:
@@ -503,8 +545,8 @@ class TestSuffixUnitAdoption:
         canonicals = len(set(map(canonical_organization, organizations)))
         lengths = [workload.stats.length for workload in fleet]
         assert adopted == canonicals * (
-            sum(kernel_rows(length, range_selectivity) for length in lengths)
-            - kernel_rows(max(lengths), range_selectivity)
+            sum(kernel_rows(length) for length in lengths)
+            - kernel_rows(max(lengths))
         )
         if range_selectivity is None:
             # Fresh objects on both sides: a lowering cached on ``fleet``
@@ -565,8 +607,8 @@ class TestSuffixUnitAdoption:
         counters = recorder.profile()["metrics"]["counters"]
         lengths = [session.stats.length for session in sessions.sessions]
         assert counters["kernel.units_adopted"] == 3 * (
-            sum(kernel_rows(length, None) for length in lengths)
-            - kernel_rows(5, None)
+            sum(kernel_rows(length) for length in lengths)
+            - kernel_rows(5)
         )
         assert_same_as_standalone(
             [session.matrix for session in sessions.sessions],

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import kernel
 from repro.core.configuration import IndexConfiguration
 from repro.core.cost_matrix import CostMatrix
 from repro.costmodel.btree_shape import build_shape
@@ -108,6 +109,16 @@ class TestAnalyticRangeCosts:
             subpath_processing_cost(
                 fig7_stats, fig7_load, 1, 4, NIX, range_selectivity=2.0
             )
+
+    @pytest.mark.parametrize("selectivity", [1.5, -0.2, float("nan")])
+    def test_matrix_and_lowering_reject_invalid_selectivity(
+        self, fig7_stats, fig7_load, selectivity
+    ):
+        for build in (CostMatrix.compute, kernel.lower):
+            with pytest.raises(
+                CostModelError, match=r"selectivity out of \[0,1\]"
+            ):
+                build(fig7_stats, fig7_load, range_selectivity=selectivity)
 
     def test_matrix_with_ranges(self, fig7_stats, fig7_load):
         matrix = CostMatrix.compute(

@@ -28,7 +28,7 @@ from repro.resilience import (
 )
 from repro.resilience.faults import FaultInjector
 from repro.synth import LevelSpec, linear_path_schema
-from repro.trace import ContinuousAdvisor, generate_trace
+from repro.trace import ContinuousAdvisor, ReplayStep, generate_trace
 from repro.whatif import AdvisorSession, MultiPathSession, Perturbation
 from repro.workload.load import LoadDistribution
 
@@ -120,6 +120,25 @@ class TestKillAndResume:
         assert restored.session.version == advisor.session.version
         assert len(restored._pending) == len(advisor._pending)
         assert timeline(restored) == timeline(advisor)
+
+
+    def test_steps_written_with_kernel_slice_fields_still_load(self):
+        """Checkpoints written while some rows could be priced outside the
+        kernel carry ``kernel_slice_rows`` and ``kernel_fallback_reason``
+        in every step's report; such a step loads into the same step."""
+        stats, load = make_world()
+        trace = generate_trace(stats.path, "edge_drift", 300, seed=1)
+        advisor = ContinuousAdvisor(stats, load, window=60)
+        advisor.process(trace)
+        steps = [step for step in advisor.steps if step.report is not None]
+        assert steps
+        for step in steps:
+            document = step.to_dict()
+            document["report"]["kernel_slice_rows"] = len(
+                step.report.recomputed_rows
+            )
+            document["report"]["kernel_fallback_reason"] = None
+            assert ReplayStep.from_dict(document).to_dict() == step.to_dict()
 
 
 # ----------------------------------------------------------------------
