@@ -344,6 +344,24 @@ def _run_pool_once(
     return results, profiles
 
 
+def _checked_organizations(organizations) -> tuple[IndexOrganization, ...]:
+    """A matrix's organization columns, checked before any row is priced.
+
+    A repeated organization would rank twice among a row's best
+    organizations and crowd out the next one.
+    """
+    organizations = tuple(organizations)
+    if not organizations:
+        raise OptimizerError("at least one organization is required")
+    for index, organization in enumerate(organizations):
+        if organization in organizations[:index]:
+            raise OptimizerError(
+                f"organization {organization} is listed more than once in "
+                f"({', '.join(map(str, organizations))})"
+            )
+    return organizations
+
+
 class CostMatrix:
     """Subpath × organization processing costs.
 
@@ -364,7 +382,7 @@ class CostMatrix:
         keeps, the totals taken from ``entries``."""
         if length < 1:
             raise OptimizerError("path length must be at least 1")
-        organizations = tuple(organizations)
+        organizations = _checked_organizations(organizations)
         rows = _subpaths(length)
         total = np.zeros((len(rows), len(organizations)))
         costs = RowCosts.zeros(*total.shape) if breakdowns else None
@@ -404,8 +422,6 @@ class CostMatrix:
     ) -> None:
         """Install a matrix's arrays and derive its O(1) read views (on a
         bare ``CostMatrix.__new__`` for computed and storage matrices)."""
-        if not organizations:
-            raise OptimizerError("at least one organization is required")
         self.length = length
         self.organizations = organizations
         self._org_index = {
@@ -483,7 +499,7 @@ class CostMatrix:
         """
         if include_noindex and IndexOrganization.NONE not in organizations:
             organizations = (*organizations, IndexOrganization.NONE)
-        organizations = tuple(organizations)
+        organizations = _checked_organizations(organizations)
         recorder = resolve_recorder(recorder)
         length = stats.length
         rows = _subpaths(length)
@@ -500,7 +516,6 @@ class CostMatrix:
         matrix._range_selectivity = range_selectivity
         matrix.parallel_fallback_reason = fallback_reason
         if fallback_reason is not None:
-            recorder.counter("matrix.parallel_fallbacks").add()
             _warn_parallel_fallback(fallback_reason)
         return matrix
 
@@ -781,7 +796,6 @@ class CostMatrix:
         matrix.recompute_report = report
         matrix.parallel_fallback_reason = fallback_reason
         if fallback_reason is not None:
-            recorder.counter("matrix.parallel_fallbacks").add()
             _warn_parallel_fallback(fallback_reason)
         return matrix
 

@@ -58,10 +58,7 @@ For what-if loops, :func:`optimize_multipath` also accepts one
 come from the sessions' incremental recomputes, and each path's candidate
 set — including its per-:class:`SharedIndexKey` maintenance and storage
 pricing — is cached on the session and regenerated only when that path's
-dirty version moved. A caller-owned ``joint_cache`` extends the reuse to
-the joint stage itself: in the descent regime the previously selected
-configurations are kept (re-priced, multi-start descent skipped) while
-they remain a local optimum of the regenerated candidate sets.
+dirty version moved.
 """
 
 from __future__ import annotations
@@ -698,55 +695,6 @@ def _descend(pricer: _SwapPricer, choice: list[int]) -> list[int]:
     return list(pricer.choice)
 
 
-def _reuse_joint_selection(
-    joint_cache: dict,
-    cache_key: tuple,
-    candidate_sets: list[list[_Candidate]],
-    pricer: _SwapPricer,
-) -> list[_Candidate] | None:
-    """The cached joint selection re-validated against fresh candidates.
-
-    Maps the previously selected configurations into the regenerated
-    candidate sets (their pricing may have moved with the perturbed
-    matrices) and scans the paths' swap deltas for a single improving
-    single-path swap — the same improvement predicate as the coordinate
-    descent, stopping at the first path with a hit. When no swap
-    improves, the cached selection is still a local optimum of the
-    updated sharing landscape: the mapped selection is returned, the
-    caller skips the multi-start descent entirely, and the ``reuses``
-    counter records it so tests can assert the reuse happened rather
-    than timing it. Any other outcome (options changed, a selected
-    configuration fell out of its candidate set, a swap improved)
-    returns ``None`` and the full joint stage runs.
-    """
-    entry = joint_cache.get("entry")
-    if entry is None or entry[0] != cache_key:
-        return None
-    previous: list[IndexConfiguration] = entry[1]
-    if len(previous) != len(candidate_sets):
-        return None
-    choice: list[int] = []
-    for configuration, candidates in zip(previous, candidate_sets):
-        match = next(
-            (
-                index
-                for index, candidate in enumerate(candidates)
-                if candidate.configuration == configuration
-            ),
-            None,
-        )
-        if match is None:
-            return None
-        choice.append(match)
-    pricer.reset(choice)
-    for path in range(len(choice)):
-        cost, _ = pricer.deltas(path)
-        if (cost < -1e-12).any():
-            return None
-    joint_cache["reuses"] = joint_cache.get("reuses", 0) + 1
-    return _chosen(candidate_sets, choice)
-
-
 def _exhaustive(
     candidate_sets: list[list[_Candidate]], budget_pages: float | None
 ) -> tuple[list[_Candidate], list[_Candidate]]:
@@ -927,7 +875,6 @@ def optimize_multipath(
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
     sessions: list | None = None,
-    joint_cache: dict | None = None,
     deadline=None,
     degradation=None,
     recorder=None,
@@ -995,17 +942,6 @@ def optimize_multipath(
         re-prices their :class:`SharedIndexKey` maintenance/storage
         splits) only for the paths it actually touched; untouched paths
         reuse theirs as-is.
-    joint_cache:
-        A caller-owned dict carrying joint-selection reuse state across
-        calls (:class:`~repro.whatif.MultiPathSession` passes its own).
-        In the unbudgeted *descent* regime (cross product beyond the
-        exact limit) the previously selected configurations are mapped
-        into the fresh candidate sets and kept — multi-start descent
-        skipped, ``joint_cache["reuses"]`` incremented — whenever they
-        are still a local optimum, i.e. when only candidates *outside*
-        the selection changed enough to matter; the result is re-priced
-        against the current matrices either way. Exhaustive walks and
-        budgeted selections ignore the cache.
     deadline:
         An optional :class:`~repro.resilience.Deadline`. Selection never
         aborts on expiry — it *degrades*: paths whose candidates are not
@@ -1014,8 +950,8 @@ def optimize_multipath(
         and the budgeted sweep is seeded with them instead of the
         multi-start descent. Every fallback taken is listed in the
         result's ``degradations`` (and recorded into ``degradation``
-        when one is given), and degraded runs never write the
-        ``joint_cache`` or session candidate caches.
+        when one is given), and degraded runs never write the session
+        candidate caches.
     degradation:
         An optional :class:`~repro.resilience.DegradationReport`
         collecting structured records of every fallback — the deadline
@@ -1024,8 +960,8 @@ def optimize_multipath(
     recorder:
         An optional :class:`~repro.obs.Recorder` collecting tracing
         spans (``multipath.optimize`` > ``multipath.candidates`` /
-        ``multipath.joint``) and metrics (candidate-cache hits, joint
-        reuses) for this selection and the matrix builds it triggers.
+        ``multipath.joint``) and metrics (candidate-cache hits) for
+        this selection and the matrix builds it triggers.
     """
     recorder = resolve_recorder(recorder)
     with recorder.span("multipath.optimize") as span:
@@ -1129,13 +1065,11 @@ def optimize_multipath(
         expired = deadline is not None and deadline.expired
         exhaustive = combinations <= _EXACT_LIMIT and not expired
 
-        # The unconstrained selection, unless the exhaustive walk finds it:
+        # The unconstrained selection, unless the joint stage finds it:
         # each path's independent optimum when out of time (sharing savings
         # may be left on the table, but the selection is valid and fully
-        # priced), else the cached joint selection while it stays a local
-        # optimum, else the multi-start descent.
+        # priced).
         unconstrained: list[_Candidate] | None = None
-        pricer: _SwapPricer | None = None
         if expired:
             unconstrained = [
                 min(candidates, key=lambda candidate: candidate.total)
@@ -1144,20 +1078,6 @@ def optimize_multipath(
             degrade(
                 "joint_independent" if budget_pages is None else "budget_sweep_seeded"
             )
-        cache_key = (per_row_organizations, beam_width, restarts, seed)
-        reusable = (
-            joint_cache is not None
-            and budget_pages is None
-            and not exhaustive
-            and not degradations
-        )
-        if reusable:
-            pricer = _SwapPricer(candidate_sets)
-            unconstrained = _reuse_joint_selection(
-                joint_cache, cache_key, candidate_sets, pricer
-            )
-            if unconstrained is not None:
-                recorder.counter("multipath.joint_reuses").add()
         selection = unconstrained
         if budget_pages is not None or unconstrained is None:
             with recorder.span(
@@ -1165,22 +1085,17 @@ def optimize_multipath(
                 combinations=combinations,
                 budgeted=budget_pages is not None,
             ) as joint:
+                pricer: _SwapPricer | None = None
                 if exhaustive:
                     selection, unconstrained = _exhaustive(
                         candidate_sets, budget_pages
                     )
                 else:
-                    if pricer is None:
-                        pricer = _SwapPricer(candidate_sets)
+                    pricer = _SwapPricer(candidate_sets)
                     if unconstrained is None:
                         unconstrained = _select_unconstrained(
                             candidate_sets, restarts, seed, pricer
                         )
-                        if reusable:
-                            joint_cache["entry"] = (
-                                cache_key,
-                                [c.configuration for c in unconstrained],
-                            )
                     selection = (
                         unconstrained
                         if budget_pages is None

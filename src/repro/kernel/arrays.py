@@ -722,23 +722,13 @@ _ARRAYS_CACHE_LIMIT = 4
 _UNITS_CACHE_LIMIT = 64
 
 
-def _stats_cache(stats: PathStatistics) -> list:
-    """The bounded lowering cache on ``stats``."""
-    cache = getattr(stats, "_stat_arrays_cache", None)
-    if cache is None:
-        # Statistics unpickled from pre-cache checkpoints lack the slot.
-        cache = []
-        stats._stat_arrays_cache = cache
-    return cache
-
-
 def find_cached_arrays(
     stats: PathStatistics,
     load: LoadDistribution,
     range_selectivity: float | None = None,
 ) -> StatArrays | None:
     """The cached lowering for exactly (stats, load, selectivity), if any."""
-    for arrays in reversed(_stats_cache(stats)):
+    for arrays in reversed(stats._stat_arrays_cache):
         if arrays.load is load and arrays.range_selectivity == range_selectivity:
             return arrays
     return None
@@ -754,7 +744,7 @@ def newest_cached_arrays(
     load-derived column, so any such lowering is a valid base to patch
     once the exact one has been evicted.
     """
-    for arrays in reversed(_stats_cache(stats)):
+    for arrays in reversed(stats._stat_arrays_cache):
         if arrays.range_selectivity == range_selectivity:
             return arrays
     return None
@@ -762,7 +752,7 @@ def newest_cached_arrays(
 
 def remember_stat_arrays(arrays: StatArrays) -> None:
     """Retain one lowering in its statistics object's bounded cache."""
-    cache = _stats_cache(arrays.stats)
+    cache = arrays.stats._stat_arrays_cache
     cache.append(arrays)
     if len(cache) > _ARRAYS_CACHE_LIMIT:
         del cache[: len(cache) - _ARRAYS_CACHE_LIMIT]

@@ -563,37 +563,15 @@ def save_multipath(
 ) -> int:
     """Checkpoint a :class:`~repro.whatif.MultiPathSession`; returns bytes.
 
-    One session record per path, plus the descent-regime joint-selection
-    cache (its configurations and reuse counter), so a resumed
-    ``optimize`` reuses — or recomputes — exactly what the original
-    would have. The per-path candidate caches and the identical-question
-    result cache are *not* serialized: they are pure caches whose loss
-    costs time, never answers.
+    One session record per path. The per-path candidate caches and the
+    identical-question result cache are *not* serialized: they are pure
+    caches whose loss costs time, never answers.
     """
     records: list[dict[str, Any]] = []
     for index, advisor_session in enumerate(session.sessions):
         record = _session_record(advisor_session)
         record["index"] = index
         records.append(record)
-    entry = session._joint_cache.get("entry")
-    records.append(
-        {
-            "section": "joint_cache",
-            "reuses": session._joint_cache.get("reuses", 0),
-            "entry": None
-            if entry is None
-            else {
-                "key": list(entry[0]),
-                "configurations": [
-                    [
-                        [part.start, part.end, part.organization.value]
-                        for part in configuration.assignments
-                    ]
-                    for configuration in entry[1]
-                ],
-            },
-        }
-    )
     payload = _serialize("multipath_session", records)
     _write_payload(path, payload)
     return len(payload.encode("utf-8"))
@@ -611,11 +589,12 @@ def restore_multipath(
     ``baselines`` provides one ``(stats, load)`` template per path, in
     the original order (paths and cost-model configs are not
     serialized). Each per-path session is rebuilt and primed exactly as
-    :func:`restore_session` does.
+    :func:`restore_session` does; a ``recorder`` among the options is
+    shared by the path sessions and the joint layer, as in
+    :meth:`~repro.whatif.MultiPathSession.from_workloads`. Older files
+    also hold the joint selection their session had cached; that section
+    is ignored, since a session no longer carries one across calls.
     """
-    from repro.core.configuration import IndexConfiguration, IndexedSubpath
-    from repro.organizations import IndexOrganization
-
     records = _load_records(path, "multipath_session")
     session_records = [
         record for record in records if record.get("section") == "session"
@@ -635,22 +614,4 @@ def restore_multipath(
             baselines,
         )
     ]
-    multipath = MultiPathSession(sessions)
-    stored = _section(records, "joint_cache", path)
-    multipath._joint_cache["reuses"] = stored["reuses"]
-    if stored["entry"] is not None:
-        multipath._joint_cache["entry"] = (
-            tuple(stored["entry"]["key"]),
-            [
-                IndexConfiguration(
-                    tuple(
-                        IndexedSubpath(
-                            start, end, IndexOrganization(organization)
-                        )
-                        for start, end, organization in configuration
-                    )
-                )
-                for configuration in stored["entry"]["configurations"]
-            ],
-        )
-    return multipath
+    return MultiPathSession(sessions, recorder=session_options.get("recorder"))

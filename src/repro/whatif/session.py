@@ -371,10 +371,6 @@ class MultiPathSession:
         #: instance everywhere for one merged timeline).
         self.recorder = resolve_recorder(recorder)
         self._last: tuple[tuple, tuple[int, ...], MultiPathResult] | None = None
-        # Joint-selection reuse state shared with optimize_multipath: the
-        # last descent-regime selection plus the "reuses" counter that
-        # tests assert on (see optimize_multipath's joint_cache=).
-        self._joint_cache: dict = {}
 
     @classmethod
     def from_workloads(
@@ -434,30 +430,16 @@ class MultiPathSession:
             reports[index] = self.sessions[index].apply_many(batch)
         return reports
 
-    @property
-    def joint_reuses(self) -> int:
-        """How many :meth:`optimize` calls reused the cached joint selection.
-
-        Counts the descent-regime answers where the previously selected
-        configurations were still a local optimum of the regenerated
-        candidate sets, so the multi-start coordinate descent was skipped
-        entirely (see :func:`~repro.core.multipath.optimize_multipath`'s
-        ``joint_cache``). The incrementality assertion for tests — a
-        counter, not a timing.
-        """
-        return self._joint_cache.get("reuses", 0)
-
     def optimize(self, **options) -> MultiPathResult:
         """Joint selection over the current inputs of every path.
 
         Keyword options are forwarded to
         :func:`~repro.core.multipath.optimize_multipath` (``beam_width``,
-        ``budget_pages``, ``restarts``, ...). Two layers of reuse apply:
-        identical questions (same options, no session version moved)
-        return the cached :class:`MultiPathResult` outright, and
-        descent-regime joint selections are reused — re-priced against
-        the fresh candidate sets — when they remain locally optimal
-        (:attr:`joint_reuses` counts those).
+        ``budget_pages``, ``restarts``, ...), and the answer is the one
+        that function gives on the sessions' current inputs: untouched
+        paths reuse their cached candidate sets, and an identical question
+        (same options, no session version moved) returns the cached
+        :class:`MultiPathResult` outright.
         """
         # A deadline-bounded call may answer degraded; such results are
         # neither served from nor stored into the identical-question
@@ -472,7 +454,6 @@ class MultiPathSession:
                 return last_result
         result = optimize_multipath(
             sessions=self.sessions,
-            joint_cache=self._joint_cache,
             recorder=self.recorder,
             **options,
         )

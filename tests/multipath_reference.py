@@ -58,42 +58,6 @@ def descend(candidate_sets, selection, work):
     return selection
 
 
-def reuse_joint_selection(joint_cache, cache_key, candidate_sets, work):
-    """The cached joint selection, kept while no single-path swap improves it."""
-    entry = joint_cache.get("entry")
-    if entry is None or entry[0] != cache_key:
-        return None
-    previous = entry[1]
-    if len(previous) != len(candidate_sets):
-        return None
-    mapped = []
-    for configuration, candidates in zip(previous, candidate_sets):
-        match = next(
-            (
-                candidate
-                for candidate in candidates
-                if candidate.configuration == configuration
-            ),
-            None,
-        )
-        if match is None:
-            return None
-        mapped.append(match)
-    current_cost, _ = mp._joint_cost(tuple(mapped))
-    for index, candidates in enumerate(candidate_sets):
-        work.priced += len(candidates) - 1
-        for candidate in candidates:
-            if candidate is mapped[index]:
-                continue
-            trial = list(mapped)
-            trial[index] = candidate
-            cost, _ = mp._joint_cost(tuple(trial))
-            if cost < current_cost - 1e-12:
-                return None
-    joint_cache["reuses"] = joint_cache.get("reuses", 0) + 1
-    return mapped
-
-
 def select_unconstrained(candidate_sets, restarts, seed, work):
     """Exact cross product when small, else seeded multi-start descent."""
     combinations = 1
@@ -262,13 +226,6 @@ def install(monkeypatch) -> Work:
         "_budget_sweep",
         lambda candidate_sets, budget_pages, unconstrained, _pricer: budget_sweep(
             candidate_sets, budget_pages, unconstrained, work
-        ),
-    )
-    monkeypatch.setattr(
-        mp,
-        "_reuse_joint_selection",
-        lambda joint_cache, cache_key, candidate_sets, _pricer: reuse_joint_selection(
-            joint_cache, cache_key, candidate_sets, work
         ),
     )
     return work

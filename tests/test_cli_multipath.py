@@ -118,6 +118,18 @@ class TestMultipathCLI:
         }
         assert used <= {"MX", "NONE"}
 
+    @pytest.mark.parametrize("command", ["multipath", "advise"])
+    def test_repeated_organization_is_error(
+        self, capsys, tmp_path, fig7_spec_document, command
+    ):
+        fig7_spec_document["options"]["organizations"] = ["MX", "MX", "NIX"]
+        spec_path = tmp_path / "repeated.json"
+        spec_path.write_text(json.dumps(fig7_spec_document))
+        assert main([command, str(spec_path), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: organization MX is listed more than once" in captured.err
+
     def test_budget_flag_reported(self, capsys, pexa_spec, pe_spec):
         assert main(
             [

@@ -147,6 +147,16 @@ class TestComputedMatrix:
         )
         assert with_none.organizations == (NONE, MX)
 
+    def test_repeated_organization_rejected_before_pricing(
+        self, fig7_stats, fig7_load, monkeypatch
+    ):
+        def price_rows(*_args, **_kwargs):
+            raise AssertionError("a row was priced")
+
+        monkeypatch.setattr(CostMatrix, "_compute_rows", price_rows)
+        with pytest.raises(OptimizerError, match="organization MX is listed more"):
+            CostMatrix.compute(fig7_stats, fig7_load, organizations=(MX, MX, NIX))
+
     def test_render_with_path(self, fig7_stats, fig7_load):
         matrix = CostMatrix.compute(fig7_stats, fig7_load)
         text = matrix.render(fig7_stats.path)
@@ -165,6 +175,10 @@ class TestComputedMatrix:
         }
         with pytest.raises(OptimizerError):
             CostMatrix(2, (MX,), entries)
+
+    def test_repeated_organization_rejected(self):
+        with pytest.raises(OptimizerError, match="organization NIX is listed more"):
+            CostMatrix(1, (NIX, MX, NIX), {(1, 1): {MX: 1.0, NIX: 2.0}})
 
     def test_zero_length_rejected(self):
         with pytest.raises(OptimizerError):

@@ -11,14 +11,14 @@ replaced, which re-price every trial selection with ``_joint_cost`` and
   unconstrained footprint and unbudgeted — with ``_EXACT_LIMIT`` forced
   to 1 so the descent and the sweep run instead of the exact cross
   products;
-* a :class:`~repro.whatif.MultiPathSession` perturbation sequence takes
-  the same joint-reuse decisions and answers;
+* a :class:`~repro.whatif.MultiPathSession` perturbation sequence
+  answers what the reference and a fresh ``optimize_multipath`` answer;
 * each cost and storage delta equals the difference of the joint prices
   of the trial and the current selection, after any sequence of moves;
 * each joint-stage regime — exhaustive, descent, sweep, expired
-  candidates, expired joint stage, joint reuse — opens (or skips) the
-  ``multipath.joint`` span with the same notes, ``exact`` flag,
-  degradations and counters;
+  candidates, expired joint stage, a session step after a perturbation —
+  opens (or skips) the ``multipath.joint`` span with the same notes,
+  ``exact`` flag, degradations and counters;
 * the merged exhaustive walk returns what the two product loops it
   replaced return, ties and infeasible budgets included.
 """
@@ -107,15 +107,18 @@ class TestJointStageParity:
             for index, perturbation in steps:
                 joint.perturb(index, perturbation)
                 results.append(joint.optimize(beam_width=8))
-            return results, joint.joint_reuses
+                fresh = mp.optimize_multipath(
+                    [mp.PathWorkload(s.stats, s.load) for s in joint.sessions],
+                    beam_width=8,
+                )
+                assert results[-1] == fresh
+            return results
 
         engine = replay()
         with monkeypatch.context() as patch:
             reference.install(patch)
             scans = replay()
         assert engine == scans
-        # The sequence both keeps the cached selection and re-descends.
-        assert 0 < engine[1] < len(steps)
 
 
 class Regime(NamedTuple):
@@ -127,7 +130,7 @@ class Regime(NamedTuple):
     #: One set of flags per ``MultiPathSession.optimize`` call:
     #: ``"budget"`` (half the fleet's unconstrained footprint),
     #: ``"expired"`` (an expired deadline), and ``"drift"`` or ``"shift"``
-    #: (a perturbation applied first that keeps / breaks the cached
+    #: (a perturbation applied first that keeps / breaks the previous
     #: selection's local optimality).
     calls: tuple
     #: The ``multipath.joint`` span's ``combinations``, ``None`` when the
@@ -136,7 +139,6 @@ class Regime(NamedTuple):
     budgeted: bool
     exact: bool
     degradations: tuple[str, ...]
-    reuses: int = 0
 
 
 _BEAM1 = tuple(f"candidates_beam1: deadline_expired path={path}" for path in (0, 1))
@@ -183,9 +185,11 @@ REGIMES = {
         False,
         ("budget_sweep_seeded: deadline_expired",),
     ),
-    "reuse-hit": Regime("long", ((), ("drift",)), None, False, False, (), reuses=1),
+    # A session step descends afresh whether the previous selection is
+    # still a local optimum ("hit") or not ("miss").
+    "reuse-hit": Regime("long", ((), ("drift",)), 8**3, False, False, ()),
     "reuse-miss": Regime("long", ((), ("shift",)), 8**3, False, False, ()),
-    # The drift that keeps an unbudgeted selection: a budget never reuses.
+    # The drift that keeps an unbudgeted selection, under a budget.
     "sweep-after-drift": Regime(
         "long", (("budget",), ("budget", "drift")), 16**3, True, False, ()
     ),
@@ -255,7 +259,7 @@ def observe_regime(regime, monkeypatch, scans=False):
 class TestRegimeContract:
     """Which joint stage answers each regime, and what it reports: the
     ``multipath.joint`` span and its notes, ``exact``, the degradations in
-    order, the degradation counters and the joint reuses."""
+    order and the degradation counters."""
 
     @pytest.mark.parametrize("name", sorted(REGIMES))
     def test_regime(self, name, monkeypatch):
@@ -273,7 +277,6 @@ class TestRegimeContract:
             assert increments.get(key, 0) == report.count(
                 layer="multipath", action=action
             )
-        assert increments.get("multipath.joint_reuses", 0) == regime.reuses
         if regime.combinations is None:
             assert joint is None
             return

@@ -16,8 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.multipath as multipath_module
+from repro.core.multipath import PathWorkload, optimize_multipath
 from repro.costmodel.params import ClassStats, PathStatistics
 from repro.errors import CheckpointError
+from repro.obs import Recorder
 from repro.resilience import (
     restore_advisor,
     restore_multipath,
@@ -26,6 +29,7 @@ from repro.resilience import (
     save_multipath,
     save_session,
 )
+from repro.resilience.checkpoint import _serialize
 from repro.resilience.faults import FaultInjector
 from repro.synth import LevelSpec, linear_path_schema
 from repro.trace import ContinuousAdvisor, ReplayStep, generate_trace
@@ -299,7 +303,62 @@ class TestMultiPathCheckpoint:
         after = restored.optimize()
         assert after.total_cost == before.total_cost
         assert after.configurations == before.configurations
-        assert restored.joint_reuses == multipath.joint_reuses
+
+    def test_restored_session_records_into_the_recorder(self, tmp_path):
+        stats_a, load_a = make_world()
+        stats_b, load_b = make_world(objects=35_000, prefix="M")
+        multipath = MultiPathSession(
+            [AdvisorSession(stats_a, load_a), AdvisorSession(stats_b, load_b)]
+        )
+        path = tmp_path / "multipath.ckpt"
+        save_multipath(multipath, path)
+        recorder = Recorder()
+        restored = restore_multipath(
+            path, [(stats_a, load_a), (stats_b, load_b)], recorder=recorder
+        )
+        restored.optimize()
+        names = {span["name"] for span in recorder.spans}
+        assert {"multipath.optimize", "multipath.joint"} <= names
+
+    def test_cached_joint_selection_of_older_files_is_ignored(
+        self, tmp_path, monkeypatch
+    ):
+        """Files written while a session cached its descent-regime joint
+        selection across calls end with a ``joint_cache`` section; they
+        restore, and the next answer is a fresh one."""
+        monkeypatch.setattr(multipath_module, "_EXACT_LIMIT", 1)
+        baselines = [make_world(), make_world(objects=35_000, prefix="M")]
+        multipath = MultiPathSession(
+            [AdvisorSession(stats, load) for stats, load in baselines]
+        )
+        cached = multipath.optimize(beam_width=8)
+        multipath.perturb(0, Perturbation("L1", "query", "scale", 3.0))
+        path = tmp_path / "multipath.ckpt"
+        save_multipath(multipath, path)
+        records = [json.loads(line) for line in path.read_text().splitlines()[1:-1]]
+        records.append(
+            {
+                "section": "joint_cache",
+                "reuses": 0,
+                "entry": {
+                    "key": [2, 8, 4, 0],
+                    "configurations": [
+                        [
+                            [part.start, part.end, part.organization.value]
+                            for part in configuration.assignments
+                        ]
+                        for configuration in cached.configurations
+                    ],
+                },
+            }
+        )
+        path.write_text(_serialize("multipath_session", records))
+        restored = restore_multipath(path, baselines)
+        fresh = optimize_multipath(
+            [PathWorkload(s.stats, s.load) for s in restored.sessions],
+            beam_width=8,
+        )
+        assert restored.optimize(beam_width=8) == fresh
 
     def test_baseline_count_mismatch_is_rejected(self, tmp_path):
         stats, load = make_world()

@@ -8,11 +8,13 @@ O(1) ``CMD`` patches), the refinable dynamic program, and the session
 bookkeeping can never drift from the one-shot pipeline. Also covers
 :class:`~repro.core.cost_matrix.RecomputeReport`, the declarative
 :class:`~repro.whatif.Perturbation` format, the multi-path session with
-its candidate caching, and the seeded randomized restarts of the joint
+its candidate caching and its equality with a fresh
+``optimize_multipath``, and the seeded randomized restarts of the joint
 coordinate descent.
 """
 
 import pytest
+from conftest import make_suffix_fleet
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +22,8 @@ import repro.core.multipath as multipath_module
 from repro.core.cost_matrix import CostMatrix
 from repro.core.multipath import PathWorkload, optimize_multipath
 from repro.costmodel.params import ClassStats, PathStatistics
-from repro.errors import OptimizerError, WorkloadError
+from repro.errors import CostModelError, OptimizerError, WorkloadError
+from repro.organizations import EXTENDED_ORGANIZATIONS
 from repro.search import available_strategies, get_strategy
 from repro.synth import LevelSpec, linear_path_schema
 from repro.whatif import (
@@ -493,55 +496,94 @@ class TestMultiPathSessions:
             MultiPathSession([])
 
 
-class TestJointSelectionReuse:
-    def make_joint(self):
-        (s1, l1) = make_world(length=4, subclasses=(0, 1, 0, 0), prefix="A")
-        (s2, l2) = make_world(
-            length=5, subclasses=(0, 0, 2, 0, 0), prefix="B", objects=30_000
+#: Nine perturbations of the multipath-budget fleet shape (8 suffix paths
+#: of an 18-class chain, unbudgeted, so the joint stage descends). After
+#: each, the previous step's answer is still a local optimum of the new
+#: candidate sets; after the last, the descent from the independent
+#: optima finds a cheaper selection (74.4862) than that local optimum
+#: (78.0552).
+PINNED_STEPS = [
+    (7, "L15", "insert", 10),
+    (3, "L5", "delete", 10),
+    (2, "L5", "insert", 5),
+    (2, "L4", "delete", 0.1),
+    (6, "L13", "delete", 0.2),
+    (0, "L16", "query", 0.1),
+    (0, "L6", "query", 0.1),
+    (7, "L12", "insert", 0.2),
+    (3, "L13", "insert", 10),
+]
+
+
+def fresh_optimize(joint, **options):
+    """``optimize_multipath`` from scratch on a session's current inputs,
+    over its matrices' organizations."""
+    return optimize_multipath(
+        [PathWorkload(session.stats, session.load) for session in joint.sessions],
+        organizations=joint.sessions[0].matrix.organizations,
+        **options,
+    )
+
+
+@st.composite
+def multipath_sequences(draw):
+    """A small suffix fleet, a joint-stage regime and perturbation steps."""
+    paths = draw(st.integers(min_value=2, max_value=3))
+    workloads = make_suffix_fleet(
+        draw(st.integers(min_value=0, max_value=2**16)),
+        chain_length=draw(st.integers(min_value=paths, max_value=5)),
+        paths=paths,
+    )
+    steps = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        index = draw(st.integers(min_value=0, max_value=paths - 1))
+        scope = list(workloads[index].stats.path.scope)
+        steps.append((index, draw(perturbation_strategy(scope))))
+    regime = draw(st.sampled_from(["exhaustive", "descent", "budgeted"]))
+    return workloads, regime, steps
+
+
+class TestMultiPathSessionEqualsFresh:
+    """A multi-path session answers what a fresh ``optimize_multipath``
+    answers on its current inputs, whatever it was asked before."""
+
+    def test_pinned_descent_sequence_matches_fresh(self):
+        joint = MultiPathSession.from_workloads(
+            make_suffix_fleet(11, chain_length=18, paths=8)
         )
-        return MultiPathSession([AdvisorSession(s1, l1), AdvisorSession(s2, l2)])
-
-    def test_descent_regime_reuses_locally_optimal_selection(self, monkeypatch):
-        # Force the descent regime so the joint stage is reusable.
-        monkeypatch.setattr(multipath_module, "_EXACT_LIMIT", 1)
-        joint = self.make_joint()
-        first = joint.optimize()
-        assert joint.joint_reuses == 0
-        # A tiny drift re-prices path 0's candidates without moving the
-        # sharing landscape: the cached joint selection must be reused
-        # (counter, not timing) and re-priced against the new matrices.
-        joint.perturb(0, Perturbation("A1", "query", "scale", 1.001))
-        second = joint.optimize()
-        assert joint.joint_reuses == 1
-        assert second.configurations == first.configurations
-        assert second.total_cost != first.total_cost
-        assert not second.exact
-
-    def test_option_change_skips_reuse(self, monkeypatch):
-        monkeypatch.setattr(multipath_module, "_EXACT_LIMIT", 1)
-        joint = self.make_joint()
         joint.optimize()
-        joint.perturb(0, Perturbation("A1", "query", "scale", 1.001))
-        # Different selection options -> different cache key -> no reuse.
-        joint.optimize(restarts=0)
-        assert joint.joint_reuses == 0
+        for index, class_name, component, scale in PINNED_STEPS:
+            joint.perturb(index, Perturbation(class_name, component, "scale", scale))
+            result = joint.optimize()
+            assert result == fresh_optimize(joint)
+        assert result.total_cost == pytest.approx(74.4862, abs=1e-4)
 
-    def test_exact_regime_never_reuses(self):
-        joint = self.make_joint()
-        first = joint.optimize()
-        joint.perturb(0, Perturbation("A1", "query", "scale", 1.5))
-        second = joint.optimize()
-        assert joint.joint_reuses == 0
-        # Exact answers stay pinned to the fresh pipeline.
-        fresh = optimize_multipath(
-            [
-                PathWorkload(joint.sessions[0].stats, joint.sessions[0].load),
-                PathWorkload(joint.sessions[1].stats, joint.sessions[1].load),
-            ]
-        )
-        assert second.total_cost == fresh.total_cost
-        assert second.configurations == fresh.configurations
-        assert first.exact and second.exact
+    @given(sequence=multipath_sequences())
+    @settings(max_examples=30, deadline=None)
+    def test_any_perturbation_sequence_matches_fresh(self, sequence):
+        workloads, regime, steps = sequence
+        options = {}
+        with pytest.MonkeyPatch.context() as patch:
+            if regime != "exhaustive":
+                patch.setattr(multipath_module, "_EXACT_LIMIT", 1)
+                options["beam_width"] = 8
+            joint = MultiPathSession.from_workloads(
+                workloads, organizations=EXTENDED_ORGANIZATIONS
+            )
+            if regime == "budgeted":
+                # NONE keeps every budget feasible.
+                options["budget_pages"] = (
+                    0.5 * fresh_optimize(joint, **options).storage_pages
+                )
+            assert joint.optimize(**options) == fresh_optimize(joint, **options)
+            for index, perturbation in steps:
+                try:
+                    joint.perturb(index, perturbation)
+                except (CostModelError, WorkloadError):
+                    pass  # Rejected inputs: the session keeps its own.
+                assert joint.optimize(**options) == fresh_optimize(
+                    joint, **options
+                )
 
 
 class TestRandomizedRestarts:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation and timing-seam guards for CI.
 
-Three checks, all fail-on-regression:
+Four checks, all fail-on-regression:
 
 * every Python module under ``src/repro/`` carries a non-empty module
   docstring (the docs job treats an undocumented module as a build
@@ -14,7 +14,11 @@ Three checks, all fail-on-regression:
   ``time.perf_counter()`` directly except ``repro/obs/clock.py`` — all
   timing goes through the injectable clock seam so ``FakeClock`` can
   drive deterministic span tests (``time.monotonic`` for deadlines is
-  deliberately not banned; it measures elapsed wall budget, not spans).
+  deliberately not banned; it measures elapsed wall budget, not spans);
+* the metric table of ``docs/OBSERVABILITY.md`` and the source agree:
+  every counter name passed as a string literal to ``.counter(...)``
+  under ``src/repro/`` has a row, and every counter row names a counter
+  the source emits.
 
 Run locally with ``python tools/check_docs.py``; exits non-zero listing
 every failure.
@@ -37,14 +41,21 @@ LINK = re.compile(r"\[[^\]]*\]\(([^)#\s][^)\s]*)\)")
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
 
 
+def source_trees():
+    """``(path, path relative to the repo root, module AST)`` per module
+    under src/repro/."""
+    for path in sorted(SOURCE_ROOT.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        yield path, str(path.relative_to(ROOT)), tree
+
+
 def missing_docstrings() -> list[str]:
     """Modules under src/repro/ whose module docstring is absent or blank."""
     failures = []
-    for path in sorted(SOURCE_ROOT.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for _, relative, tree in source_trees():
         docstring = ast.get_docstring(tree)
         if not docstring or not docstring.strip():
-            failures.append(str(path.relative_to(ROOT)))
+            failures.append(relative)
     return failures
 
 
@@ -63,11 +74,9 @@ def bare_time_calls() -> list[str]:
     comments never false-positive.
     """
     failures = []
-    for path in sorted(SOURCE_ROOT.rglob("*.py")):
+    for path, relative, tree in source_trees():
         if path == CLOCK_SEAM:
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        relative = str(path.relative_to(ROOT))
         for node in ast.walk(tree):
             if (
                 isinstance(node, ast.Attribute)
@@ -86,6 +95,49 @@ def bare_time_calls() -> list[str]:
                             f"{relative}:{node.lineno}: from time import "
                             f"{alias.name} bypasses repro.obs.clock"
                         )
+    return failures
+
+
+#: The metric table documenting every counter.
+METRIC_TABLE = ROOT / "docs" / "OBSERVABILITY.md"
+
+#: A counter row of the table, ``| `name{label=…}` | counter | ...``;
+#: the group is the name without its labels.
+COUNTER_ROW = re.compile(r"^\| `([^`{]+)(?:\{[^`]*\})?` \| counter \|", re.MULTILINE)
+
+
+def emitted_counters() -> dict[str, str]:
+    """Counter names passed as string literals to ``.counter(...)`` under
+    src/repro/, each with its first call site."""
+    sites: dict[str, str] = {}
+    for _, relative, tree in source_trees():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "counter"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            ):
+                sites.setdefault(node.args[0].value, f"{relative}:{node.lineno}")
+    return sites
+
+
+def counter_table_drift() -> list[str]:
+    """Emitted counters without a table row, and rows no counter backs."""
+    emitted = emitted_counters()
+    documented = set(COUNTER_ROW.findall(METRIC_TABLE.read_text(encoding="utf-8")))
+    table = METRIC_TABLE.relative_to(ROOT)
+    failures = [
+        f"{site}: counter {name} has no row in {table}"
+        for name, site in sorted(emitted.items())
+        if name not in documented
+    ]
+    failures.extend(
+        f"{table}: counter {name} is not emitted under src/repro"
+        for name in sorted(documented - set(emitted))
+    )
     return failures
 
 
@@ -131,12 +183,18 @@ def main() -> int:
         print("wall-clock calls outside the clock seam:", file=sys.stderr)
         for call in timing:
             print(f"  {call}", file=sys.stderr)
+    drift = counter_table_drift()
+    if drift:
+        failures += len(drift)
+        print("metric table and source disagree:", file=sys.stderr)
+        for counter in drift:
+            print(f"  {counter}", file=sys.stderr)
     if failures:
         print(f"{failures} documentation failure(s)", file=sys.stderr)
         return 1
     print(
         "docs OK: all modules documented, all links resolve, "
-        "timing stays behind repro.obs.clock"
+        "timing stays behind repro.obs.clock, every counter documented"
     )
     return 0
 
