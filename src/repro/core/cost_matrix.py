@@ -217,62 +217,29 @@ def _column_minima(total: np.ndarray, eligible: np.ndarray):
 
 
 def _evaluate_rows(
-    stats: PathStatistics,
-    load: LoadDistribution,
+    arrays,
     organizations: tuple[IndexOrganization, ...],
     rows: list[tuple[int, int]],
-    range_selectivity: float | None,
-    arrays=None,
-    recorder=NULL_RECORDER,
+    recorder,
 ) -> RowCosts:
-    """Price rows with the columnar kernel.
+    """Price rows of one lowering with the columnar kernel.
 
     The kernel batches every (row, organization) pair into array
     operations (:mod:`repro.kernel`) and returns the rows' component
     arrays, bit-identical to
     :func:`~repro.costmodel.subpath.subpath_processing_cost`, the scalar
-    parity oracle. ``arrays`` optionally hands it a pre-lowered (or
-    workload-patched) :class:`~repro.kernel.arrays.StatArrays` for these
-    exact inputs.
+    parity oracle. ``arrays`` is the
+    :class:`~repro.kernel.arrays.StatArrays` of these inputs
+    (:func:`repro.kernel.lower`).
 
-    With an enabled ``recorder`` the evaluation splits into
-    ``kernel.lower`` / ``kernel.fold`` spans (the explicit ``lower`` is
-    the same cache-backed lookup the kernel performs internally, so
-    timing it changes nothing), ``kernel.fold`` opens one
-    ``kernel.fold.<organization>`` child per canonical organization, and
-    the lowering-cache probe lands on the ``kernel.lowering_cache.*``
-    counters; every batch adds its size to ``matrix.rows_priced`` and its
-    (row, organization) entries to ``kernel.entries``.
+    The pass runs in a ``kernel.fold`` span with one
+    ``kernel.fold.<organization>`` child per canonical organization;
+    every batch adds its size to ``matrix.rows_priced`` and its (row,
+    organization) entries to ``kernel.entries``.
     """
     recorder.counter("matrix.rows_priced").add(len(rows))
-    if recorder.enabled and arrays is None:
-        arrays = lowering(stats, load, range_selectivity, len(rows), recorder)
     with recorder.span("kernel.fold", rows=len(rows)):
-        return kernel.compute_rows(
-            stats, load, organizations, rows, range_selectivity,
-            arrays=arrays, recorder=recorder,
-        )
-
-
-def lowering(
-    stats: PathStatistics,
-    load: LoadDistribution,
-    range_selectivity: float | None,
-    rows: int,
-    recorder=NULL_RECORDER,
-):
-    """The cached lowering of these inputs, lowering them on a miss.
-
-    The probe lands on the ``kernel.lowering_cache.*`` counters and a
-    fresh lowering (for ``rows`` matrix rows) in a ``kernel.lower`` span.
-    """
-    cached = kernel.cached_lowering(stats, load, range_selectivity)
-    if cached is not None:
-        recorder.counter("kernel.lowering_cache.hits").add()
-        return cached
-    recorder.counter("kernel.lowering_cache.misses").add()
-    with recorder.span("kernel.lower", rows=rows):
-        return kernel.lower(stats, load, range_selectivity)
+        return kernel.compute_rows(arrays, organizations, rows, recorder)
 
 
 #: Worker-process copy of the fan-out's shared inputs ``(stats, load,
@@ -288,7 +255,8 @@ def _init_worker(inputs: tuple) -> None:
     Under ``fork`` the inputs reach the worker by memory image, the
     parent's columnar lowering (``arrays``) included; under any other
     start method they are pickled once per worker, without a lowering
-    (it holds its statistics by weakref), and the worker lowers its own.
+    (it holds its statistics by weakref), and the worker lowers its own
+    through :func:`repro.kernel.lower`.
     """
     global _WORKER_INPUTS
     _WORKER_INPUTS = inputs
@@ -309,10 +277,9 @@ def _price_stripe(rows: list[tuple[int, int]]) -> tuple[RowCosts, dict | None]:
     )
     recorder = Recorder() if record else NULL_RECORDER
     with recorder.span("matrix.worker_batch", rows=len(rows)):
-        priced = _evaluate_rows(
-            stats, load, organizations, rows, range_selectivity,
-            arrays=arrays, recorder=recorder,
-        )
+        if arrays is None:
+            arrays = kernel.lower(stats, load, range_selectivity, recorder)
+        priced = _evaluate_rows(arrays, organizations, rows, recorder)
     return priced, recorder.profile() if record else None
 
 
@@ -540,7 +507,6 @@ class CostMatrix:
         range_selectivity: float | None,
         workers: int | None,
         degradation=None,
-        arrays=None,
         recorder=NULL_RECORDER,
     ) -> tuple[RowCosts, str | None]:
         """Price a set of rows, serially or over a process pool.
@@ -560,21 +526,22 @@ class CostMatrix:
         worker, an unpicklable input or an OS refusing to start a process
         fails the attempt, any other exception propagates.
 
-        ``arrays`` is an optional pre-lowered columnar
-        :class:`~repro.kernel.arrays.StatArrays` for exactly these inputs.
-        ``recorder`` (already resolved; never ``None``) receives the
+        The rows are priced over the lowering :func:`repro.kernel.lower`
+        returns for these inputs in this process, before any fan-out;
+        pricing no rows lowers nothing. ``recorder`` (already resolved;
+        never ``None``) receives the lowering-cache probe and the
         evaluation spans and, on parallel builds, the per-worker
         profiles merged under ``tid`` 1..n in stripe order.
         """
         resolved = cls._resolve_workers(workers, len(rows))
+        if not rows:
+            return RowCosts.zeros(0, len(organizations)), None
+        arrays = kernel.lower(stats, load, range_selectivity, recorder)
         fallback_reason: str | None = None
         if resolved > 1:
             # Imported here so serial builds never load the pool modules.
             from concurrent.futures.process import BrokenProcessPool
 
-            if arrays is None:
-                with recorder.span("kernel.lower", rows=len(rows)):
-                    arrays = kernel.lower(stats, load, range_selectivity)
             # Fork-started workers inherit the parent's lowering; a
             # lowering cannot be pickled, so elsewhere each worker lowers
             # its own.
@@ -625,10 +592,7 @@ class CostMatrix:
                     "matrix", "serial_fallback", fallback_reason,
                     workers=resolved, rows=len(rows),
                 )
-        priced = _evaluate_rows(
-            stats, load, organizations, rows, range_selectivity,
-            arrays=arrays, recorder=recorder,
-        )
+        priced = _evaluate_rows(arrays, organizations, rows, recorder)
         return priced, fallback_reason
 
     @classmethod
@@ -702,9 +666,10 @@ class CostMatrix:
         ``workers`` defaults to ``0`` (serial) because dirty sets are
         typically small; pass ``None`` for the same auto-parallel policy
         as :meth:`compute`. Dirty sets go through the columnar kernel as
-        array-slice re-evaluations over the cached lowering of the old
-        inputs (a workload-only drift patches it in place) or, without
-        one, over a fresh lowering of the new inputs.
+        array-slice re-evaluations over the lowering of the new inputs: a
+        workload-only drift re-keys the cached lowering of the old inputs
+        to the new load (:meth:`_rekey_lowering`); otherwise the slice
+        lowers the new inputs fresh. No dirty row, no lowering.
 
         Raises :class:`~repro.errors.OptimizerError` for literal matrices
         (:meth:`from_values`) and when the new inputs describe a different
@@ -745,11 +710,8 @@ class CostMatrix:
             dirty=len(dirty_rows),
             patched=len(patch_rows),
         ):
-            arrays = (
-                self._kernel_slice_arrays(new_stats, new_load, recorder)
-                if dirty_rows
-                else None
-            )
+            if dirty_rows:
+                self._rekey_lowering(new_stats, new_load, recorder)
             recomputed, fallback_reason = self._compute_rows(
                 new_stats,
                 new_load,
@@ -758,7 +720,6 @@ class CostMatrix:
                 self._range_selectivity,
                 workers,
                 degradation,
-                arrays=arrays,
                 recorder=recorder,
             )
         recorder.counter("matrix.recomputes").add()
@@ -778,8 +739,8 @@ class CostMatrix:
         costs.write([self.row_index(*row) for row in dirty_rows], recomputed)
         if patch_rows:
             index = [self.row_index(*row) for row in patch_rows]
-            # The following hierarchy's deletion mass, summed in
-            # SubpathContext.build's member order.
+            # The following hierarchy's deletion mass, summed in member
+            # order as the scalar model sums it.
             following = [
                 [sum(new_load.triplet(m).delete for m in new_stats.members(end + 1))]
                 for _, end in patch_rows
@@ -799,37 +760,28 @@ class CostMatrix:
             _warn_parallel_fallback(fallback_reason)
         return matrix
 
-    def _kernel_slice_arrays(
-        self,
-        new_stats: PathStatistics,
-        new_load: LoadDistribution,
-        recorder=NULL_RECORDER,
-    ) -> object | None:
-        """The lowering for a kernel dirty-slice, or ``None``.
+    def _rekey_lowering(
+        self, new_stats: PathStatistics, new_load: LoadDistribution, recorder
+    ) -> None:
+        """Re-key this matrix's lowering to a drifted workload.
 
-        A columnar :class:`~repro.kernel.arrays.StatArrays` for the *new*
-        inputs: the cached lowering itself when nothing relevant drifted,
-        or a workload patch of it when only the load changed. Once
-        sibling branches off this matrix have evicted its own lowering
-        from the bounded cache, the newest lowering of the same statistics
-        is patched instead, so its statistics-only tables stay warm.
-        ``None`` (the statistics changed, or nothing is cached) leaves the
-        kernel to lower fresh arrays for the new inputs, which it caches
-        for the *next* recompute.
+        On a workload-only drift, :func:`repro.kernel.patch_lowering`
+        caches the lowering of this matrix's inputs, patched to
+        ``new_load``, where the :func:`repro.kernel.lower` of the dirty
+        slice finds it, so its statistics-only tables stay warm. Once
+        sibling branches off this matrix have evicted that lowering from
+        the bounded cache, the newest lowering of the same statistics is
+        patched instead. New statistics re-key nothing: the slice then
+        lowers them fresh.
         """
         if new_stats is not self._stats:
-            return None
+            return
         base = kernel.cached_lowering(
             self._stats, self._load, self._range_selectivity
         ) or newest_cached_arrays(self._stats, self._range_selectivity)
-        if base is None:
-            recorder.counter("kernel.lowering_cache.misses").add()
-            return None
-        recorder.counter("kernel.lowering_cache.hits").add()
-        if new_load is base.load:
-            return base
-        with recorder.span("kernel.patch_lowering"):
-            return kernel.patch_lowering(base, new_load)
+        if base is not None and base.load is not new_load:
+            with recorder.span("kernel.patch_lowering"):
+                kernel.patch_lowering(base, new_load)
 
     def _full_rebuild_reason(self, new_stats: PathStatistics) -> str:
         """Why the dirty-row analysis refused to apply."""

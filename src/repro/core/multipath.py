@@ -72,7 +72,7 @@ import numpy as np
 
 from repro import kernel
 from repro.core.configuration import IndexConfiguration, IndexedSubpath
-from repro.core.cost_matrix import CostMatrix, lowering
+from repro.core.cost_matrix import CostMatrix
 from repro.costmodel.params import PathStatistics
 from repro.errors import OptimizerError
 from repro.kernel.arrays import fold_segments
@@ -207,9 +207,8 @@ def build_fleet(
                     adopt_suffix_units(
                         source,
                         offset,
-                        lambda: lowering(
-                            stats, load, range_selectivity,
-                            stats.length * (stats.length + 1) // 2, recorder,
+                        lambda: kernel.lower(
+                            stats, load, range_selectivity, recorder
                         ),
                     )
                 )

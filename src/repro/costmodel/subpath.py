@@ -28,7 +28,7 @@ from repro.costmodel.params import PathStatistics
 from repro.costmodel.path_index import PXCostModel
 from repro.errors import CostModelError
 from repro.organizations import IndexOrganization, canonical_organization
-from repro.workload.load import LoadDistribution, LoadTriplet
+from repro.workload.load import LoadDistribution
 
 
 _MODEL_CLASSES: dict[IndexOrganization, type[SubpathCostModel]] = {
@@ -60,72 +60,6 @@ def build_model(
 
 
 @dataclass(frozen=True)
-class SubpathContext:
-    """Per-row shared work of the ``Cost_Matrix`` procedure.
-
-    The derived load distribution and the probe fan-in of a subpath depend
-    only on the subpath bounds (and the workload), never on the index
-    organization — yet the naive per-entry evaluation recomputed them for
-    every organization in the row. A context is built once per matrix row
-    and passed to every cost-model evaluation of that row.
-    """
-
-    start: int
-    end: int
-    #: The inputs the context was derived from. Kept so an evaluation can
-    #: reject a context built for a different workload or statistics
-    #: (checked by object identity — the derived quantities are stale for
-    #: any other inputs, and silently using them would mis-price the row).
-    stats: PathStatistics
-    load: LoadDistribution
-    #: Section 3.2 derived load: class name → triplet on this subpath.
-    derived: dict[str, LoadTriplet]
-    #: Equality values fed into the subpath's ending index (the noid chain
-    #: of the remainder of the path; 1.0 when the subpath ends the path).
-    probes: float
-    #: Summed deletion frequency of the class hierarchy following the
-    #: subpath (the multiplier of ``CMD``); 0.0 for path-ending subpaths.
-    following_deletes: float = 0.0
-    #: The range/equality switch the context was built for (contexts are
-    #: workload-specific and must not be reused across selectivities).
-    range_selectivity: float | None = None
-
-    @classmethod
-    def build(
-        cls,
-        stats: PathStatistics,
-        load: LoadDistribution,
-        start: int,
-        end: int,
-        range_selectivity: float | None = None,
-    ) -> "SubpathContext":
-        """Compute the shared per-row quantities for one subpath."""
-        initial = 1.0
-        if range_selectivity is not None:
-            initial = max(1.0, range_selectivity * stats.distinct_union(stats.length))
-        probes = (
-            stats.probe_keys(end, stats.length, initial)
-            if end < stats.length
-            else 1.0
-        )
-        following = 0.0
-        if end < stats.length:
-            following = sum(
-                load.triplet(member).delete for member in stats.members(end + 1)
-            )
-        return cls(
-            start=start,
-            end=end,
-            stats=stats,
-            load=load,
-            derived=load.derived_for_subpath(start, end),
-            probes=probes,
-            following_deletes=following,
-            range_selectivity=range_selectivity,
-        )
-
-
-@dataclass(frozen=True)
 class SubpathCost:
     """The processing cost of one subpath with one organization.
 
@@ -135,12 +69,12 @@ class SubpathCost:
     following the ending attribute. ``storage_pages`` (not part of the
     processing cost) supports budget-constrained selection.
 
-    ``cmd_per_deletion`` is the per-deletion rate behind ``cmd``
-    (``cmd = following_deletes · cmd_per_deletion``). The rate depends on
-    the statistics only, never on the workload, so a delete-frequency
-    what-if can re-derive a row's ``cmd`` — and therefore its total — from
-    the stored rate instead of re-running the cost model
-    (:meth:`repro.core.cost_matrix.CostMatrix.recompute`).
+    ``cmd_per_deletion`` is the per-deletion rate behind ``cmd``: ``cmd``
+    is the following class hierarchy's deletion mass times the rate. The
+    rate depends on the statistics only, never on the workload, so a
+    delete-frequency what-if can re-derive a row's ``cmd`` — and
+    therefore its total — from the stored rate instead of re-running the
+    cost model (:meth:`repro.core.cost_matrix.CostMatrix.recompute`).
     """
 
     organization: IndexOrganization
@@ -165,9 +99,7 @@ def subpath_processing_cost(
     start: int,
     end: int,
     organization: IndexOrganization,
-    model: SubpathCostModel | None = None,
     range_selectivity: float | None = None,
-    context: SubpathContext | None = None,
 ) -> SubpathCost:
     """``PC(S_{start,end}, X)`` under the given full-path workload.
 
@@ -182,27 +114,18 @@ def subpath_processing_cost(
         1-based subpath bounds (inclusive).
     organization:
         The index organization allocated to the subpath.
-    model:
-        An already-built cost model to reuse (optional).
     range_selectivity:
         When set, queries are range predicates covering this fraction of
         the distinct ending values ("the extension to range predicates is
         straightforward", Section 3). The final subpath performs a
         contiguous leaf walk; earlier subpaths are probed with the oid
         fan-in of all matched values.
-    context:
-        A precomputed :class:`SubpathContext` for this row (optional). The
-        ``Cost_Matrix`` procedure builds one per row and shares it across
-        all organizations; it must describe the same bounds and
-        selectivity and the same ``stats``/``load`` objects (checked by
-        identity), otherwise an error is raised.
     """
     if load.path is not stats.path and str(load.path) != str(stats.path):
         raise CostModelError("load distribution and statistics describe different paths")
     if range_selectivity is not None and not 0.0 <= range_selectivity <= 1.0:
         raise CostModelError(f"selectivity out of [0,1]: {range_selectivity}")
-    if model is None:
-        model = build_model(stats, start, end, organization)
+    model = build_model(stats, start, end, organization)
 
     # Every query is a predicate on the full path's ending attribute A_n.
     # A subpath that does not end at A_n is therefore probed with the oid
@@ -210,28 +133,13 @@ def subpath_processing_cost(
     # — a quantity that depends only on the path statistics, never on how
     # the rest of the path is indexed, which is what keeps the subpath
     # costs additive (Proposition 4.2).
-    if context is None:
-        context = SubpathContext.build(
-            stats, load, start, end, range_selectivity=range_selectivity
-        )
-    elif (
-        context.start != start
-        or context.end != end
-        or context.range_selectivity != range_selectivity
-    ):
-        raise CostModelError(
-            f"context describes S[{context.start},{context.end}] "
-            f"(selectivity {context.range_selectivity}), not "
-            f"S[{start},{end}] (selectivity {range_selectivity})"
-        )
-    elif context.stats is not stats or context.load is not load:
-        raise CostModelError(
-            "context was built for different statistics or workload "
-            "objects; rebuild it with SubpathContext.build(stats, load, "
-            f"{start}, {end}) for these inputs"
-        )
-    probes = context.probes
-    derived = context.derived
+    probes = 1.0
+    if end < stats.length:
+        initial = 1.0
+        if range_selectivity is not None:
+            initial = max(1.0, range_selectivity * stats.distinct_union(stats.length))
+        probes = stats.probe_keys(end, stats.length, initial)
+    derived = load.derived_for_subpath(start, end)
     query = 0.0
     insert = 0.0
     delete = 0.0
@@ -260,7 +168,11 @@ def subpath_processing_cost(
     if end < stats.length:
         per_deletion = model.cmd_cost()
         if per_deletion:
-            cmd = context.following_deletes * per_deletion
+            # Every deletion on the hierarchy following the subpath.
+            following = sum(
+                load.triplet(member).delete for member in stats.members(end + 1)
+            )
+            cmd = following * per_deletion
     return SubpathCost(
         organization=model.organization,
         start=start,

@@ -24,12 +24,13 @@ per-segment term lists **sequentially in rank order** (padding with the
 fold identity, which never perturbs float bits), reproducing the scalar
 cost model's left-to-right accumulation chains exactly.
 
-Lowerings persist: :func:`get_stat_arrays` keeps a bounded cache of
-:class:`StatArrays` on the statistics object, and :meth:`StatArrays.patched`
-derives the arrays for a drifted workload from an existing lowering by
-patching only the load-derived columns — the stats-derived tables, including the
-per-organization probe/insert tables that accumulate in ``_tables``, are
-shared by reference across the patch chain.
+Lowerings persist: :func:`repro.kernel.lower` keeps a bounded cache of
+:class:`StatArrays` on the statistics object (:func:`find_cached_arrays`,
+:func:`remember_stat_arrays`), and :meth:`StatArrays.patched` derives the
+arrays for a drifted workload from an existing lowering by patching only
+the load-derived columns — the stats-derived tables, including the
+per-organization shapes and probe/insert tables that accumulate in
+``_tables``, are shared by reference across the patch chain.
 """
 
 from __future__ import annotations
@@ -670,46 +671,42 @@ class StatArrays:
     # ------------------------------------------------------------------
     # shared (subpath-independent) shapes
     # ------------------------------------------------------------------
+    # Built from the statistics, never read from their scalar shape cache:
+    # the kernel and the scalar parity oracle each derive their own shapes,
+    # so a parity check compares two derivations. The kernel memoizes them
+    # in its table cache (``mx_shapes``/``mix_shapes``).
     def mx_shape(self, position: int, name: str) -> IndexShape:
-        """The MX per-class shape (same key as the scalar shape cache)."""
+        """The MX shape of class ``name``'s index on ``A_position``."""
         sizes = self.sizes
         stats = self.stats
-
-        def build() -> IndexShape:
-            record_length = (
-                sizes.record_header_size
-                + self.key_size_at(position)
-                + stats.k(position, name) * sizes.oid_size
-            )
-            return build_shape(
-                record_count=stats.d(position, name),
-                record_length=record_length,
-                key_size=self.key_size_at(position),
-                sizes=sizes,
-            )
-
-        return stats.cached_shape(("mx", position, name), build)
+        record_length = (
+            sizes.record_header_size
+            + self.key_size_at(position)
+            + stats.k(position, name) * sizes.oid_size
+        )
+        return build_shape(
+            record_count=stats.d(position, name),
+            record_length=record_length,
+            key_size=self.key_size_at(position),
+            sizes=sizes,
+        )
 
     def mix_shape(self, position: int) -> IndexShape:
-        """The MIX per-level shape (same key as the scalar shape cache)."""
+        """The MIX shape of the hierarchy index on ``A_position``."""
         sizes = self.sizes
         stats = self.stats
-
-        def build() -> IndexShape:
-            record_length = (
-                sizes.record_header_size
-                + self.key_size_at(position)
-                + stats.nc(position) * sizes.class_directory_entry_size
-                + stats.sum_k(position) * sizes.oid_size
-            )
-            return build_shape(
-                record_count=stats.distinct_union(position),
-                record_length=record_length,
-                key_size=self.key_size_at(position),
-                sizes=sizes,
-            )
-
-        return stats.cached_shape(("mix", position), build)
+        record_length = (
+            sizes.record_header_size
+            + self.key_size_at(position)
+            + stats.nc(position) * sizes.class_directory_entry_size
+            + stats.sum_k(position) * sizes.oid_size
+        )
+        return build_shape(
+            record_count=stats.distinct_union(position),
+            record_length=record_length,
+            key_size=self.key_size_at(position),
+            sizes=sizes,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -756,22 +753,3 @@ def remember_stat_arrays(arrays: StatArrays) -> None:
     cache.append(arrays)
     if len(cache) > _ARRAYS_CACHE_LIMIT:
         del cache[: len(cache) - _ARRAYS_CACHE_LIMIT]
-
-
-def get_stat_arrays(
-    stats: PathStatistics,
-    load: LoadDistribution,
-    range_selectivity: float | None = None,
-) -> StatArrays:
-    """The lowering for (stats, load), via the persistent cache.
-
-    Identity of the workload object is the cache key — a drifted load is
-    a *new* object, for which :meth:`StatArrays.patched` (reached through
-    the recompute path) is the cheap route.
-    """
-    found = find_cached_arrays(stats, load, range_selectivity)
-    if found is not None:
-        return found
-    arrays = StatArrays(stats, load, range_selectivity)
-    remember_stat_arrays(arrays)
-    return arrays

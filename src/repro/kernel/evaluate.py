@@ -1,12 +1,13 @@
 """Batched evaluation of matrix rows: the columnar kernel core.
 
-:func:`evaluate_rows` prices a set of ``Cost_Matrix`` rows for a set of
-organizations in one pass and returns them as :class:`RowCosts`, one
-float64 array per cost component. Rows and their (position, member)
-entries are flattened into index arrays once (:class:`_RowBatch`); each
-organization is then evaluated as a handful of batched CRT/CMT/CRR calls
-plus :func:`~repro.kernel.arrays.fold_segments` accumulations that replay
-the scalar cost model's left-to-right sums **in the same order**, so every
+:func:`compute_rows` prices a set of ``Cost_Matrix`` rows of one lowering
+for a set of organizations in one pass and returns them as
+:class:`RowCosts`, one float64 array per cost component. Rows and their
+(position, member) entries are flattened into index arrays once
+(:class:`_RowBatch`); each organization is then evaluated as a handful
+of batched CRT/CMT/CRR calls plus
+:func:`~repro.kernel.arrays.fold_segments` accumulations that replay the
+scalar cost model's left-to-right sums **in the same order**, so every
 matrix value is bit-identical to
 :func:`repro.costmodel.subpath.subpath_processing_cost`.
 
@@ -36,7 +37,6 @@ from repro.kernel.arrays import (
     crr_batch,
     crt_batch,
     fold_segments,
-    get_stat_arrays,
     range_scan_batch,
 )
 from repro.kernel.yao_vec import npa_array
@@ -97,23 +97,19 @@ def cmd_and_total(query, insert, delete, rate, following):
     return cmd, ((query + insert) + delete) + cmd
 
 
-def evaluate_rows(
-    stats,
-    load,
-    organizations,
-    rows,
-    range_selectivity=None,
-    arrays=None,
-    recorder=NULL_RECORDER,
+def compute_rows(
+    arrays: StatArrays, organizations, rows, recorder=NULL_RECORDER
 ) -> RowCosts:
-    """Price ``rows`` for every organization; see :func:`repro.kernel.compute_rows`.
+    """Price ``rows`` of the lowering ``arrays`` for every organization.
 
-    ``arrays`` short-circuits the lowering: callers holding a (possibly
-    patched) :class:`StatArrays` for exactly these inputs pass it in;
-    otherwise the persistent cache on ``stats`` is consulted.
-    ``recorder`` times each canonical organization in its own
-    ``kernel.fold.<organization>`` span and counts the priced (row,
-    organization) entries in ``kernel.entries``.
+    Returns a :class:`RowCosts`: one ``(len(rows) × len(organizations))``
+    float64 array per cost component, rows in request order and columns
+    in organization order, every slot bit-identical to the matching field
+    of :func:`~repro.costmodel.subpath.subpath_processing_cost` on the
+    statistics, workload and range selectivity ``arrays`` was lowered
+    from (:func:`repro.kernel.lower`). ``recorder`` times each canonical
+    organization in its own ``kernel.fold.<organization>`` span and
+    counts the priced (row, organization) entries in ``kernel.entries``.
     """
     organizations = list(organizations)
     recorder.counter("kernel.entries").add(len(rows) * len(organizations))
@@ -121,8 +117,6 @@ def evaluate_rows(
     if not rows:
         return priced
 
-    if arrays is None:
-        arrays = get_stat_arrays(stats, load, range_selectivity)
     # SIX/IIX share MX/MIX's pricing, so each canonical organization is
     # evaluated once and its columns are written for every alias that
     # requested it.
@@ -135,7 +129,7 @@ def evaluate_rows(
             f"kernel.fold.{canonical.value.lower()}", rows=len(rows)
         ):
             query, insert, delete, cmd_rate, storage = batch.evaluate(canonical)
-            rate = np.where(ends < stats.length, cmd_rate, 0.0)
+            rate = np.where(ends < arrays.length, cmd_rate, 0.0)
             cmd, total = cmd_and_total(query, insert, delete, rate, following)
             components = (query, insert, delete, cmd, rate, storage, total)
             for column, organization in enumerate(organizations):

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.cost_matrix import CostMatrix
 from repro.costmodel.params import ClassStats, CostModelConfig, PathStatistics
-from repro.costmodel.subpath import SubpathContext, subpath_processing_cost
+from repro.costmodel.subpath import subpath_processing_cost
 from repro.model.examples import (
     build_vehicle_schema,
     pe_path,
@@ -216,10 +216,10 @@ def oracle_matrix(
 ):
     """The cost matrix priced row by row through the scalar cost model.
 
-    Every entry is one :func:`subpath_processing_cost` call (sharing one
-    :class:`SubpathContext` per row) — the paper-faithful oracle the
-    columnar kernel behind :meth:`CostMatrix.compute` must match bit for
-    bit. Arguments mirror :meth:`CostMatrix.compute`.
+    Every entry is one :func:`subpath_processing_cost` call — the
+    paper-faithful oracle the columnar kernel behind
+    :meth:`CostMatrix.compute` must match bit for bit. Arguments mirror
+    :meth:`CostMatrix.compute`.
     """
     if include_noindex and IndexOrganization.NONE not in organizations:
         organizations = (*organizations, IndexOrganization.NONE)
@@ -227,9 +227,6 @@ def oracle_matrix(
     breakdowns = {}
     for start in range(1, stats.length + 1):
         for end in range(start, stats.length + 1):
-            context = SubpathContext.build(
-                stats, load, start, end, range_selectivity=range_selectivity
-            )
             row = {
                 organization: subpath_processing_cost(
                     stats,
@@ -238,7 +235,6 @@ def oracle_matrix(
                     end,
                     organization,
                     range_selectivity=range_selectivity,
-                    context=context,
                 )
                 for organization in organizations
             }

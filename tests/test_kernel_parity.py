@@ -647,8 +647,10 @@ class TestKernelResolution:
             assert "--kernel" not in capsys.readouterr().out
 
     def test_kernel_names_are_closed(self):
-        """The kernel's public surface, read by checkpoints and the
-        benchmark's per-layer trace, stays exactly these four names."""
+        """The kernel's public surface stays exactly these four names:
+        the benchmark's per-layer trace wraps ``lower``, ``compute_rows``
+        and ``patch_lowering``, and the multi-path fleet build probes
+        with ``cached_lowering``."""
         assert kernel.__all__ == [
             "compute_rows",
             "lower",

@@ -2,23 +2,23 @@
 
 Covers the incremental :meth:`CostMatrix.recompute` (exact dirty-row
 analysis, equality with a fresh compute under randomized perturbations),
-the worker-process parity guarantee, the per-row
-:class:`~repro.costmodel.subpath.SubpathContext`, and the tie-tolerant
-organization ranking.
+the worker-process parity guarantee, kernel builds over warm or seeded
+caches against the scalar oracle, and the tie-tolerant organization
+ranking.
 """
 
 import dataclasses
 
 import pytest
-from conftest import oracle_matrix
+from conftest import assert_same_bits, oracle_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cost_matrix import CostMatrix, TIE_RELATIVE_TOLERANCE
+from repro.costmodel.btree_shape import build_shape
 from repro.costmodel.params import ClassStats, PathStatistics
-from repro.costmodel.subpath import SubpathContext, subpath_processing_cost
-from repro.errors import CostModelError, OptimizerError
-from repro.organizations import CONFIGURABLE_ORGANIZATIONS, IndexOrganization
+from repro.errors import OptimizerError
+from repro.organizations import IndexOrganization
 from repro.synth import LevelSpec, linear_path_schema
 from repro.workload.load import LoadDistribution, LoadTriplet
 
@@ -60,44 +60,7 @@ def assert_matrices_identical(left: CostMatrix, right: CostMatrix) -> None:
         assert left_min.organization is right_min.organization
 
 
-class TestSubpathContext:
-    def test_context_matches_contextless_evaluation(self):
-        stats, load = make_world()
-        for start, end in [(1, 5), (2, 4), (3, 3), (1, 1)]:
-            context = SubpathContext.build(stats, load, start, end)
-            for organization in CONFIGURABLE_ORGANIZATIONS:
-                direct = subpath_processing_cost(
-                    stats, load, start, end, organization
-                )
-                via_context = subpath_processing_cost(
-                    stats, load, start, end, organization, context=context
-                )
-                assert via_context.total == direct.total
-                assert via_context.query == direct.query
-                assert via_context.cmd == direct.cmd
-
-    def test_mismatched_context_rejected(self):
-        stats, load = make_world()
-        context = SubpathContext.build(stats, load, 1, 2)
-        with pytest.raises(CostModelError, match="context"):
-            subpath_processing_cost(stats, load, 2, 3, MX, context=context)
-        with pytest.raises(CostModelError, match="context"):
-            subpath_processing_cost(
-                stats, load, 1, 2, MX, context=context, range_selectivity=0.5
-            )
-
-    def test_context_for_other_workload_rejected(self):
-        """A stale context must not silently price the row under old
-        frequencies (its derived load/probes belong to the old inputs)."""
-        stats, load = make_world()
-        other_load = load.scaled(5.0)
-        context = SubpathContext.build(stats, load, 1, 2)
-        with pytest.raises(CostModelError, match="workload"):
-            subpath_processing_cost(stats, other_load, 1, 2, MX, context=context)
-        other_stats, _ = make_world()
-        with pytest.raises(CostModelError, match="statistics"):
-            subpath_processing_cost(other_stats, load, 1, 2, MX, context=context)
-
+class TestCachesAgainstTheOracle:
     def test_cached_and_uncached_evaluations_identical(self):
         """A kernel build over warm caches against the scalar oracle over
         fresh statistics."""
@@ -106,6 +69,24 @@ class TestSubpathContext:
         warm_matrix = CostMatrix.compute(stats, load)
         cold_matrix = oracle_matrix(make_world()[0], load)
         assert_matrices_identical(warm_matrix, cold_matrix)
+
+    def test_kernel_ignores_scalar_shape_cache(self):
+        """The kernel derives its own MX and MIX shapes: wrong shapes
+        seeded under the scalar models' keys change nothing of a kernel
+        build, which still equals the oracle over fresh statistics."""
+        stats, load = make_world()
+        root = stats.path.class_at(1)
+        wrong = build_shape(
+            record_count=1.0,
+            record_length=8 * stats.config.sizes.page_size,
+            key_size=8,
+            sizes=stats.config.sizes,
+        )
+        stats.cached_shape(("mx", 1, root), lambda: wrong)
+        stats.cached_shape(("mix", 1), lambda: wrong)
+        assert_same_bits(
+            CostMatrix.compute(stats, load), oracle_matrix(make_world()[0], load)
+        )
 
 
 class TestWorkersParity:

@@ -21,20 +21,22 @@ What PR 10 promises and these tests pin:
 
 import importlib.util
 import json
+import multiprocessing
 import pathlib
 
 import pytest
-from conftest import make_suffix_fleet
+from conftest import assert_same_bits, make_suffix_fleet
 
 import multipath_reference
 import repro.core.multipath as multipath_module
 from repro.cli import main as cli_main
 from repro.core.advisor import advise
 from repro.core.cost_matrix import CostMatrix
-from repro.core.multipath import PathWorkload, optimize_multipath
+from repro.core.multipath import PathWorkload, build_fleet, optimize_multipath
 from repro.costmodel.params import ClassStats, PathStatistics
 from repro.io import spec_to_dict
 from repro.obs import Recorder, dumps_profile, profile_document
+from repro.obs.recorder import resolve_recorder
 from repro.organizations import ALL_ORGANIZATIONS, EXTENDED_ORGANIZATIONS
 from repro.paper import figure7_load, figure7_statistics
 from repro.resilience import FakeClock
@@ -156,6 +158,98 @@ class TestKernelFoldSpans:
                 recorder.profile()["metrics"]["counters"]["kernel.entries"]
             )
         assert counts[0] == counts[1] == 36 * len(matrix.organizations)
+
+
+class TestRecorderChangesNoWork:
+    @staticmethod
+    def run(make_recorder):
+        """One sequence of builds and recomputes on fresh inputs, each step
+        under its own ``make_recorder()``: per step its name, recorder,
+        matrices and the number of lowerings each statistics object it
+        touched has cached."""
+        stats, load = make_world(length=6)
+        _, drifted = Perturbation("L2", "query", "scale", 3.0).apply(stats, load)
+        grown, _ = Perturbation("L3", "objects", "scale", 2.0).apply(
+            stats, drifted
+        )
+        _, equal = Perturbation("L1", "query", "scale", 1.0).apply(grown, drifted)
+        fleet = make_suffix_fleet(7, chain_length=8, paths=3)
+        steps = []
+
+        def step(name, build, *statistics):
+            recorder = make_recorder()
+            matrices = build(recorder)
+            cached = [len(each._stat_arrays_cache) for each in statistics]
+            steps.append((name, recorder, matrices, cached))
+            return matrices[0]
+
+        serial = step(
+            "serial",
+            lambda r: [CostMatrix.compute(stats, load, workers=0, recorder=r)],
+            stats,
+        )
+        step(
+            "pool",
+            lambda r: [CostMatrix.compute(stats, load, workers=2, recorder=r)],
+            stats,
+        )
+        load_drift = step(
+            "load drift",
+            lambda r: [serial.recompute(load=drifted, recorder=r)],
+            stats,
+        )
+        stats_drift = step(
+            "stats drift",
+            lambda r: [load_drift.recompute(stats=grown, recorder=r)],
+            stats, grown,
+        )
+        noop = step(
+            "no-op",
+            lambda r: [stats_drift.recompute(load=equal, recorder=r)],
+            stats, grown,
+        )
+        assert noop.recompute_report.dirty_count == 0
+        step(
+            "fleet",
+            lambda r: build_fleet(
+                fleet,
+                lambda workload: CostMatrix.compute(
+                    workload.stats, workload.load, workers=0, recorder=r
+                ),
+                recorder=resolve_recorder(r),
+            ),
+            *(workload.stats for workload in fleet),
+        )
+        return steps
+
+    def test_recorded_and_plain_runs_do_the_same_work(self):
+        """A recorder changes the record, not the work: with and without
+        one, every step prices bit-identical matrices and leaves as many
+        lowerings cached."""
+        recorded = self.run(Recorder)
+        plain = self.run(lambda: None)
+        for (name, _, mine, my_cache), (_, _, theirs, their_cache) in zip(
+            recorded, plain
+        ):
+            assert my_cache == their_cache, name
+            assert len(mine) == len(theirs), name
+            for left, right in zip(mine, theirs):
+                assert_same_bits(left, right)
+        steps = {name: recorder for name, recorder, _, _ in recorded}
+        # No dirty row, no lowering.
+        assert "kernel.lower" not in span_names(steps["no-op"])
+        # A pool build on lowered inputs finds them in the advising
+        # process (lane 0). Fork-started workers inherit the lowering;
+        # workers started any other way lower their own, each lowering
+        # one miss.
+        pool = steps["pool"]
+        counters = pool.profile()["metrics"]["counters"]
+        lowered = [s["tid"] for s in pool.spans if s["name"] == "kernel.lower"]
+        assert 0 not in lowered
+        assert counters.get("kernel.lowering_cache.misses", 0) == len(lowered)
+        if multiprocessing.get_start_method() == "fork":
+            assert counters["kernel.lowering_cache.hits"] == 1
+            assert not lowered
 
 
 class TestSessionSpans:

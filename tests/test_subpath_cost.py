@@ -116,15 +116,3 @@ class TestProbeSemantics:
         load = LoadDistribution.uniform(pe)
         with pytest.raises(CostModelError):
             subpath_processing_cost(fig7_stats, load, 1, 2, IndexOrganization.MX)
-
-
-class TestModelReuse:
-    def test_prebuilt_model_used(self, fig7_stats, fig7_load):
-        model = build_model(fig7_stats, 1, 2, IndexOrganization.NIX)
-        first = subpath_processing_cost(
-            fig7_stats, fig7_load, 1, 2, IndexOrganization.NIX, model=model
-        )
-        second = subpath_processing_cost(
-            fig7_stats, fig7_load, 1, 2, IndexOrganization.NIX
-        )
-        assert first.total == pytest.approx(second.total)

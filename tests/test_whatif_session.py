@@ -23,7 +23,10 @@ from repro.core.cost_matrix import CostMatrix
 from repro.core.multipath import PathWorkload, optimize_multipath
 from repro.costmodel.params import ClassStats, PathStatistics
 from repro.errors import CostModelError, OptimizerError, WorkloadError
+from repro.obs import Recorder
 from repro.organizations import EXTENDED_ORGANIZATIONS
+from repro.resilience import Deadline
+from repro.resilience.faults import FakeClock
 from repro.search import available_strategies, get_strategy
 from repro.synth import LevelSpec, linear_path_schema
 from repro.whatif import (
@@ -286,6 +289,36 @@ class TestAdvisorSession:
         session = AdvisorSession(stats, load)
         first = session.advise()
         assert session.advise() is first
+
+    def test_trace_request_searches_a_cached_answer_again(self):
+        """A cached answer kept no trace, so ``keep_trace=True`` searches
+        again: the same answer, now with a trace, and no cache hit."""
+        stats, load = make_world()
+        recorder = Recorder()
+        session = AdvisorSession(stats, load, recorder=recorder)
+        first = session.advise()
+        assert not first.trace
+        traced = session.advise(keep_trace=True)
+        assert traced.trace
+        assert traced.cost == first.cost
+        assert traced.configuration == first.configuration
+        counters = recorder.profile()["metrics"]["counters"]
+        assert "whatif.advise_cache_hits" not in counters
+
+    def test_trace_search_abandoned_under_an_expired_deadline(self):
+        """With no time left for the trace search, the cached answer
+        comes back and the abandoned search is recorded."""
+        stats, load = make_world()
+        session = AdvisorSession(stats, load)
+        first = session.advise()
+        clock = FakeClock()
+        deadline = Deadline(0.001, clock=clock)
+        clock.advance(1.0)
+        assert session.advise(keep_trace=True, deadline=deadline) is first
+        assert len(session.degradation) == 1
+        assert session.degradation.describe().startswith(
+            "[session] trace_search_abandoned"
+        )
 
     def test_apply_requires_something(self):
         stats, load = make_world()

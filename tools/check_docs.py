@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation and timing-seam guards for CI.
 
-Four checks, all fail-on-regression:
+Five checks, all fail-on-regression:
 
 * every Python module under ``src/repro/`` carries a non-empty module
   docstring (the docs job treats an undocumented module as a build
@@ -18,7 +18,12 @@ Four checks, all fail-on-regression:
 * the metric table of ``docs/OBSERVABILITY.md`` and the source agree:
   every counter name passed as a string literal to ``.counter(...)``
   under ``src/repro/`` has a row, and every counter row names a counter
-  the source emits.
+  the source emits;
+* the span taxonomy of ``docs/OBSERVABILITY.md`` and the source agree:
+  every span name passed to ``.span(...)`` under ``src/repro/`` has a
+  row, and every row names a span the source opens. A string literal
+  must match a row exactly; an f-string matches a templated row such as
+  ``search.<strategy>`` by its constant parts.
 
 Run locally with ``python tools/check_docs.py``; exits non-zero listing
 every failure.
@@ -141,6 +146,62 @@ def counter_table_drift() -> list[str]:
     return failures
 
 
+#: The span taxonomy's rows: ``| `name` | opened by | attributes |``
+#: lines between its heading and the next one.
+SPAN_SECTION = re.compile(r"^## Span taxonomy$(.*?)^## ", re.MULTILINE | re.DOTALL)
+SPAN_ROW = re.compile(r"^\| `([^`]+)` \|", re.MULTILINE)
+
+#: A templated part of a span row (``<strategy>``) or of an f-string.
+TEMPLATE_PART = re.compile(r"<[^>]*>")
+
+
+def opened_spans() -> dict[str, str]:
+    """Span names passed to ``.span(...)`` under src/repro/, each with its
+    first call site; an f-string's formatted parts read ``<>``."""
+    sites: dict[str, str] = {}
+    for _, relative, tree in source_trees():
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "span"
+                and node.args
+            ):
+                continue
+            name = node.args[0]
+            if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                key = name.value
+            elif isinstance(name, ast.JoinedStr):
+                key = "".join(
+                    part.value if isinstance(part, ast.Constant) else "<>"
+                    for part in name.values
+                )
+            else:
+                continue
+            sites.setdefault(key, f"{relative}:{node.lineno}")
+    return sites
+
+
+def span_table_drift() -> list[str]:
+    """Opened spans without a taxonomy row, and rows no span backs."""
+    opened = opened_spans()
+    section = SPAN_SECTION.search(METRIC_TABLE.read_text(encoding="utf-8"))
+    rows = SPAN_ROW.findall(section.group(1)) if section else []
+    documented = {TEMPLATE_PART.sub("<>", row): row for row in rows}
+    table = METRIC_TABLE.relative_to(ROOT)
+    failures = [
+        f"{site}: span {name} has no row in {table}'s span taxonomy"
+        for name, site in sorted(opened.items())
+        if name not in documented
+    ]
+    failures.extend(
+        f"{table}: span {row} is not opened under src/repro"
+        for key, row in sorted(documented.items())
+        if key not in opened
+    )
+    return failures
+
+
 def broken_links() -> list[str]:
     """Relative links in docs/ and README.md that point at nothing."""
     documents = sorted((ROOT / "docs").glob("*.md"))
@@ -189,12 +250,19 @@ def main() -> int:
         print("metric table and source disagree:", file=sys.stderr)
         for counter in drift:
             print(f"  {counter}", file=sys.stderr)
+    spans = span_table_drift()
+    if spans:
+        failures += len(spans)
+        print("span taxonomy and source disagree:", file=sys.stderr)
+        for span in spans:
+            print(f"  {span}", file=sys.stderr)
     if failures:
         print(f"{failures} documentation failure(s)", file=sys.stderr)
         return 1
     print(
         "docs OK: all modules documented, all links resolve, "
-        "timing stays behind repro.obs.clock, every counter documented"
+        "timing stays behind repro.obs.clock, every counter and span "
+        "documented"
     )
     return 0
 
